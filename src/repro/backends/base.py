@@ -15,8 +15,13 @@ The contracts mirror the reference kernels bit for bit:
   ``(n_snps, 3, W)`` planes over all samples plus the packed phenotype →
   ``(n_combos, 3^k, 2)`` tables;
 * ``split_class_counts(class_planes, padding_mask, combos)`` —
-  ``(n_snps, 2, W)`` per-class planes (genotype 2 inferred by ``NOR``,
-  padding masked off) → ``(n_combos, 3^k)`` counts for that class.
+  ``(n_snps, 2, W)`` per-class planes of genotypes 0 and 1 (disjoint, zero
+  in the padding bits) plus the class's valid-sample mask →
+  ``(n_combos, 3^k)`` counts for that class.  How genotype 2 is counted is
+  the backend's choice: the NumPy reference popcounts only the ``2^k``
+  stored-plane cells and derives the rest exactly by inclusion–exclusion,
+  the compiled kernels infer the plane with ``NOR``.  §IV charging, done
+  in the approach layer, models the ``NOR`` mix either way.
 
 Every backend must be bit-exact against
 :func:`repro.core.contingency.contingency_oracle`; the equivalence suite in

@@ -48,7 +48,10 @@ __all__ = [
 STORE_PATH_ENV = "REPRO_CALIBRATION_PATH"
 
 #: Schema version of the store document (bump to invalidate wholesale).
-STORE_VERSION = 1
+#: Version 2: the NumPy split kernel switched from NOR expansion to
+#: inclusion–exclusion, so version-1 ``numpy`` split records price a kernel
+#: that no longer runs.
+STORE_VERSION = 2
 
 #: Probe shape: small enough to calibrate in well under a second per
 #: backend, large enough that per-call dispatch overhead is amortised.
@@ -119,10 +122,11 @@ def default_store_path() -> Path:
 class CalibrationStore:
     """Per-host JSON store of measured backend throughput.
 
-    The on-disk document is ``{"version": 1, "records": {fingerprint:
-    record}}``; writes are atomic (temp file + rename) and read/save
-    failures degrade to an empty store (calibration is an optimisation,
-    never a correctness dependency).
+    The on-disk document is ``{"version": STORE_VERSION, "records":
+    {fingerprint: record}}``, and a document of any other version reads as
+    empty.  Writes are atomic (temp file + rename) and read/save failures
+    degrade to an empty store (calibration is an optimisation, never a
+    correctness dependency).
     """
 
     def __init__(self, path: str | Path | None = None) -> None:

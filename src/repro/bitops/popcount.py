@@ -90,15 +90,22 @@ def popcount_sum(words: np.ndarray, axis: int = -1) -> np.ndarray:
     stream).sum(word axis)``.  Going through :func:`popcount` first would
     materialise a full ``int64`` copy of the per-word counts (8 bytes per
     word) purely to feed the reduction; this helper sums the native
-    ``uint8`` output of ``np.bitwise_count`` directly into an ``int64``
-    accumulator, so the intermediate never exists.  Width-generic (uint32
-    and uint64 input) and bit-exact with the two-step form.
+    ``uint8`` output of ``np.bitwise_count`` directly into the narrowest
+    accumulator that cannot overflow (a sum is at most words x word bits;
+    ``uint16`` reduces about 3x faster than ``int64``) and widens only the
+    reduced result to ``int64``.  Width-generic (uint32 and uint64 input)
+    and bit-exact with the two-step form.
     """
     arr = _as_unsigned(words)
     if arr.dtype not in (np.uint32, np.uint64):
         arr = arr.astype(np.uint32)
     if HAS_BITWISE_COUNT:
-        return np.bitwise_count(arr).sum(axis=axis, dtype=np.int64)
+        bound = arr.shape[axis] * arr.dtype.itemsize * 8
+        accumulator = (
+            np.uint16 if bound < 2**16 else np.int32 if bound < 2**31 else np.int64
+        )
+        counts = np.bitwise_count(arr).sum(axis=axis, dtype=accumulator)
+        return counts.astype(np.int64)
     if arr.dtype == np.uint64:
         lo = (arr & np.uint64(0xFFFFFFFF)).astype(np.uint32)
         hi = (arr >> np.uint64(32)).astype(np.uint32)

@@ -7,31 +7,37 @@ interaction (``k`` between :data:`MIN_ORDER` and :data:`MAX_ORDER`):
   per SNP over *all* samples, with the phenotype bit-vector (and its
   negation) used to split every genotype-combination count into cases and
   controls;
-* the **phenotype-split** kernel (approaches V2–V4): per-class planes with
-  the genotype-2 plane inferred by ``NOR`` on the fly.
+* the **phenotype-split** kernel (approaches V2–V4): per-class planes of
+  genotypes 0 and 1 only.  Execution ANDs and popcounts just the ``2^k``
+  stored-plane cells of each combination and derives every genotype-2 cell
+  exactly by inclusion–exclusion (``c2 = c* - c0 - c1`` along each axis,
+  the ``c*`` counts coming from lower-order sub-combinations), see
+  :func:`split_class_counts`.
 
-The kernels are fully vectorised over a batch of SNP k-tuples: the inner
-``3^k``-combination loop is expressed as a broadcast over a k-dimensional
-``(3, ..., 3)`` genotype grid, and the per-word population counts are
-reduced with the width-generic :func:`repro.bitops.popcount.popcount` — the
-kernels accept planes in either machine-word layout (``uint32`` or
-``uint64``; the wide layout halves the element count of every AND/POPCNT).
-Both kernels are bit-exact with the
-:func:`repro.core.contingency.contingency_oracle` construction (property
-tested at several orders and both layouts), and both charge their dynamic
-instruction counts to an :class:`~repro.bitops.ops.OpCounter` using
-order-parametric instruction mixes.
+The kernels are fully vectorised over a batch of SNP k-tuples: the cell
+loop is a broadcast over the per-position planes, and the per-word
+population counts are reduced with
+:func:`repro.bitops.popcount.popcount_sum` — the kernels accept planes in
+either machine-word layout (``uint32`` or ``uint64``; the wide layout
+halves the element count of every AND/POPCNT).  Both kernels are bit-exact
+with the :func:`repro.core.contingency.contingency_oracle` construction
+(property tested at several orders and both layouts).
 
-Charging is always per **paper** (32-bit) word: the ``charge_*`` helpers
-convert machine words through the layout's
-:attr:`~repro.bitops.packing.WordLayout.paper_words` ratio at the charging
-boundary, so at the paper's ``k = 3`` the mixes reduce to the §IV
-accounting — 162 instructions per word for the naïve kernel, 57 for the
-split kernel — regardless of the execution word width.
+Execution and accounting are separate: the ``charge_*`` helpers charge the
+§IV *modelled* instruction mixes to an :class:`~repro.bitops.ops.OpCounter`
+whatever the execution did — for the split family that is still the
+paper's ``k`` NORs and ``3^k`` AND+POPCNT cells per word.  Charging is
+always per **paper** (32-bit) word: the helpers convert machine words
+through the layout's :attr:`~repro.bitops.packing.WordLayout.paper_words`
+ratio at the charging boundary, so at the paper's ``k = 3`` the mixes
+reduce to the §IV accounting — 162 instructions per word for the naïve
+kernel, 57 for the split kernel — regardless of the execution word width.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Dict
 
 import numpy as np
@@ -50,8 +56,6 @@ __all__ = [
     "NAIVE_OPS_PER_COMBO_WORD",
     "SPLIT_OPS_PER_COMBO_WORD",
     "naive_tables",
-    "expand_split_planes",
-    "split_counts_from_planes",
     "split_class_counts",
     "split_tables",
     "charge_naive_ops",
@@ -243,52 +247,34 @@ def naive_tables(
     return tables
 
 
-def expand_split_planes(
-    class_planes: np.ndarray,
-    padding_mask: np.ndarray,
-    combos: np.ndarray,
-) -> list[np.ndarray]:
-    """Gather and NOR-expand one class's planes for a combination batch.
+@lru_cache(maxsize=None)
+def _stored_cell_plan(order: int) -> tuple:
+    """Where each sub-combination size lands in the ``3^k`` cell vector.
 
-    Returns one ``(n_combos, 3, n_words)`` stack per combination position:
-    the two stored planes of each selected SNP plus the genotype-2 plane
-    inferred by ``NOR`` (padding masked off).  This is the gather half of
-    the split kernel, factored out so callers that walk the samples in
-    word chunks (the cache-blocked kernel) gather and expand **once** per
-    batch and slice word views per pass instead of re-gathering.
+    For every size ``m`` in ``0..k`` the entry is ``(heads, cells,
+    tails)`` over the position subsets of size ``m`` in
+    :func:`itertools.combinations` order: each subset's first position;
+    the flat canonical cell indices of their ``2^m`` stored-plane cells,
+    subset-major (a position outside the subset takes digit 2, which holds
+    the "any genotype" count until :func:`split_class_counts` derives
+    genotype 2); and, for ``m >= 2``, the index of each subset's tail
+    ``subset[1:]`` among the size ``m - 1`` subsets.
     """
-    combos = np.asarray(combos, dtype=np.int64)
-    order = check_order(combos.shape[1])
-    mask = np.asarray(padding_mask, dtype=class_planes.dtype)
-
-    def expand(planes_sel: np.ndarray) -> np.ndarray:
-        """(T, 2, W) stored planes -> (T, 3, W) with the inferred plane."""
-        g2 = np.bitwise_and(
-            np.bitwise_not(np.bitwise_or(planes_sel[:, 0], planes_sel[:, 1])), mask
-        )
-        return np.concatenate([planes_sel, g2[:, None, :]], axis=1)
-
-    return [expand(class_planes[combos[:, t]]) for t in range(order)]
-
-
-def split_counts_from_planes(selected: list[np.ndarray]) -> np.ndarray:
-    """``3^k`` counts from pre-expanded per-position plane stacks.
-
-    ``selected`` holds k ``(n_combos, 3, n_words)`` stacks (word views are
-    fine — the blocked kernel passes slices of one expanded batch).
-    """
-    n_combos = selected[0].shape[0]
-    order = len(selected)
-    cells = 3**order
-    sub_cells = cells // 3
-    counts = np.empty((n_combos, cells), dtype=np.int64)
-    sub_grid = _genotype_grid(selected[1:])
-    for g0 in range(3):
-        head = selected[0][:, g0, :]
-        grid = np.bitwise_and(head[:, None, :], sub_grid)
-        span = slice(g0 * sub_cells, (g0 + 1) * sub_cells)
-        counts[:, span] = popcount_sum(grid)
-    return counts
+    weights = [3 ** (order - 1 - t) for t in range(order)]
+    plan = []
+    previous: list[tuple[int, ...]] = []
+    for m in range(order + 1):
+        subsets = list(combinations(range(order), m))
+        cells = []
+        for subset in subsets:
+            base = sum(2 * weights[t] for t in range(order) if t not in subset)
+            for bits in product((0, 1), repeat=m):
+                cells.append(base + sum(b * weights[t] for b, t in zip(bits, subset)))
+        heads = [subset[0] for subset in subsets if subset]
+        tails = [previous.index(subset[1:]) for subset in subsets] if m >= 2 else None
+        plan.append((heads, np.array(cells, dtype=np.intp), tails))
+        previous = subsets
+    return tuple(plan)
 
 
 def split_class_counts(
@@ -296,28 +282,85 @@ def split_class_counts(
     padding_mask: np.ndarray,
     combos: np.ndarray,
 ) -> np.ndarray:
-    """Per-class ``3^k`` counts with the genotype-2 plane inferred by NOR.
+    """Per-class ``3^k`` counts by inclusion–exclusion over the stored planes.
+
+    The two stored planes of a SNP are disjoint and zero in the padding
+    bits, so a sample has genotype 2 exactly when it is valid and in
+    neither plane: along any axis, ``c2 = c* - c0 - c1`` where ``c*`` counts
+    every valid sample at that position.  The kernel therefore ANDs and
+    popcounts only the ``2^k`` stored-plane cells of each combination and
+    fills the ``c*`` slots from lower orders — per-row singles, the distinct
+    lower-order sub-combinations of the batch (each counted once per call)
+    and ``popcount(padding_mask)`` — before deriving every genotype-2 cell
+    exactly.  The AND planes of a size-``m`` sub-combination are its head
+    SNP's planes AND its tail's size ``m - 1`` planes, so each level reuses
+    the one below it.
 
     Parameters
     ----------
     class_planes:
         ``(n_snps, 2, n_words)`` planes of one phenotype class (``uint32``
-        or ``uint64``).
+        or ``uint64``): disjoint, zero in the padding bits, as every
+        :class:`~repro.datasets.binarization.PhenotypeSplitDataset` encodes.
     padding_mask:
-        ``(n_words,)`` mask of valid sample bits for the class (clears the
-        padding bits that the NOR would otherwise set), same layout as the
-        planes.
+        ``(n_words,)`` mask of the class's valid sample bits, same layout as
+        the planes.
     combos:
         ``(n_combos, k)`` strictly increasing SNP index tuples.
 
     Returns
     -------
     numpy.ndarray
-        ``(n_combos, 3^k)`` counts for this class.
+        ``(n_combos, 3^k)`` counts for this class, in the canonical
+        big-endian cell order.  The input may be a word slice of the
+        planes: counts add exactly across slices.
     """
-    return split_counts_from_planes(
-        expand_split_planes(class_planes, padding_mask, combos)
-    )
+    combos = np.asarray(combos, dtype=np.int64)
+    order = check_order(combos.shape[1])
+    n_combos = combos.shape[0]
+    n_words = class_planes.shape[2]
+    plan = _stored_cell_plan(order)
+    counts = np.empty((n_combos, 3**order), dtype=np.int64)
+    counts[:, plan[0][1]] = popcount_sum(padding_mask)
+    if class_planes.shape[0] <= combos.size:
+        singles = popcount_sum(class_planes)[combos]
+    else:
+        # Whole-dataset planes under a small batch: count the used rows only.
+        rows, inverse = np.unique(combos, return_inverse=True)
+        singles = popcount_sum(class_planes[rows])[inverse.reshape(combos.shape)]
+    counts[:, plan[1][1]] = singles.reshape(n_combos, 2 * order)
+
+    # Level m holds the AND planes of the distinct size-m sub-combinations;
+    # ``ids`` maps (combination, subset) to a row of them.  Dedup keys are
+    # head_row * n_tails + tail_id, where n_tails is the SNP row count at
+    # m = 2 and at most n_combos * C(k, m - 1) above it: unlike positional
+    # keys (n_snps^(m-1) * head + ...), they stay far inside int64 however
+    # many SNP rows the planes have.
+    tail_planes, tail_ids = class_planes, combos
+    for m in range(2, order + 1):
+        head_positions, cells, tails = plan[m]
+        heads = combos[:, head_positions]
+        tail_of = tail_ids[:, tails]
+        if m < order:
+            n_tails = tail_planes.shape[0]
+            keys, inverse = np.unique(heads * n_tails + tail_of, return_inverse=True)
+            heads, tail_of = np.divmod(keys, n_tails)
+            ids = inverse.reshape(n_combos, len(head_positions))
+        else:
+            heads, tail_of, ids = heads[:, 0], tail_of[:, 0], None
+        planes = np.bitwise_and(
+            class_planes[heads][:, :, None, :], tail_planes[tail_of][:, None, :, :]
+        ).reshape(heads.shape[0], 2**m, n_words)
+        level = popcount_sum(planes)
+        counts[:, cells] = (level if ids is None else level[ids]).reshape(
+            n_combos, cells.size
+        )
+        tail_planes, tail_ids = planes, ids
+
+    for t in range(order):
+        axis = counts.reshape(n_combos, 3**t, 3, 3 ** (order - 1 - t))
+        axis[:, :, 2] -= axis[:, :, 0] + axis[:, :, 1]
+    return counts
 
 
 def split_tables(

@@ -63,7 +63,7 @@ class Approach(ABC):
         # this package, so the registry must not be touched at module level.
         from repro.backends import get_backend
 
-        self.counter = OpCounter()
+        self.reset_counter()
         #: Machine-word layout the encodings are packed with (``uint32`` or
         #: ``uint64``; the default follows
         #: :func:`repro.bitops.packing.default_layout`).  Charging stays per
@@ -146,7 +146,12 @@ class Approach(ABC):
 
     # -- bookkeeping ------------------------------------------------------------
     def reset_counter(self) -> None:
-        """Clear the operation counter (e.g. between benchmark repetitions)."""
+        """Clear the run accounting.
+
+        That is the operation counter plus any run counter
+        :meth:`extra_stats` reports.  The detector calls this at the start
+        of every search, so run statistics count one call.
+        """
         self.counter = OpCounter()
 
     def op_counts(self) -> Mapping[str, int]:

@@ -23,12 +23,7 @@ import numpy as np
 
 from repro.core.approaches.base import Approach
 from repro.core.approaches._fused import fused_split_scores
-from repro.core.approaches._kernels import (
-    SPLIT_OPS_PER_COMBO_WORD,
-    charge_split_ops,
-    expand_split_planes,
-    split_counts_from_planes,
-)
+from repro.core.approaches._kernels import SPLIT_OPS_PER_COMBO_WORD, charge_split_ops
 from repro.datasets.binarization import PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
 from repro.devices.specs import CpuSpec
@@ -86,7 +81,6 @@ class CpuBlockedApproach(Approach):
         )
         if self.block_snps < 1 or self.block_samples < 1:
             raise ValueError("blocking parameters must be positive")
-        self._sample_passes = 0
         self._last_order = 3
 
     # -- encoding -------------------------------------------------------------
@@ -109,11 +103,11 @@ class CpuBlockedApproach(Approach):
         )
 
     # -- kernel ----------------------------------------------------------------
-    #: Ceiling on the transient AND-grid a single execution pass may
-    #: materialise (two ``n_combos x 3^(k-1) x words`` intermediates live
-    #: at once).  Execution passes are sized to this budget, keeping memory
-    #: bounded at whole-genome sample counts without the per-pass overhead
-    #: of the (much smaller) modelled BP blocks.
+    #: Memory budget of one execution pass: passes are sized so that
+    #: ``n_combos x 3^(k-1) x words`` machine words fit in it (the split
+    #: kernel's transient AND planes are a small multiple of that), keeping
+    #: memory bounded at whole-genome sample counts without the per-pass
+    #: overhead of the (much smaller) modelled BP blocks.
     EXEC_GRID_BUDGET_BYTES: int = 64 * 1024 * 1024
 
     def _exec_words_per_pass(self, n_combos: int, order: int, itemsize: int) -> int:
@@ -128,12 +122,11 @@ class CpuBlockedApproach(Approach):
         ``BP`` (``BP / word_bits`` packed words), and that walk is recorded
         in ``sample_chunk_passes`` for the CARM/performance models.  The
         NumPy execution, whose array ops never reproduced L1 residency in
-        the first place, gathers + NOR-expands each batch **once** and then
-        walks word *views* in passes sized to a fixed grid-memory budget —
-        a handful of MB-scale passes instead of hundreds of BP-sized ones,
-        while transient memory stays bounded at any sample count.  The
-        result is bit-identical to any other pass split (integer sums
-        reassociate exactly).
+        the first place, runs the split kernel once per word slice sized
+        to a fixed memory budget — usually one pass, a handful of MB-scale
+        passes at whole-genome sample counts instead of hundreds of
+        BP-sized ones.  The result is bit-identical to any other pass split
+        (counts add exactly across word slices).
         """
         combos = self._check_combos(combos)
         split = encoded.split
@@ -154,29 +147,16 @@ class CpuBlockedApproach(Approach):
             mask = split.padding_mask(phenotype_class)
             n_words = planes.shape[2]
             total_words += n_words
-            if not self.backend.is_reference:
-                # Compiled backends stream the words inside their kernel
-                # with O(1) transients per thread — the budgeted pass split
-                # below exists only to bound the NumPy broadcast grids.
-                tables[:, :, phenotype_class] = self.backend.split_class_counts(
-                    planes, mask, combos
+            # Compiled backends stream the words inside their kernel with
+            # O(1) transients per thread; the NumPy reference runs one
+            # kernel call per budget-sized word slice, so its AND planes
+            # stay bounded whatever n_samples is.
+            step = exec_words if self.backend.is_reference else max(1, n_words)
+            for start in range(0, n_words, step):
+                stop = min(start + step, n_words)
+                tables[:, :, phenotype_class] += self.backend.split_class_counts(
+                    planes[:, :, start:stop], mask[start:stop], combos
                 )
-            elif n_words <= exec_words:
-                # Common case: gather + NOR-expand once, one fused pass.
-                selected = expand_split_planes(planes, mask, combos)
-                tables[:, :, phenotype_class] = split_counts_from_planes(selected)
-            else:
-                # Whole-genome sample counts: gather within each
-                # budget-sized word slice so the expanded selection and the
-                # AND-grid both stay bounded, whatever n_samples is.
-                for start in range(0, n_words, exec_words):
-                    stop = min(start + exec_words, n_words)
-                    selected = expand_split_planes(
-                        planes[:, :, start:stop], mask[start:stop], combos
-                    )
-                    tables[:, :, phenotype_class] += split_counts_from_planes(
-                        selected
-                    )
             # Modelled Algorithm 1 walk: ceil(n_words / (BP / word_bits))
             # sample-chunk passes per class.
             self._sample_passes += -(-n_words // words_per_chunk)
@@ -216,6 +196,10 @@ class CpuBlockedApproach(Approach):
             word_ratio=split.layout.paper_words,
         )
         return scores
+
+    def reset_counter(self) -> None:
+        super().reset_counter()
+        self._sample_passes = 0
 
     def extra_stats(self) -> dict:
         # Per-core working set of Algorithm 1 at the most recent order k:

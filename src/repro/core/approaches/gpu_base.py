@@ -47,8 +47,8 @@ class GpuApproachBase(Approach):
     #: ``WARP_SIZE`` means one transaction per thread.
     coalescing_factor: ClassVar[float] = float(WARP_SIZE)
 
-    def __init__(self, word_layout=None, backend=None) -> None:
-        super().__init__(word_layout=word_layout, backend=backend)
+    def reset_counter(self) -> None:
+        super().reset_counter()
         self._warp_load_requests = 0
         self._memory_transactions = 0.0
 

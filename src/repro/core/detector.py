@@ -705,6 +705,9 @@ class EpistasisDetector:
                     f"{source.total} combinations"
                 )
             return outcome.result
+        # Statistics count this call only: drop what earlier calls charged
+        # to the prototype (every other lane gets a fresh approach).
+        self._prototype.reset_counter()
         total = source.total
         with span_or_null("plan", total=total):
             self._prepare_objective(dataset)

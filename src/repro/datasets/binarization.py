@@ -218,12 +218,13 @@ class PhenotypeSplitDataset:
     def padding_mask(self, phenotype_class: int) -> np.ndarray:
         """Per-word mask of valid sample bits for the given class.
 
-        The genotype-2 plane produced by ``NOR`` would otherwise set the
-        padding bits of the last word (NOR of two zero bits is one); the
-        kernels AND the inferred plane with this mask, which is exactly what
-        the reference C implementation achieves by keeping the padding
-        samples out of the loaded range.  The mask is built once per class
-        and cached (it is read on every kernel batch).
+        A genotype-2 plane produced by ``NOR`` sets the padding bits of the
+        last word (NOR of two zero bits is one) unless it is ANDed with this
+        mask, which is what the reference C implementation achieves by
+        keeping the padding samples out of the loaded range.  The NumPy
+        split kernel instead popcounts the mask as the class's "any
+        genotype" count.  The mask is built once per class and cached (it
+        is read on every kernel batch).
         """
         mask = self._masks.get(phenotype_class)
         if mask is None:

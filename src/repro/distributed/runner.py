@@ -229,25 +229,11 @@ class _WorkerContext:
         if payload.collect_minima:
             observe, finalize_minima = snp_minima_accumulator(dataset.n_snps)
 
-        # Operation counters accumulate on the per-process prototype across
-        # shards; snapshot before the sweep so the outcome carries this
-        # shard's delta only (the coordinator sums deltas across shards and
-        # processes).
-        counter = self.detector.approach.counter
-        ops_before = dict(counter.as_dict())
-        loaded_before = counter.bytes_loaded
-        stored_before = counter.bytes_stored
-
+        # Detector statistics count one call, so they are this shard's own.
         started = time.perf_counter()
         result = self.detector.detect_candidates(dataset, view, observe=observe)
         elapsed = time.perf_counter() - started
-
-        ops_after = counter.as_dict()
-        op_delta = {
-            mnemonic: int(count) - ops_before.get(mnemonic, 0)
-            for mnemonic, count in ops_after.items()
-            if int(count) - ops_before.get(mnemonic, 0)
-        }
+        stats = result.stats
 
         shard_minima: List[float | None] | None = None
         if finalize_minima is not None:
@@ -260,11 +246,11 @@ class _WorkerContext:
             elapsed_seconds=elapsed,
             device_stats={
                 label: dict(entry)
-                for label, entry in result.stats.extra.get("devices", {}).items()
+                for label, entry in stats.extra.get("devices", {}).items()
             },
-            op_counts=op_delta,
-            bytes_loaded=counter.bytes_loaded - loaded_before,
-            bytes_stored=counter.bytes_stored - stored_before,
+            op_counts={m: int(c) for m, c in stats.op_counts.items() if c},
+            bytes_loaded=stats.bytes_loaded,
+            bytes_stored=stats.bytes_stored,
             snp_minima=shard_minima,
         )
 
@@ -595,18 +581,28 @@ class ProcessRunner:
         isolate = False
         last_progress = time.monotonic()
 
+        def suspect(batch: List[tuple]) -> bool:
+            return any(log.attempts.get(task[0]) for task in batch)
+
         def fill_window() -> None:
             # Keep at most ``workers`` batches in flight: precise failure
             # attribution (what is in flight is what is actually running)
             # at no throughput cost — the pool has no more lanes anyway.
-            # Raises BrokenProcessPool (batch safely requeued) when the
-            # pool broke before the submit.
+            # A shard with failure history runs alone, so a later pool
+            # break is charged to the shard that caused it, never to a
+            # healthy one beside it.  Raises BrokenProcessPool (batch
+            # safely requeued) when the pool broke before the submit.
             while queue and len(pending) < self.workers:
                 batch = queue.popleft()
                 if isolate and len(batch) > 1:
                     for task in reversed(batch):
                         queue.appendleft([task])
                     continue
+                if pending and (
+                    suspect(batch) or any(map(suspect, pending.values()))
+                ):
+                    queue.appendleft(batch)
+                    return
                 try:
                     future = fleet.submit(_run_shard_batch, self.payload, batch)
                 except BrokenProcessPool:

@@ -8,9 +8,13 @@ For every approach version this module derives, per *evaluated element*
 * and which memory level predominantly serves those bytes (the blocked and
   tiled approaches hit L1/L2; the naïve ones stream from L3/DRAM).
 
-The counts use the same per-word instruction mixes as the functional kernels
+The counts use the same per-word instruction mixes the approaches charge
 (:mod:`repro.core.approaches._kernels`), so the analytical characterisation
-and the measured counters agree by construction; tests assert this.
+and the run counters agree by construction; tests assert this.  Both are
+the paper's *modelled* work, not a trace of the NumPy execution: the split
+kernel charges ``k`` NORs and ``3^k`` AND+POPCNT cells per word (57
+instructions at ``k = 3``), while it actually popcounts only the ``2^k``
+stored-plane cells and derives the genotype-2 cells exactly.
 
 All figures here are per **paper word** — the 32-bit word
 (:data:`~repro.bitops.packing.WORD_BITS`) the §IV accounting is expressed

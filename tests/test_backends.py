@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,6 +264,20 @@ class TestCalibrationStore:
         path = tmp_path / "calib.json"
         path.write_text(json.dumps({"version": 99, "records": {"x": {}}}))
         assert len(CalibrationStore(path)) == 0
+
+    def test_version_1_store_reads_empty(self, tmp_path):
+        # Version-1 numpy split records timed the NOR-expanding kernel;
+        # they must not keep pricing CARM lanes after the kernel changed.
+        path = tmp_path / "calib.json"
+        record = _record()
+        path.write_text(
+            json.dumps(
+                {"version": 1, "records": {record.fingerprint: asdict(record)}}
+            )
+        )
+        store = CalibrationStore(path)
+        assert len(store) == 0
+        assert store.lookup("numpy", "2.0.0", "split", 3, "u64") is None
 
     def test_empty_store_is_not_replaced(self, tmp_path):
         # CalibrationStore defines __len__, so an empty store is falsy;

@@ -100,6 +100,28 @@ class TestDetection:
         assert stats.op_counts.get("VAND", 0) > 0
         assert stats.extra["isa"] == "avx512-vpopcnt"
 
+    @pytest.mark.parametrize(
+        "approach, n_workers, run_counter",
+        [
+            ("cpu-v4", 1, "sample_chunk_passes"),
+            ("gpu-v4", 1, "warp_load_requests"),
+            # Two threads: the run counter covers the prototype's share of
+            # the chunks only, which varies; the merged op counts do not.
+            ("cpu-v3", 2, None),
+        ],
+    )
+    def test_repeated_detect_reports_per_call_stats(
+        self, small_dataset, approach, n_workers, run_counter
+    ):
+        detector = EpistasisDetector(approach=approach, n_workers=n_workers)
+        first, second = (detector.detect(small_dataset).stats for _ in range(2))
+        assert first.total_ops > 0
+        assert second.op_counts == first.op_counts
+        assert second.bytes_loaded == first.bytes_loaded
+        assert second.bytes_stored == first.bytes_stored
+        if run_counter is not None:
+            assert second.extra[run_counter] == first.extra[run_counter] > 0
+
     def test_validate_mode(self, small_dataset):
         result = EpistasisDetector(approach="cpu-v2", validate=True).detect(small_dataset)
         assert result.best_score == pytest.approx(
