@@ -26,13 +26,17 @@ Two families of numbers are recorded into ``BENCH_hotpath.json``:
   the before/after configurations, the ``chunk_size="auto"`` tuner and
   the fused build+score path (``fused="on"``), with the before/after
   speedup that the acceptance gate (>= 1.5x) reads and the fused-vs-
-  unfused ratio the self-normalizing fused gate reads.
+  unfused ratio the self-normalizing fused gate reads.  Both ratios (like
+  the telemetry gate's) are medians over :data:`PAIRED_RUNS` alternating
+  searches of the two sides, so host drift between the sides cancels.
 
 ``--quick`` shrinks the dataset/orders for the CI smoke job, and
 ``--check`` compares the *normalized* throughput of a fresh run against
 the committed artifact, failing on a >30% regression.  The check normalizes
 every entry by the same run's uint32 k=3 split-kernel reference, so it
-detects code regressions without tripping on absolute machine speed.
+detects code regressions without tripping on absolute machine speed.  The
+artifact's quick baseline is measured in a fresh interpreter, the context
+``--check`` runs in.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_hotpath.py``) or
 through pytest; both paths emit the artifact.
@@ -42,6 +46,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -81,6 +87,11 @@ NUMPY_FUSED_FLOOR = 0.95
 #: ``detect()`` must beat the unfused one by this factor in the same run
 #: (runs on hosts with numba installed, e.g. the optional-deps CI job).
 FUSED_BACKEND_FLOOR = 1.5
+
+#: Alternating pairs behind every same-run ratio (after/before,
+#: fused/unfused, telemetry full/off): each ratio is the median over the
+#: pairs.  Also the number of interleaved kernel-entry rounds.
+PAIRED_RUNS = 15
 
 #: Telemetry gate of ``--check``: a ``telemetry="full"`` detect() may not
 #: fall below this fraction of the ``telemetry="off"`` throughput measured
@@ -197,14 +208,37 @@ def _time_best(fn, repeats: int) -> float:
     return best
 
 
-def measure_kernels(dataset, quick: bool, repeats: int = 3) -> list[dict]:
-    """Tables/s per (family, word width, order, objective) batch kernel."""
+def _paired_speedup(run, base, pairs: int = PAIRED_RUNS) -> float:
+    """Median over alternating pairs of ``base`` seconds / ``run`` seconds.
+
+    The two sides alternate which goes first, so a host whose speed drifts
+    over seconds slows both sides of a pair alike.
+    """
+    ratios = []
+    for pair in range(pairs):
+        seconds = {}
+        for side in (run, base) if pair % 2 else (base, run):
+            started = time.perf_counter()
+            side()
+            seconds[side] = time.perf_counter() - started
+        ratios.append(seconds[base] / seconds[run])
+    return statistics.median(ratios)
+
+
+def measure_kernels(dataset, quick: bool) -> list[dict]:
+    """Tables/s per (family, word width, order, objective) batch kernel.
+
+    Every entry is timed once per round, over :data:`PAIRED_RUNS` rounds,
+    and keeps its best round: a host whose speed drifts over seconds slows
+    all entries of a round alike, so the ratios ``--check`` reads do not
+    depend on when each entry happened to run.
+    """
     from repro.core.approaches import get_approach
 
     orders = (2, 3) if quick else (2, 3, 4)
     batches = {2: 1024, 3: 1024} if quick else {2: 2048, 3: 2048, 4: 512}
     objectives = ("k2",) if quick else ("k2", "gini")
-    entries = []
+    entries, runs = [], []
     for family, approach_name in FAMILIES.items():
         for order in orders:
             combos = generate_combinations(dataset.n_snps, order)[: batches[order]]
@@ -218,11 +252,12 @@ def measure_kernels(dataset, quick: bool, repeats: int = 3) -> list[dict]:
                     # the end-to-end before/after configurations.
                     objective = _objective(obj_name, dataset, precompute=True)
 
-                    def run():
+                    def run(approach=approach, encoded=encoded, combos=combos,
+                            objective=objective):
                         objective.score(approach.build_tables(encoded, combos))
 
                     run()  # warm-up
-                    seconds = _time_best(run, repeats)
+                    runs.append(run)
                     entries.append(
                         {
                             "key": f"{family}/{layout}/k{order}/{obj_name}",
@@ -232,15 +267,24 @@ def measure_kernels(dataset, quick: bool, repeats: int = 3) -> list[dict]:
                             "order": order,
                             "objective": obj_name,
                             "batch": int(combos.shape[0]),
-                            "seconds": seconds,
-                            "tables_per_second": combos.shape[0] / seconds,
                         }
                     )
+    best = [float("inf")] * len(runs)
+    for _ in range(PAIRED_RUNS):
+        for index, run in enumerate(runs):
+            best[index] = min(best[index], _time_best(run, 1))
+    for entry, seconds in zip(entries, best):
+        entry["seconds"] = seconds
+        entry["tables_per_second"] = entry["batch"] / seconds
     return entries
 
 
 def measure_end_to_end(dataset, quick: bool, repeats: int = 3) -> dict:
-    """Full ``detect()`` at k=3: pre-PR replica vs overhauled vs autotuned."""
+    """Full ``detect()`` at k=3: pre-PR replica vs overhauled vs autotuned.
+
+    Each configuration's absolute ``seconds`` is the best of ``repeats``
+    searches; the speedups are medians of :data:`PAIRED_RUNS` pairs.
+    """
     # fused="off" everywhere except the fused configuration: the default
     # ("auto") activates the fused build+score path, which would silently
     # turn the pre-PR replica and the unfused denominators into fused runs.
@@ -266,10 +310,11 @@ def measure_end_to_end(dataset, quick: bool, repeats: int = 3) -> dict:
     }
     total = None
     results = {}
+    searches = {}
     for label, overrides in configs.items():
         detector = EpistasisDetector(order=3, top_k=5, **overrides)
 
-        def run():
+        def run(detector=detector):
             return detector.detect(dataset)
 
         result = run()  # warm-up (also warms the encoding cache)
@@ -280,21 +325,21 @@ def measure_end_to_end(dataset, quick: bool, repeats: int = 3) -> dict:
             "combinations": total,
             "combos_per_second": total / seconds,
         }
-    results["speedup_after_vs_before"] = (
-        results["after_u64_lookup"]["combos_per_second"]
-        / results["before_pre_pr_u32_gammaln"]["combos_per_second"]
+        searches[label] = run
+    results["speedup_after_vs_before"] = _paired_speedup(
+        searches["after_u64_lookup"], searches["before_pre_pr_u32_gammaln"]
     )
-    results["speedup_fused_vs_unfused"] = (
-        results["after_u64_lookup_fused"]["combos_per_second"]
-        / results["after_u64_lookup"]["combos_per_second"]
+    results["speedup_fused_vs_unfused"] = _paired_speedup(
+        searches["after_u64_lookup_fused"], searches["after_u64_lookup"]
     )
+    results["paired_runs"] = PAIRED_RUNS
     return results
 
 
 def run_benchmark(quick: bool = False, repeats: int = 3) -> dict:
     dataset = _dataset(quick)
     ENCODING_CACHE.clear()
-    kernels = measure_kernels(dataset, quick, repeats)
+    kernels = measure_kernels(dataset, quick)
     end_to_end = measure_end_to_end(dataset, quick, repeats)
     return {
         "quick": bool(quick),
@@ -308,16 +353,24 @@ def run_artifact(repeats: int = 3) -> dict:
     """The committed artifact: the full matrix plus the CI-sized quick run.
 
     Both sections are measured so the ``--check`` smoke job can compare a
-    fresh quick run against a baseline of the same dataset scale.
+    fresh quick run against a baseline of the same dataset scale.  The
+    quick baseline runs in a fresh interpreter (``--quick``), like
+    ``--check``: after the full run this process's allocator and caches
+    are warm, which shifts the kernels' ratios to the reference entry.
     """
     from repro.telemetry import host_metadata
 
+    quick = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--quick",
+         "--repeats", str(repeats)],
+        capture_output=True, text=True, check=True,
+    )
     return {
         "benchmark": "hotpath",
         "numpy": np.__version__,
         "host": host_metadata(),
         "full": run_benchmark(quick=False, repeats=repeats),
-        "quick_baseline": run_benchmark(quick=True, repeats=repeats),
+        "quick_baseline": json.loads(quick.stdout.splitlines()[-1]),
     }
 
 
@@ -375,7 +428,10 @@ def check_fused(doc: dict) -> int:
     same run — no committed baseline involved, so machine speed cancels.
     """
     ratio = doc["end_to_end"]["speedup_fused_vs_unfused"]
-    print(f"fused vs unfused detect() (numpy tiled): {ratio:.2f}x")
+    print(
+        f"fused vs unfused detect() (numpy tiled): {ratio:.2f}x "
+        f"(median of {PAIRED_RUNS} alternating pairs)"
+    )
     if ratio < NUMPY_FUSED_FLOOR:
         print(
             f"fused regression: numpy tiled fused path at {ratio:.2f}x "
@@ -385,18 +441,11 @@ def check_fused(doc: dict) -> int:
     return 0
 
 
-def _fused_detect_rate(backend: str, fused: str, dataset, repeats: int) -> float:
-    detector = EpistasisDetector(
-        order=3, top_k=5, backend=backend, word_layout="u64", fused=fused
-    )
-    result = detector.detect(dataset)  # warm-up: JIT + encoding cache
-    total = result.stats.n_combinations
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        detector.detect(dataset)
-        best = min(best, time.perf_counter() - started)
-    return total / best
+def _warm_search(dataset, **overrides):
+    """A ``detect()`` at k=3 over ``dataset``, warmed up once (JIT, cache)."""
+    detector = EpistasisDetector(order=3, top_k=5, word_layout="u64", **overrides)
+    detector.detect(dataset)
+    return lambda: detector.detect(dataset)
 
 
 def check_backends(repeats: int = 2) -> int:
@@ -408,10 +457,10 @@ def check_backends(repeats: int = 2) -> int:
     measured in the same run — self-normalizing, so no committed baseline
     is needed.  On a numpy-only host the gate reports a skip.
 
-    On top of the probe gate, every compiled backend runs a fused-vs-
-    unfused ``detect()`` pair at k=3: the in-kernel fused path must reach
+    On top of the probe gate, every compiled backend runs fused-vs-
+    unfused ``detect()`` pairs at k=3: the in-kernel fused path must reach
     :data:`FUSED_BACKEND_FLOOR` times the unfused throughput of the same
-    backend in the same run.
+    backend in the same run (median of :data:`PAIRED_RUNS` pairs).
     """
     from repro.backends import get_backend, list_backends, run_probe
 
@@ -452,9 +501,10 @@ def check_backends(repeats: int = 2) -> int:
     for name in rates:
         if name == "numpy":
             continue  # numpy's fused gate is check_fused (floor: no slower)
-        unfused = _fused_detect_rate(name, "off", dataset, repeats)
-        fused = _fused_detect_rate(name, "on", dataset, repeats)
-        ratio = fused / unfused
+        ratio = _paired_speedup(
+            _warm_search(dataset, backend=name, fused="on"),
+            _warm_search(dataset, backend=name, fused="off"),
+        )
         print(f"fused gate: {name} detect() k=3 fused at {ratio:.2f}x unfused")
         if ratio < FUSED_BACKEND_FLOOR:
             failures.append(
@@ -469,33 +519,26 @@ def check_backends(repeats: int = 2) -> int:
     return 0
 
 
-def check_telemetry(repeats: int = 2) -> int:
+def check_telemetry() -> int:
     """Telemetry-overhead gate of ``--check``.
 
     Measures ``detect()`` at k=3 with ``telemetry="off"`` and
     ``telemetry="full"`` in the same run (same dataset, same warmed
-    encoding cache) and fails when full-mode tracing costs more than
-    ``1 - TELEMETRY_CHECK_FLOOR`` of the off-mode throughput —
-    self-normalizing, so machine speed cancels out.
+    encoding cache), alternating over :data:`PAIRED_RUNS` pairs, and fails
+    when full-mode tracing costs more than ``1 - TELEMETRY_CHECK_FLOOR`` of
+    the off-mode throughput — self-normalizing, so machine speed cancels
+    out.
     """
     dataset = generate_dataset(
         SyntheticConfig(n_snps=40, n_samples=2048, seed=2026)
     )
-    rates = {}
-    for mode in ("off", "full"):
-        detector = EpistasisDetector(
-            order=3, top_k=5, word_layout="u64", telemetry=mode
-        )
-        result = detector.detect(dataset)  # warm-up: encoding cache
-        total = result.stats.n_combinations
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            started = time.perf_counter()
-            detector.detect(dataset)
-            best = min(best, time.perf_counter() - started)
-        rates[mode] = total / best
-    ratio = rates["full"] / rates["off"]
-    print(f"telemetry gate: detect() k=3 full tracing at {ratio:.2f}x off")
+    ratio = _paired_speedup(
+        _warm_search(dataset, telemetry="full"), _warm_search(dataset, telemetry="off")
+    )
+    print(
+        f"telemetry gate: detect() k=3 full tracing at {ratio:.2f}x off "
+        f"(median of {PAIRED_RUNS} alternating pairs)"
+    )
     if ratio < TELEMETRY_CHECK_FLOOR:
         print(
             f"telemetry overhead regression: full tracing at {ratio:.2f}x "
@@ -537,10 +580,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small CI-sized run (printed, not written to the artifact)",
+        help="small CI-sized run (printed as JSON on the last line, not "
+        "written to the artifact)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of repetitions per timing"
+        "--repeats",
+        type=int,
+        default=3,
+        help="best-of repetitions of the end-to-end rows' absolute timings "
+        "and of the per-backend probes; kernel entries and every same-run "
+        f"ratio always run {PAIRED_RUNS} interleaved rounds",
     )
     parser.add_argument(
         "--check",
@@ -561,16 +610,16 @@ def main(argv=None) -> int:
             check_against_baseline(doc, ARTIFACT)
             or check_fused(doc)
             or check_backends(args.repeats)
-            or check_telemetry(args.repeats)
+            or check_telemetry()
         )
     if args.quick:
         doc = run_benchmark(quick=True, repeats=args.repeats)
         e2e = doc["end_to_end"]
-        print(json.dumps(doc["dataset"]))
         print(
             f"quick end-to-end k=3 speedup: "
             f"{e2e['speedup_after_vs_before']:.2f}x (not written)"
         )
+        print(json.dumps(doc))
         return 0
     emit(run_artifact(repeats=args.repeats))
     return 0

@@ -79,10 +79,6 @@ class ExecutionBackend(ABC):
     kind: ClassVar[str] = "cpu"
     #: One-line description used by ``repro backends`` and the docs.
     description: ClassVar[str] = ""
-    #: Whether this is the always-available NumPy reference.  The blocked
-    #: approach keeps its budgeted pass-splitting only for the reference
-    #: backend (compiled kernels stream words with O(1) transients).
-    is_reference: ClassVar[bool] = False
 
     # -- availability ----------------------------------------------------------
     @classmethod

@@ -50,8 +50,10 @@ STORE_PATH_ENV = "REPRO_CALIBRATION_PATH"
 #: Schema version of the store document (bump to invalidate wholesale).
 #: Version 2: the NumPy split kernel switched from NOR expansion to
 #: inclusion–exclusion, so version-1 ``numpy`` split records price a kernel
-#: that no longer runs.
-STORE_VERSION = 2
+#: that no longer runs.  Version 3: the NumPy kernels reuse a per-thread
+#: workspace instead of page-faulting fresh temporaries on every call, so
+#: version-2 ``numpy`` records underprice the CPU lanes.
+STORE_VERSION = 3
 
 #: Probe shape: small enough to calibrate in well under a second per
 #: backend, large enough that per-call dispatch overhead is amortised.

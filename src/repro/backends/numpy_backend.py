@@ -23,7 +23,6 @@ class NumpyBackend(ExecutionBackend):
     name = "numpy"
     kind = "cpu"
     description = "vectorised NumPy reference kernels (always available)"
-    is_reference = True
 
     @classmethod
     def availability(cls) -> tuple[bool, str]:

@@ -192,7 +192,9 @@ class Mpi3snpBaseline:
         snp_names = list(dataset.snp_names)
 
         # One kernel instance per rank (operation counters are not shared);
-        # rank 0 reuses the baseline's own approach object.
+        # rank 0 reuses the baseline's own approach object.  Counters are
+        # per call: rank 0 below absorbs the others' counts.
+        self.approach.reset_counter()
         approaches = [self.approach] + [
             CpuNoPhenotypeApproach() for _ in range(self.n_ranks - 1)
         ]

@@ -83,7 +83,9 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return popcount32(arr)
 
 
-def popcount_sum(words: np.ndarray, axis: int = -1) -> np.ndarray:
+def popcount_sum(
+    words: np.ndarray, axis: int = -1, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Fused population count + reduction over ``axis`` (``int64`` result).
 
     The hot path of every frequency-table cell is ``popcount(word
@@ -94,7 +96,9 @@ def popcount_sum(words: np.ndarray, axis: int = -1) -> np.ndarray:
     accumulator that cannot overflow (a sum is at most words x word bits;
     ``uint16`` reduces about 3x faster than ``int64``) and widens only the
     reduced result to ``int64``.  Width-generic (uint32 and uint64 input)
-    and bit-exact with the two-step form.
+    and bit-exact with the two-step form.  ``scratch``, a ``uint8`` array
+    of the input's shape, receives the per-word counts instead of a fresh
+    array (the kernels pass their workspace).
     """
     arr = _as_unsigned(words)
     if arr.dtype not in (np.uint32, np.uint64):
@@ -104,7 +108,7 @@ def popcount_sum(words: np.ndarray, axis: int = -1) -> np.ndarray:
         accumulator = (
             np.uint16 if bound < 2**16 else np.int32 if bound < 2**31 else np.int64
         )
-        counts = np.bitwise_count(arr).sum(axis=axis, dtype=accumulator)
+        counts = np.bitwise_count(arr, out=scratch).sum(axis=axis, dtype=accumulator)
         return counts.astype(np.int64)
     if arr.dtype == np.uint64:
         lo = (arr & np.uint64(0xFFFFFFFF)).astype(np.uint32)

@@ -7,7 +7,11 @@ planes are gathered once into a compact contiguous block that every
 combination in the tile reuses, and the backend folds the per-combination
 tables straight into objective scores.  No chunk-wide ``(n_combos, 3^k,
 2)`` table array exists on this path — a backend without true in-kernel
-fusion materializes at most one tile's worth of tables at a time.
+fusion materializes at most one tile's worth of tables at a time.  A
+chunk that fits one tile (few words per class) runs on the encoding's
+planes as they are: its relabel and gather would bound nothing, the NumPy
+kernels gather their rows themselves, and the cupy backend keeps those
+planes resident where a gathered block is a fresh upload.
 
 The helpers perform **no §IV charging**: the calling approach charges the
 identical modelled per-paper-word mix it charges on the build_tables
@@ -19,23 +23,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.tiling import DEFAULT_TILE_COMBOS, iter_snp_tiles
+from repro.core.approaches._kernels import combos_per_tile
+from repro.engine.tiling import iter_snp_tiles
 
 __all__ = ["fused_naive_scores", "fused_split_scores"]
 
-#: Ceiling on the transient AND-grid a reference-backend tile may
-#: materialise, mirroring ``CpuBlockedApproach.EXEC_GRID_BUDGET_BYTES``:
-#: tiles shrink below :data:`DEFAULT_TILE_COMBOS` when the word count is
-#: whole-genome large, so per-tile memory stays bounded at any
-#: sample count.
-TILE_GRID_BUDGET_BYTES: int = 64 * 1024 * 1024
 
-
-def _tile_combos_for(order: int, n_words: int, itemsize: int) -> int:
-    """Tile size honouring the per-tile transient-grid budget."""
-    per_combo = 3 ** (order - 1) * max(1, n_words) * itemsize * 2
-    cap = max(1, TILE_GRID_BUDGET_BYTES // per_combo)
-    return min(DEFAULT_TILE_COMBOS, cap)
+def _tiles(combos: np.ndarray, tile_combos: int):
+    """:func:`iter_snp_tiles`, except that a chunk fitting one tile is kept whole."""
+    if 0 < combos.shape[0] <= tile_combos:
+        return [(slice(None), slice(None), combos)]
+    return iter_snp_tiles(combos, tile_combos)
 
 
 def fused_naive_scores(
@@ -46,9 +44,9 @@ def fused_naive_scores(
     order = int(combos.shape[1])
     planes = encoded.planes
     scores = np.empty(combos.shape[0], dtype=np.float64)
-    tile_combos = _tile_combos_for(order, planes.shape[2], planes.dtype.itemsize)
+    tile_combos = combos_per_tile(order, planes.shape[2], planes.dtype.itemsize)
     phenotype_words = np.ascontiguousarray(encoded.phenotype_words)
-    for tile_slice, unique_snps, local in iter_snp_tiles(combos, tile_combos):
+    for tile_slice, unique_snps, local in _tiles(combos, tile_combos):
         gathered = np.ascontiguousarray(planes[unique_snps])
         scores[tile_slice] = backend.score_combinations(
             "naive",
@@ -68,12 +66,13 @@ def fused_split_scores(
     order = int(combos.shape[1])
     control_planes = split.control_planes
     case_planes = split.case_planes
-    n_words = control_planes.shape[2] + case_planes.shape[2]
+    # The two classes run one kernel call each; the wider one sizes tiles.
+    n_words = max(control_planes.shape[2], case_planes.shape[2])
     scores = np.empty(combos.shape[0], dtype=np.float64)
-    tile_combos = _tile_combos_for(order, n_words, control_planes.dtype.itemsize)
+    tile_combos = combos_per_tile(order, n_words, control_planes.dtype.itemsize)
     control_mask = np.ascontiguousarray(split.padding_mask(0))
     case_mask = np.ascontiguousarray(split.padding_mask(1))
-    for tile_slice, unique_snps, local in iter_snp_tiles(combos, tile_combos):
+    for tile_slice, unique_snps, local in _tiles(combos, tile_combos):
         scores[tile_slice] = backend.score_combinations(
             "split",
             local,

@@ -14,9 +14,9 @@ interaction (``k`` between :data:`MIN_ORDER` and :data:`MAX_ORDER`):
   the ``c*`` counts coming from lower-order sub-combinations), see
   :func:`split_class_counts`.
 
-The kernels are fully vectorised over a batch of SNP k-tuples: the cell
-loop is a broadcast over the per-position planes, and the per-word
-population counts are reduced with
+The kernels are fully vectorised over a batch of SNP k-tuples: each cell
+is one elementwise AND over plane-major ``(batch, words)`` blocks, and the
+per-word population counts are reduced with
 :func:`repro.bitops.popcount.popcount_sum` — the kernels accept planes in
 either machine-word layout (``uint32`` or ``uint64``; the wide layout
 halves the element count of every AND/POPCNT).  Both kernels are bit-exact
@@ -32,10 +32,39 @@ through the layout's :attr:`~repro.bitops.packing.WordLayout.paper_words`
 ratio at the charging boundary, so at the paper's ``k = 3`` the mixes
 reduce to the §IV accounting — 162 instructions per word for the naïve
 kernel, 57 for the split kernel — regardless of the execution word width.
+
+**Workspace.**  Every array of a kernel call that scales with combinations
+x words — the plane gathers, AND planes, genotype grids and per-word
+population counts — is carved from one per-thread workspace: a byte
+buffer that grows to the largest budget-sized piece (below) the thread
+has run and is reused by every later call, so a steady-state call
+allocates (and page-faults) nothing of that size.  The workspace never
+escapes a call: every returned array is freshly allocated and the next
+call on the thread overwrites the buffer.  Gathers use ``np.take(..., out=, mode="clip")``
+(under ``mode="raise"`` NumPy stages ``out=`` through a temporary), so
+the kernels check SNP indices themselves and still raise
+:class:`IndexError` for an index outside the planes.  The ANDs combine
+equal-shape contiguous blocks: a broadcasting ufunc would have NumPy
+allocate iterator buffers on every call.
+
+**Budget.**  :data:`KERNEL_BUDGET_BYTES` bounds every kernel call, whoever
+makes it.  Both kernels cut a call whose modelled footprint
+(:func:`combo_word_bytes` per combination and word) exceeds the budget
+into pieces of :func:`combos_per_tile` combinations and, when a single
+combination over every word alone exceeds it, of :func:`words_per_pass`
+words; counts add exactly across pieces.  Fused tiles are sized with the
+same function, so each runs as one piece.  A piece carves at most 1.07x
+the budget from the workspace (the naïve kernel at ``k = 2`` on ``uint32``
+words; the split kernel stays below 0.85x even when no two combinations
+share a sub-combination), so a thread's workspace stays below 9/8 of the
+budget plus 4 KiB for the thread's life.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Dict
@@ -55,6 +84,10 @@ __all__ = [
     "split_ops_per_combo_word",
     "NAIVE_OPS_PER_COMBO_WORD",
     "SPLIT_OPS_PER_COMBO_WORD",
+    "KERNEL_BUDGET_BYTES",
+    "combo_word_bytes",
+    "combos_per_tile",
+    "words_per_pass",
     "naive_tables",
     "split_class_counts",
     "split_tables",
@@ -69,6 +102,11 @@ MIN_ORDER: int = 2
 #: and the ``nCr(M, k)`` rank space both explode beyond this; 5 keeps the
 #: intermediate broadcast arrays within sane memory bounds.
 MAX_ORDER: int = 5
+
+#: Byte budget of one kernel piece: calls are cut, and fused tiles sized,
+#: so that each piece's modelled workspace fits it.  18 MiB keeps the
+#: paper's 16 384-sample third-order split tiles at 512 combinations.
+KERNEL_BUDGET_BYTES: int = 18 * 2**20
 
 
 def check_order(order: int) -> int:
@@ -175,20 +213,159 @@ def charge_split_ops(
             counter.add(mnemonic, int(round(per * scale)))
 
 
-def _genotype_grid(selected: list[np.ndarray]) -> np.ndarray:
-    """Broadcast k per-SNP ``(T, 3, W)`` plane stacks into ``(T, 3^k, W)``.
+def combo_word_bytes(order: int, itemsize: int) -> int:
+    """Modelled workspace bytes of one combination over one machine word.
+
+    Four ``3^(k-1)``-cell word grids bound what either kernel carves per
+    combination-word: the naïve kernel's plane gathers, class masks, tail
+    sub-grid, masked grid and per-word counts, and the split kernel's AND
+    planes of every level plus the largest level's gathers and counts.
+    """
+    return 4 * 3 ** (check_order(order) - 1) * itemsize
+
+
+def combos_per_tile(order: int, n_words: int, itemsize: int) -> int:
+    """Combinations of a kernel piece (or fused tile) over ``n_words`` words."""
+    per_combo = combo_word_bytes(order, itemsize) * max(1, n_words)
+    return max(1, KERNEL_BUDGET_BYTES // per_combo)
+
+
+def words_per_pass(order: int, n_combos: int, itemsize: int) -> int:
+    """Words of a kernel piece over a batch of ``n_combos`` combinations."""
+    per_word = combo_word_bytes(order, itemsize) * max(1, n_combos)
+    return max(1, KERNEL_BUDGET_BYTES // per_word)
+
+
+def _in_budget_pieces(kernel, planes: np.ndarray, per_word, combos) -> np.ndarray:
+    """Run ``kernel(planes, per_word, combos)`` over budget-sized pieces.
+
+    ``per_word`` is the call's ``(n_words,)`` word vector (phenotype or
+    padding mask).  A call within the budget runs whole; a larger one is
+    cut into :func:`combos_per_tile` combinations and, when one combination
+    over every word exceeds the budget, :func:`words_per_pass` words.
+    """
+    combos = np.asarray(combos, dtype=np.int64)
+    order = check_order(combos.shape[1])
+    n_combos, n_words = combos.shape[0], planes.shape[2]
+    itemsize = planes.dtype.itemsize
+    combo_step = min(max(1, n_combos), combos_per_tile(order, n_words, itemsize))
+    word_step = words_per_pass(order, combo_step, itemsize)
+    if combo_step >= n_combos and word_step >= n_words:
+        return kernel(planes, per_word, combos)
+    per_word = np.asarray(per_word)
+    result = None
+    for start in range(0, n_combos, combo_step):
+        rows = slice(start, start + combo_step)
+        for first in range(0, n_words, word_step):
+            words = slice(first, first + word_step)
+            piece = kernel(planes[:, :, words], per_word[words], combos[rows])
+            if result is None:
+                result = np.zeros((n_combos,) + piece.shape[1:], dtype=np.int64)
+            result[rows] += piece
+    return result
+
+
+class _Workspace(threading.local):
+    """One thread's kernel scratch: a byte buffer reused by every call.
+
+    :meth:`begin` starts a call and grows the buffer to the call's
+    modelled footprint; :meth:`array` then carves arrays from the buffer
+    one after the other, and :meth:`scratch` hands back what a block
+    carved once the block is done.  Pages the calls never touch stay
+    virtual.  Should a call carve more than it reserved, the buffer is
+    replaced mid-call by one as large as everything carved so far (arrays
+    carved before keep the old buffer alive until they are dropped).
+    """
+
+    def __init__(self) -> None:
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.used = 0
+
+    def begin(self, order: int, n_combos: int, n_words: int, itemsize: int):
+        """Start a call over ``n_combos`` combinations and ``n_words`` words."""
+        self.used = 0
+        # Both kernels carve at most 1.07x the modelled footprint (the
+        # naive kernel at k = 2, u32), plus a cache line per array.
+        reserve = combo_word_bytes(order, itemsize) * n_combos * n_words * 9 // 8 + 4096
+        if reserve > self.buffer.size:
+            self.buffer = np.empty(0, dtype=np.uint8)  # release before growing
+            self.buffer = np.empty(reserve, dtype=np.uint8)
+        return self
+
+    @contextmanager
+    def scratch(self):
+        """Arrays carved inside the block are dead after it."""
+        mark = self.used
+        try:
+            yield
+        finally:
+            self.used = mark
+
+    def array(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised ``shape`` array of ``dtype`` from the buffer."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = self.used
+        # Cache-line aligned starts keep every array's words aligned.
+        self.used = start + -(-nbytes // 64) * 64
+        if self.used > self.buffer.size:
+            self.buffer = np.empty(self.used, dtype=np.uint8)
+        return self.buffer[start : start + nbytes].view(dtype).reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _gather_source(planes: np.ndarray, combos: np.ndarray):
+    """Check ``combos`` against the rows of ``planes``; make rows gatherable.
+
+    ``np.take`` copies a non-contiguous source whole, so a word slice of
+    wider planes is reduced to the rows the batch uses (one gather) and
+    ``combos`` re-expressed in those rows.
+    """
+    n_rows = planes.shape[0]
+    if combos.size and (combos.min() < 0 or combos.max() >= n_rows):
+        raise IndexError(f"combination index outside the {n_rows} SNP rows")
+    if planes.flags.c_contiguous:
+        return planes, combos
+    rows, local = np.unique(combos, return_inverse=True)
+    return planes[rows], local.reshape(combos.shape)
+
+
+def _gather_planes(ws: _Workspace, planes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``planes[rows]`` plane-major, ``(n_planes, len(rows), W)``, in the workspace.
+
+    Plane-major gathers keep every AND of the kernels an elementwise op on
+    equal-shape contiguous blocks: a broadcasting ufunc makes NumPy
+    allocate iterator buffers on every call.  ``rows`` are already checked.
+    """
+    n_planes, n_words = planes.shape[1], planes.shape[2]
+    flat = planes.reshape(-1, n_words)  # row n_planes * snp + plane
+    out = ws.array((n_planes, len(rows), n_words), planes.dtype)
+    for plane in range(n_planes):
+        np.take(flat, rows * n_planes + plane, axis=0, out=out[plane], mode="clip")
+    return out
+
+
+def _popcount(ws: _Workspace, words: np.ndarray) -> np.ndarray:
+    """:func:`popcount_sum` over the last axis, per-word counts in the workspace."""
+    return popcount_sum(words, scratch=ws.array(words.shape, np.uint8))
+
+
+def _genotype_grid(ws: _Workspace, selected: list[np.ndarray]) -> np.ndarray:
+    """Combine per-SNP ``(3, T, W)`` plane stacks into the ``(3^k, T, W)`` grid.
 
     The cell order is the canonical big-endian radix-3 convention of
     :func:`repro.core.contingency.combination_cell_index`: the first SNP of
     the combination is the most significant genotype digit.
     """
-    n_combos, _, n_words = selected[0].shape
     grid = selected[0]
-    cells = 3
     for planes in selected[1:]:
-        grid = np.bitwise_and(grid[:, :, None, :], planes[:, None, :, :])
-        cells *= 3
-        grid = grid.reshape(n_combos, cells, n_words)
+        out = ws.array((3 * grid.shape[0],) + grid.shape[1:], grid.dtype)
+        for cell in range(grid.shape[0]):
+            for genotype in range(3):
+                np.bitwise_and(grid[cell], planes[genotype], out=out[3 * cell + genotype])
+        grid = out
     return grid
 
 
@@ -218,32 +395,53 @@ def naive_tables(
         ``(n_combos, 3^k, 2)`` frequency tables.
     """
     combos = np.asarray(combos, dtype=np.int64)
-    order = check_order(combos.shape[1])
+    tables = _in_budget_pieces(_naive_piece, planes, phenotype_words, combos)
+    if counter is not None:
+        charge_naive_ops(
+            counter,
+            combos.shape[0],
+            planes.shape[2],
+            combos.shape[1],
+            word_ratio=_paper_word_ratio(planes),
+        )
+    return tables
+
+
+def _naive_piece(
+    planes: np.ndarray, phenotype_words: np.ndarray, combos: np.ndarray
+) -> np.ndarray:
+    """:func:`naive_tables` over one budget-sized piece, uncharged."""
+    order = combos.shape[1]
     n_combos = combos.shape[0]
     n_words = planes.shape[2]
+    planes, combos = _gather_source(planes, combos)
     cells = 3**order
     phen = np.asarray(phenotype_words, dtype=planes.dtype)
     # The padding bits of the planes are zero, so AND-ing with ~phenotype is
     # safe even though ~phenotype has the padding bits set.
     notphen = np.bitwise_not(phen)
 
-    selected = [planes[combos[:, t]] for t in range(order)]  # each (T, 3, W)
+    ws = _WORKSPACE.begin(order, n_combos, n_words, planes.dtype.itemsize)
+    selected = [_gather_planes(ws, planes, combos[:, t]) for t in range(order)]
+    class_masks = ws.array((2, n_combos, n_words), planes.dtype)
+    class_masks[0], class_masks[1] = notphen, phen  # table columns 0 and 1
 
     tables = np.empty((n_combos, cells, 2), dtype=np.int64)
-    # Walk the most-significant genotype digit to cap the broadcast at
-    # (T, 3^(k-1), W) intermediates; the tail sub-grid is g0-invariant.
+    # Walk the most-significant genotype digit to cap the intermediates at
+    # (3^(k-1), T, W); the tail sub-grid is g0-invariant, and the class mask
+    # is folded into the head plane before it meets the sub-grid.
     sub_cells = cells // 3
-    sub_grid = _genotype_grid(selected[1:])
+    sub_grid = _genotype_grid(ws, selected[1:])
+    head = ws.array((n_combos, n_words), planes.dtype)
+    masked = ws.array(sub_grid.shape, planes.dtype)
+    bit_counts = ws.array(sub_grid.shape, np.uint8)
     for g0 in range(3):
-        head = selected[0][:, g0, :]
-        grid = np.bitwise_and(head[:, None, :], sub_grid)
         span = slice(g0 * sub_cells, (g0 + 1) * sub_cells)
-        tables[:, span, 1] = popcount_sum(np.bitwise_and(grid, phen))
-        tables[:, span, 0] = popcount_sum(np.bitwise_and(grid, notphen))
-    if counter is not None:
-        charge_naive_ops(
-            counter, n_combos, n_words, order, word_ratio=_paper_word_ratio(planes)
-        )
+        for column in (0, 1):
+            np.bitwise_and(selected[0][g0], class_masks[column], out=head)
+            for cell in range(sub_cells):
+                np.bitwise_and(head, sub_grid[cell], out=masked[cell])
+            tables[:, span, column] = popcount_sum(masked, scratch=bit_counts).T
     return tables
 
 
@@ -315,19 +513,30 @@ def split_class_counts(
         big-endian cell order.  The input may be a word slice of the
         planes: counts add exactly across slices.
     """
-    combos = np.asarray(combos, dtype=np.int64)
-    order = check_order(combos.shape[1])
+    return _in_budget_pieces(_split_piece, class_planes, padding_mask, combos)
+
+
+def _split_piece(
+    class_planes: np.ndarray, padding_mask: np.ndarray, combos: np.ndarray
+) -> np.ndarray:
+    """:func:`split_class_counts` over one budget-sized piece."""
+    order = combos.shape[1]
     n_combos = combos.shape[0]
     n_words = class_planes.shape[2]
+    class_planes, combos = _gather_source(class_planes, combos)
+    dtype = class_planes.dtype
     plan = _stored_cell_plan(order)
+    ws = _WORKSPACE.begin(order, n_combos, n_words, dtype.itemsize)
     counts = np.empty((n_combos, 3**order), dtype=np.int64)
     counts[:, plan[0][1]] = popcount_sum(padding_mask)
-    if class_planes.shape[0] <= combos.size:
-        singles = popcount_sum(class_planes)[combos]
-    else:
-        # Whole-dataset planes under a small batch: count the used rows only.
-        rows, inverse = np.unique(combos, return_inverse=True)
-        singles = popcount_sum(class_planes[rows])[inverse.reshape(combos.shape)]
+    with ws.scratch():
+        if class_planes.shape[0] <= combos.size:
+            singles = _popcount(ws, class_planes)[combos]
+        else:
+            # Whole-dataset planes under a small batch: count the used rows only.
+            rows, inverse = np.unique(combos, return_inverse=True)
+            singles = _popcount(ws, _gather_planes(ws, class_planes, rows)).T
+            singles = singles[inverse.reshape(combos.shape)]
     counts[:, plan[1][1]] = singles.reshape(n_combos, 2 * order)
 
     # Level m holds the AND planes of the distinct size-m sub-combinations;
@@ -336,26 +545,43 @@ def split_class_counts(
     # m = 2 and at most n_combos * C(k, m - 1) above it: unlike positional
     # keys (n_snps^(m-1) * head + ...), they stay far inside int64 however
     # many SNP rows the planes have.
-    tail_planes, tail_ids = class_planes, combos
+    # Level planes are cell-major, (2^m, rows, W): cell ``bit * 2^(m-1) +
+    # tail_cell`` of a row is its head SNP's plane ``bit`` AND its tail's
+    # cell ``tail_cell``.  Each cell is popcounted as soon as it is built,
+    # while it is still in cache; the last level, which nothing reads
+    # after, builds every cell in one reused block.
+    tail_planes, tail_ids, n_tails = None, combos, class_planes.shape[0]
     for m in range(2, order + 1):
         head_positions, cells, tails = plan[m]
         heads = combos[:, head_positions]
         tail_of = tail_ids[:, tails]
         if m < order:
-            n_tails = tail_planes.shape[0]
             keys, inverse = np.unique(heads * n_tails + tail_of, return_inverse=True)
             heads, tail_of = np.divmod(keys, n_tails)
             ids = inverse.reshape(n_combos, len(head_positions))
         else:
             heads, tail_of, ids = heads[:, 0], tail_of[:, 0], None
-        planes = np.bitwise_and(
-            class_planes[heads][:, :, None, :], tail_planes[tail_of][:, None, :, :]
-        ).reshape(heads.shape[0], 2**m, n_words)
-        level = popcount_sum(planes)
+        n_rows, half, last = heads.shape[0], 2 ** (m - 1), m == order
+        # The level's planes outlive it (the next level's tails); its
+        # gathers and per-word counts do not.
+        planes = ws.array((1 if last else 2 * half, n_rows, n_words), dtype)
+        level = np.empty((n_rows, 2 * half), dtype=np.int64)
+        with ws.scratch():
+            head = _gather_planes(ws, class_planes, heads)
+            if tail_planes is None:
+                tail = _gather_planes(ws, class_planes, tail_of)
+            else:
+                tail = ws.array((half, n_rows, n_words), dtype)
+                np.take(tail_planes, tail_of, axis=1, out=tail, mode="clip")
+            bit_counts = ws.array((n_rows, n_words), np.uint8)
+            for cell in range(2 * half):
+                product = planes[0 if last else cell]
+                np.bitwise_and(head[cell // half], tail[cell % half], out=product)
+                level[:, cell] = popcount_sum(product, scratch=bit_counts)
         counts[:, cells] = (level if ids is None else level[ids]).reshape(
             n_combos, cells.size
         )
-        tail_planes, tail_ids = planes, ids
+        tail_planes, tail_ids, n_tails = planes, ids, n_rows
 
     for t in range(order):
         axis = counts.reshape(n_combos, 3**t, 3, 3 ** (order - 1 - t))

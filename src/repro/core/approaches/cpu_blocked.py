@@ -103,17 +103,6 @@ class CpuBlockedApproach(Approach):
         )
 
     # -- kernel ----------------------------------------------------------------
-    #: Memory budget of one execution pass: passes are sized so that
-    #: ``n_combos x 3^(k-1) x words`` machine words fit in it (the split
-    #: kernel's transient AND planes are a small multiple of that), keeping
-    #: memory bounded at whole-genome sample counts without the per-pass
-    #: overhead of the (much smaller) modelled BP blocks.
-    EXEC_GRID_BUDGET_BYTES: int = 64 * 1024 * 1024
-
-    def _exec_words_per_pass(self, n_combos: int, order: int, itemsize: int) -> int:
-        per_word_bytes = max(1, n_combos) * 3 ** (order - 1) * itemsize
-        return max(1, self.EXEC_GRID_BUDGET_BYTES // per_word_bytes)
-
     def build_tables(self, encoded: _BlockedEncoding, combos: np.ndarray) -> np.ndarray:
         """Blocked construction over a batch of combinations.
 
@@ -122,11 +111,12 @@ class CpuBlockedApproach(Approach):
         ``BP`` (``BP / word_bits`` packed words), and that walk is recorded
         in ``sample_chunk_passes`` for the CARM/performance models.  The
         NumPy execution, whose array ops never reproduced L1 residency in
-        the first place, runs the split kernel once per word slice sized
-        to a fixed memory budget — usually one pass, a handful of MB-scale
-        passes at whole-genome sample counts instead of hundreds of
-        BP-sized ones.  The result is bit-identical to any other pass split
-        (counts add exactly across word slices).
+        the first place, runs the split kernel once per class over every
+        word, and the kernel cuts the call into pieces sized to its byte
+        budget (:data:`~repro.core.approaches._kernels.KERNEL_BUDGET_BYTES`)
+        — MB-scale pieces instead of hundreds of BP-sized passes.  The
+        result is bit-identical to any other pass split (counts add exactly
+        across word slices).
         """
         combos = self._check_combos(combos)
         split = encoded.split
@@ -135,11 +125,8 @@ class CpuBlockedApproach(Approach):
         n_combos, order = combos.shape
         self._last_order = order
         words_per_chunk = max(1, encoded.block_samples // encoded.split.layout.bits)
-        exec_words = self._exec_words_per_pass(
-            n_combos, order, split.layout.dtype().itemsize
-        )
 
-        tables = np.zeros((n_combos, 3**order, 2), dtype=np.int64)
+        tables = np.empty((n_combos, 3**order, 2), dtype=np.int64)
         total_words = 0
         word_ratio = split.layout.paper_words
         for phenotype_class in (0, 1):
@@ -147,16 +134,9 @@ class CpuBlockedApproach(Approach):
             mask = split.padding_mask(phenotype_class)
             n_words = planes.shape[2]
             total_words += n_words
-            # Compiled backends stream the words inside their kernel with
-            # O(1) transients per thread; the NumPy reference runs one
-            # kernel call per budget-sized word slice, so its AND planes
-            # stay bounded whatever n_samples is.
-            step = exec_words if self.backend.is_reference else max(1, n_words)
-            for start in range(0, n_words, step):
-                stop = min(start + step, n_words)
-                tables[:, :, phenotype_class] += self.backend.split_class_counts(
-                    planes[:, :, start:stop], mask[start:stop], combos
-                )
+            tables[:, :, phenotype_class] = self.backend.split_class_counts(
+                planes, mask, combos
+            )
             # Modelled Algorithm 1 walk: ceil(n_words / (BP / word_bits))
             # sample-chunk passes per class.
             self._sample_passes += -(-n_words // words_per_chunk)

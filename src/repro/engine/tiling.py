@@ -9,9 +9,10 @@ each tile's distinct SNPs once, and running the kernels against the
 compact gathered planes with locally remapped combination indices — the
 CPU analogue of the paper's tiled GPU kernel.  Every combination in a
 tile reuses the same small plane block (typically a handful of SNPs for
-hundreds of combinations), which keeps the kernel working set in cache
-and bounds the per-tile table materialization of backends without true
-in-kernel fusion.
+hundreds of combinations), and the caller sizes tiles from the kernel
+byte budget (:func:`repro.core.approaches._kernels.combos_per_tile`), which
+bounds the per-tile workspace and table materialization of backends
+without true in-kernel fusion.
 
 Tiling is pure integer indexing: gathering planes and remapping the
 (strictly increasing) combination rows through the sorted unique-SNP
@@ -25,18 +26,12 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["DEFAULT_TILE_COMBOS", "iter_snp_tiles"]
-
-#: Combinations per tile.  Large enough that per-tile overhead (unique,
-#: gather, kernel dispatch) is noise, small enough that a tile's distinct
-#: SNP set stays compact and a materialized per-tile table batch is a few
-#: hundred KiB instead of the chunk-wide array.
-DEFAULT_TILE_COMBOS = 512
+__all__ = ["iter_snp_tiles"]
 
 
 def iter_snp_tiles(
     combos: np.ndarray,
-    tile_combos: int = DEFAULT_TILE_COMBOS,
+    tile_combos: int,
 ) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
     """Yield ``(tile_slice, unique_snps, local_combos)`` over a chunk.
 

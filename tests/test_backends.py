@@ -279,6 +279,20 @@ class TestCalibrationStore:
         assert len(store) == 0
         assert store.lookup("numpy", "2.0.0", "split", 3, "u64") is None
 
+    def test_version_2_store_reads_empty(self, tmp_path):
+        # Version-2 numpy records timed kernels that page-faulted fresh
+        # temporaries on every call; the workspace kernels run faster.
+        path = tmp_path / "calib.json"
+        record = _record()
+        path.write_text(
+            json.dumps(
+                {"version": 2, "records": {record.fingerprint: asdict(record)}}
+            )
+        )
+        store = CalibrationStore(path)
+        assert len(store) == 0
+        assert store.lookup("numpy", "2.0.0", "split", 3, "u64") is None
+
     def test_empty_store_is_not_replaced(self, tmp_path):
         # CalibrationStore defines __len__, so an empty store is falsy;
         # calibrate() must still write into the instance it was handed.

@@ -15,6 +15,7 @@ from repro.baselines import (
 )
 from repro.baselines.reported import paper_speedup
 from repro.core import EpistasisDetector
+from repro.datasets import generate_null_dataset
 from repro.devices import cpu, gpu
 from tests.conftest import PLANTED_TRIPLET
 
@@ -69,6 +70,16 @@ class TestMpi3snpBaseline:
     def test_rank_count_validation(self):
         with pytest.raises(ValueError):
             Mpi3snpBaseline(n_ranks=0)
+
+    def test_repeated_detect_reports_per_call_stats(self):
+        dataset = generate_null_dataset(12, 256, seed=5)
+        baseline = Mpi3snpBaseline(n_ranks=2, chunk_size=64)
+        first = baseline.detect(dataset).stats
+        second = baseline.detect(dataset).stats
+        assert sum(first.op_counts.values()) > 0
+        assert second.op_counts == first.op_counts
+        assert second.bytes_loaded == first.bytes_loaded
+        assert second.bytes_stored == first.bytes_stored
 
     def test_single_rank(self, tiny_dataset):
         result = Mpi3snpBaseline(n_ranks=1).detect(tiny_dataset)

@@ -328,14 +328,17 @@ class TestAutotuner:
         assert a == (0, 512) and b[0] == 512
 
     def test_blocked_exec_passes_stay_memory_bounded(self):
-        from repro.core.approaches.cpu_blocked import CpuBlockedApproach
+        from repro.core.approaches._kernels import (
+            KERNEL_BUDGET_BYTES,
+            combo_word_bytes,
+            words_per_pass,
+        )
 
-        approach = CpuBlockedApproach()
         # Huge synthetic geometry: the per-pass word budget must cap the
         # transient grid regardless of sample count.
-        words = approach._exec_words_per_pass(2048, 3, 8)
-        assert words * 2048 * 9 * 8 <= approach.EXEC_GRID_BUDGET_BYTES
-        assert approach._exec_words_per_pass(10**9, 5, 8) == 1
+        words = words_per_pass(3, 2048, 8)
+        assert words * 2048 * combo_word_bytes(3, 8) <= KERNEL_BUDGET_BYTES
+        assert words_per_pass(5, 10**9, 8) == 1
 
     def test_autotune_stats_surface(self, hotpath_dataset):
         result = EpistasisDetector(

@@ -1,4 +1,4 @@
-"""Inclusion–exclusion split kernel: oracle tests of every execution branch.
+"""NumPy kernels: oracle tests of every execution branch and the workspace.
 
 The NumPy phenotype-split kernel popcounts only the ``2^k`` stored-plane
 cells of a combination and derives each genotype-2 cell as
@@ -8,11 +8,20 @@ tests pin it against :func:`repro.core.contingency.contingency_oracle_many`
 on the paths that reach it:
 
 * a direct call at orders 2-5;
-* the word-slice branch of the blocked ``build_tables`` (``cpu-v3`` and
-  ``cpu-v4``), forced with a small execution budget;
-* fused tiles of one combination, forced with a small tile budget;
+* calls beyond the kernel budget, which both kernels cut into pieces of
+  fewer combinations and, below one combination's words, word slices;
+* the word slices of the blocked ``build_tables`` (``cpu-v3`` and
+  ``cpu-v4``), forced with a small kernel budget;
+* fused tiles of one combination, forced with a one-byte kernel budget;
 * whole-dataset planes of more than 70 000 SNP rows at ``k = 5``, where a
   positional sub-combination key (``n_snps^4``) would overflow ``int64``.
+
+Both kernels (split and naïve) carve their temporaries from one per-thread
+workspace; the remaining tests pin its contract: reuse across growing and
+shrinking batches, results that never alias it, concurrent threads,
+``IndexError`` on an out-of-range SNP, a footprint within the budget after
+calls and unfused searches of any size, and no page faults in steady
+state.
 
 Both word layouts run, and the sample counts leave padding bits in the last
 word of each class under either layout.
@@ -20,15 +29,22 @@ word of each class under either layout.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.approaches import _fused, get_approach
-from repro.core.approaches._kernels import split_class_counts
+from repro.core.approaches import _kernels, get_approach
+from repro.core.approaches._kernels import naive_tables, split_class_counts
 from repro.core.combinations import generate_combinations
 from repro.core.contingency import contingency_oracle_many
 from repro.core.scoring import get_objective
-from repro.datasets.binarization import PhenotypeSplitDataset
+from repro.datasets.binarization import BinarizedDataset, PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
 
 ORDERS = (2, 3, 4, 5)
@@ -71,33 +87,65 @@ def test_direct_call_matches_oracle(dataset, order, layout):
         assert split_class_counts(planes, mask, combos[:0]).shape == (0, 3**order)
 
 
-@pytest.mark.parametrize("words_per_pass", (1, 2))
+@pytest.mark.parametrize("pass_words", (1, 2))
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("name", ("cpu-v3", "cpu-v4"))
 def test_blocked_word_slices_match_oracle(
-    dataset, monkeypatch, name, order, layout, words_per_pass
+    dataset, monkeypatch, name, order, layout, pass_words
 ):
+    # A budget below one combination over every word: the kernel runs the
+    # blocked build in one-combination pieces of ``pass_words`` words.
     approach = get_approach(name, word_layout=layout)
-    combos = _combos(dataset, order)
+    combos = _combos(dataset, order)[:40]
     itemsize = approach.word_layout.dtype().itemsize
-    per_word = combos.shape[0] * 3 ** (order - 1) * itemsize
-    monkeypatch.setattr(approach, "EXEC_GRID_BUDGET_BYTES", per_word * words_per_pass)
+    per_word = _kernels.combo_word_bytes(order, itemsize)
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", per_word * pass_words)
     encoded = approach.prepare(dataset)
-    assert approach._exec_words_per_pass(combos.shape[0], order, itemsize) == (
-        words_per_pass
-    )
-    assert encoded.split.control_planes.shape[2] > words_per_pass
+    n_words = encoded.split.control_planes.shape[2]
+    assert n_words > pass_words
+    assert _kernels.combos_per_tile(order, n_words, itemsize) == 1
+    assert _kernels.words_per_pass(order, 1, itemsize) == pass_words
     tables = approach.build_tables(encoded, combos)
     np.testing.assert_array_equal(tables, _oracle(dataset, combos))
+
+
+@pytest.mark.parametrize("words", (2, None))
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_calls_beyond_the_budget_are_cut_into_pieces(
+    dataset, monkeypatch, order, layout, words
+):
+    # ``words=None``: five combinations over every word per piece; ``2``:
+    # one combination over two words, the word slices of a call too wide
+    # for a single combination.
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
+    planes, phenotype_words = _naive_planes(dataset, layout)
+    itemsize = planes.dtype.itemsize
+    per_word = _kernels.combo_word_bytes(order, itemsize)
+    n_words = planes.shape[2]
+    budget = per_word * (2 if words else 5 * n_words)
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
+    assert _kernels.combos_per_tile(order, n_words, itemsize) == (1 if words else 5)
+    combos = _combos(dataset, order)[: 40 if words else None]
+    expected = _oracle(dataset, combos)
+    np.testing.assert_array_equal(
+        naive_tables(planes, phenotype_words, combos), expected
+    )
+    for phenotype_class in (0, 1):
+        class_planes, _ = split.planes_for_class(phenotype_class)
+        counts = split_class_counts(
+            class_planes, split.padding_mask(phenotype_class), combos
+        )
+        np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("name", ("cpu-v2", "cpu-v3", "cpu-v4"))
 def test_single_combination_fused_tiles(dataset, monkeypatch, name, order, layout):
-    monkeypatch.setattr(_fused, "TILE_GRID_BUDGET_BYTES", 1)
-    assert _fused._tile_combos_for(order, 8, 8) == 1
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", 1)
+    assert _kernels.combos_per_tile(order, 8, 8) == 1
     approach = get_approach(name, word_layout=layout)
     objective = get_objective("k2")
     objective.prepare(dataset)
@@ -125,3 +173,242 @@ def test_k5_on_planes_beyond_70k_rows(dataset, layout):
             wide, split.padding_mask(phenotype_class), rows[combos]
         )
         np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
+
+
+# -- the kernel workspace ---------------------------------------------------
+
+
+def _naive_planes(dataset, layout):
+    encoded = BinarizedDataset.from_dataset(dataset, layout=layout)
+    return encoded.planes, encoded.phenotype_words
+
+
+def _in_fresh_thread(body):
+    """Run ``body`` on a new thread, whose workspace starts empty."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = body()
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_workspace_reused_as_batches_grow_and_shrink(dataset, order, layout):
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
+    planes, phenotype_words = _naive_planes(dataset, layout)
+    everything = generate_combinations(dataset.n_snps, order)
+
+    def body():
+        for stop in (3, 40, everything.shape[0], 11, 1):
+            combos = everything[:stop]
+            expected = _oracle(dataset, combos)
+            tables = naive_tables(planes, phenotype_words, combos)
+            np.testing.assert_array_equal(tables, expected)
+            for phenotype_class in (0, 1):
+                class_planes, _ = split.planes_for_class(phenotype_class)
+                counts = split_class_counts(
+                    class_planes, split.padding_mask(phenotype_class), combos
+                )
+                np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
+
+    _in_fresh_thread(body)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_results_never_alias_the_workspace(dataset, layout):
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
+    planes, phenotype_words = _naive_planes(dataset, layout)
+    mask = split.padding_mask(0)
+    first, second = _combos(dataset, 3)[:60], _combos(dataset, 3)[60:]
+
+    counts = split_class_counts(split.control_planes, mask, first)
+    tables = naive_tables(planes, phenotype_words, first)
+    kept = counts.copy(), tables.copy()
+    split_class_counts(split.control_planes, mask, second)
+    naive_tables(planes, phenotype_words, second)
+    np.testing.assert_array_equal(counts, kept[0])
+    np.testing.assert_array_equal(tables, kept[1])
+    for result in (counts, tables):
+        assert not np.may_share_memory(result, _kernels._WORKSPACE.buffer)
+
+
+def test_concurrent_threads_stay_oracle_exact(dataset):
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
+    planes, phenotype_words = _naive_planes(dataset, "u64")
+    jobs = [
+        (order, generate_combinations(dataset.n_snps, order)[offset::4])
+        for offset, order in enumerate((2, 3, 4, 5))
+    ]
+    expected = [_oracle(dataset, combos) for _, combos in jobs]
+
+    def run(job):
+        _, combos = job
+        results = []
+        for _ in range(5):
+            tables = naive_tables(planes, phenotype_words, combos)
+            counts = [
+                split_class_counts(
+                    split.planes_for_class(c)[0], split.padding_mask(c), combos
+                )
+                for c in (0, 1)
+            ]
+            results.append((tables, np.stack(counts, axis=-1)))
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            outcomes = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for results, reference in zip(outcomes, expected):
+        for tables, counts in results:
+            np.testing.assert_array_equal(tables, reference)
+            np.testing.assert_array_equal(counts, reference)
+
+
+@pytest.mark.parametrize("bad", ([[0, 1, 12]], [[-1, 3, 4]]))
+def test_out_of_range_snp_raises_index_error(dataset, bad):
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
+    planes, phenotype_words = _naive_planes(dataset, "u64")
+    combos = np.array(bad)
+    with pytest.raises(IndexError):
+        split_class_counts(split.control_planes, split.padding_mask(0), combos)
+    with pytest.raises(IndexError):  # a word slice takes the gather branch
+        split_class_counts(
+            split.control_planes[:, :, :2], split.padding_mask(0)[:2], combos
+        )
+    with pytest.raises(IndexError):
+        naive_tables(planes, phenotype_words, combos)
+
+
+#: The workspace bound of the kernel docstring: 9/8 of the budget plus 4 KiB.
+def _workspace_limit(budget):
+    return budget * 9 // 8 + 4096
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_calls_of_any_size_stay_within_the_budget(monkeypatch, order, layout):
+    # Whole batches over every word, and batches of combinations each too
+    # wide for the budget: the kernels cut both into pieces that stay
+    # within the bound.  Disjoint combinations share no sub-combination,
+    # the split kernel's largest footprint.
+    budget, n_snps = 128 << 10, 1000
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
+    rng = np.random.default_rng(order)
+    genotypes = rng.choice(3, size=(n_snps, 700), p=[0.5, 0.3, 0.2])
+    phenotypes = (rng.random(700) < 0.5).astype(np.int8)
+    wide = GenotypeDataset(genotypes=genotypes, phenotypes=phenotypes)
+    split = PhenotypeSplitDataset.from_dataset(wide, layout=layout)
+    planes, phenotype_words = _naive_planes(wide, layout)
+    rows = rng.permutation(n_snps)[: n_snps // order * order]
+    combos = np.sort(rows.reshape(-1, order), axis=1)
+    limit = _workspace_limit(budget)
+
+    def body():
+        naive_tables(planes, phenotype_words, combos)
+        assert 0 < _kernels._WORKSPACE.buffer.size <= limit
+        split_class_counts(split.control_planes, split.padding_mask(0), combos)
+        assert _kernels._WORKSPACE.buffer.size <= limit
+        # Below one combination's words: one-combination word slices.
+        narrow = _kernels.combo_word_bytes(order, planes.dtype.itemsize) * 3
+        monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", narrow)
+        naive_tables(planes, phenotype_words, combos[:20])
+        split_class_counts(split.control_planes, split.padding_mask(0), combos[:20])
+        assert _kernels._WORKSPACE.buffer.size <= limit
+
+    _in_fresh_thread(body)
+
+
+@pytest.mark.parametrize(
+    "name", ("cpu-v1", "cpu-v2", "cpu-v3", "cpu-v4", "gpu-v1", "gpu-v2")
+)
+def test_unfused_searches_keep_the_workspace_within_the_budget(monkeypatch, name):
+    # An unfused search hands the kernels whole chunks (a single-lane
+    # detect() runs on the calling thread); the workspace it leaves behind
+    # stays within the budget's bound.
+    from repro.core import EpistasisDetector
+    from repro.datasets import SyntheticConfig, generate_dataset
+
+    budget = 256 << 10
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
+    dataset = generate_dataset(SyntheticConfig(n_snps=24, n_samples=4096, seed=4))
+    detector = EpistasisDetector(
+        order=3, approach=name, fused="off", chunk_size=2048, top_k=3
+    )
+
+    def body():
+        detector.detect(dataset)
+        return _kernels._WORKSPACE.buffer.size
+
+    assert 0 < _in_fresh_thread(body) <= _workspace_limit(budget)
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from repro.core.approaches._kernels import naive_tables, split_class_counts
+from repro.core.combinations import generate_combinations
+from repro.datasets.binarization import BinarizedDataset, PhenotypeSplitDataset
+from repro.datasets.dataset import GenotypeDataset
+
+rng = np.random.default_rng(5)
+n_samples = 16384
+dataset = GenotypeDataset(
+    genotypes=rng.choice(3, size=(24, n_samples), p=[0.5, 0.3, 0.2]),
+    phenotypes=(rng.random(n_samples) < 0.5).astype(np.int8),
+)
+split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
+naive = BinarizedDataset.from_dataset(dataset, layout="u64")
+combos = generate_combinations(dataset.n_snps, 3)
+
+
+def faults(call):
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+mask = split.padding_mask(0)
+print(faults(lambda: split_class_counts(split.control_planes, mask, combos[:512])))
+print(faults(lambda: naive_tables(naive.planes, naive.phenotype_words, combos[:256])))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc tunable")
+def test_steady_state_calls_do_not_page_fault():
+    # MALLOC_MMAP_THRESHOLD_ fixes glibc's mmap threshold at 128 KiB, so
+    # every freed block that large is unmapped whatever the heap's history:
+    # a kernel allocating its temporaries per call faults them in afresh.
+    # Fixing it also pins the heap-trim threshold at 128 KiB, where freeing
+    # the call's smaller blocks (its result among them) trims the heap top
+    # or not depending on the heap's layout; a fixed, large trim threshold
+    # takes that out, so only blocks of 128 KiB and more can fault.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(
+        os.environ, MALLOC_MMAP_THRESHOLD_="131072", MALLOC_TRIM_THRESHOLD_="1073741824"
+    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    split_faults, naive_faults = (int(line) for line in probe.stdout.split())
+    assert split_faults <= 64
+    assert naive_faults <= 64
