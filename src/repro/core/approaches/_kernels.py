@@ -6,7 +6,8 @@ interaction (``k`` between :data:`MIN_ORDER` and :data:`MAX_ORDER`):
 * the **naïve** kernel (approach V1 on both devices): three genotype planes
   per SNP over *all* samples, with the phenotype bit-vector (and its
   negation) used to split every genotype-combination count into cases and
-  controls;
+  controls.  Its batched form, :func:`naive_permutation_tables`, counts
+  one set of planes under a block of phenotypes (a permutation null);
 * the **phenotype-split** kernel (approaches V2–V4): per-class planes of
   genotypes 0 and 1 only.  Execution ANDs and popcounts just the ``2^k``
   stored-plane cells of each combination and derives every genotype-2 cell
@@ -57,7 +58,11 @@ same function, so each runs as one piece.  A piece carves at most 1.07x
 the budget from the workspace (the naïve kernel at ``k = 2`` on ``uint32``
 words; the split kernel stays below 0.85x even when no two combinations
 share a sub-combination), so a thread's workspace stays below 9/8 of the
-budget plus 4 KiB for the thread's life.
+budget plus 4 KiB for the thread's life.  The batched naïve kernel cuts
+its pieces the same way, from its own footprint per combination and word,
+which grows with the number of phenotypes in the block; a block so large
+that one word of one combination exceeds the budget still runs, as pieces
+of one word.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ __all__ = [
     "combos_per_tile",
     "words_per_pass",
     "naive_tables",
+    "naive_permutation_tables",
     "split_class_counts",
     "split_tables",
     "charge_naive_ops",
@@ -224,32 +230,40 @@ def combo_word_bytes(order: int, itemsize: int) -> int:
     return 4 * 3 ** (check_order(order) - 1) * itemsize
 
 
+def _budget_count(unit_bytes: int, n: int) -> int:
+    """How many units of ``unit_bytes x n`` bytes fit the budget (at least 1)."""
+    return max(1, KERNEL_BUDGET_BYTES // (unit_bytes * max(1, n)))
+
+
 def combos_per_tile(order: int, n_words: int, itemsize: int) -> int:
     """Combinations of a kernel piece (or fused tile) over ``n_words`` words."""
-    per_combo = combo_word_bytes(order, itemsize) * max(1, n_words)
-    return max(1, KERNEL_BUDGET_BYTES // per_combo)
+    return _budget_count(combo_word_bytes(order, itemsize), n_words)
 
 
 def words_per_pass(order: int, n_combos: int, itemsize: int) -> int:
     """Words of a kernel piece over a batch of ``n_combos`` combinations."""
-    per_word = combo_word_bytes(order, itemsize) * max(1, n_combos)
-    return max(1, KERNEL_BUDGET_BYTES // per_word)
+    return _budget_count(combo_word_bytes(order, itemsize), n_combos)
 
 
-def _in_budget_pieces(kernel, planes: np.ndarray, per_word, combos) -> np.ndarray:
+def _in_budget_pieces(
+    kernel, planes: np.ndarray, per_word, combos, word_bytes: int | None = None
+) -> np.ndarray:
     """Run ``kernel(planes, per_word, combos)`` over budget-sized pieces.
 
-    ``per_word`` is the call's ``(n_words,)`` word vector (phenotype or
-    padding mask).  A call within the budget runs whole; a larger one is
-    cut into :func:`combos_per_tile` combinations and, when one combination
-    over every word exceeds the budget, :func:`words_per_pass` words.
+    ``per_word`` holds the call's word vectors (phenotypes or padding mask)
+    along its last axis, and ``word_bytes`` is the kernel's modelled bytes
+    per combination and word (default :func:`combo_word_bytes`).  A call
+    within the budget runs whole; a larger one is cut into pieces of
+    combinations and, when one combination over every word exceeds the
+    budget, of words (:func:`combos_per_tile` and :func:`words_per_pass`
+    for the default).  Piece results stack along their first axis.
     """
     combos = np.asarray(combos, dtype=np.int64)
     order = check_order(combos.shape[1])
     n_combos, n_words = combos.shape[0], planes.shape[2]
-    itemsize = planes.dtype.itemsize
-    combo_step = min(max(1, n_combos), combos_per_tile(order, n_words, itemsize))
-    word_step = words_per_pass(order, combo_step, itemsize)
+    unit = word_bytes or combo_word_bytes(order, planes.dtype.itemsize)
+    combo_step = min(max(1, n_combos), _budget_count(unit, n_words))
+    word_step = _budget_count(unit, combo_step)
     if combo_step >= n_combos and word_step >= n_words:
         return kernel(planes, per_word, combos)
     per_word = np.asarray(per_word)
@@ -258,7 +272,7 @@ def _in_budget_pieces(kernel, planes: np.ndarray, per_word, combos) -> np.ndarra
         rows = slice(start, start + combo_step)
         for first in range(0, n_words, word_step):
             words = slice(first, first + word_step)
-            piece = kernel(planes[:, :, words], per_word[words], combos[rows])
+            piece = kernel(planes[:, :, words], per_word[..., words], combos[rows])
             if result is None:
                 result = np.zeros((n_combos,) + piece.shape[1:], dtype=np.int64)
             result[rows] += piece
@@ -281,12 +295,10 @@ class _Workspace(threading.local):
         self.buffer = np.empty(0, dtype=np.uint8)
         self.used = 0
 
-    def begin(self, order: int, n_combos: int, n_words: int, itemsize: int):
-        """Start a call over ``n_combos`` combinations and ``n_words`` words."""
+    def begin(self, nbytes: int):
+        """Start a call that carves at most ``nbytes`` (plus a cache line per array)."""
         self.used = 0
-        # Both kernels carve at most 1.07x the modelled footprint (the
-        # naive kernel at k = 2, u32), plus a cache line per array.
-        reserve = combo_word_bytes(order, itemsize) * n_combos * n_words * 9 // 8 + 4096
+        reserve = nbytes + 4096
         if reserve > self.buffer.size:
             self.buffer = np.empty(0, dtype=np.uint8)  # release before growing
             self.buffer = np.empty(reserve, dtype=np.uint8)
@@ -314,6 +326,15 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
+
+
+def _piece_bytes(order: int, n_combos: int, n_words: int, itemsize: int) -> int:
+    """Workspace bytes a split or naïve kernel piece may carve.
+
+    Both kernels carve at most 1.07x the modelled footprint (the naïve
+    kernel at ``k = 2``, ``uint32``).
+    """
+    return combo_word_bytes(order, itemsize) * n_combos * n_words * 9 // 8
 
 
 def _gather_source(planes: np.ndarray, combos: np.ndarray):
@@ -421,7 +442,7 @@ def _naive_piece(
     # safe even though ~phenotype has the padding bits set.
     notphen = np.bitwise_not(phen)
 
-    ws = _WORKSPACE.begin(order, n_combos, n_words, planes.dtype.itemsize)
+    ws = _WORKSPACE.begin(_piece_bytes(order, n_combos, n_words, planes.dtype.itemsize))
     selected = [_gather_planes(ws, planes, combos[:, t]) for t in range(order)]
     class_masks = ws.array((2, n_combos, n_words), planes.dtype)
     class_masks[0], class_masks[1] = notphen, phen  # table columns 0 and 1
@@ -442,6 +463,101 @@ def _naive_piece(
             for cell in range(sub_cells):
                 np.bitwise_and(head, sub_grid[cell], out=masked[cell])
             tables[:, span, column] = popcount_sum(masked, scratch=bit_counts).T
+    return tables
+
+
+def _permuted_word_bytes(order: int, n_perms: int, itemsize: int) -> int:
+    """Modelled workspace bytes of :func:`naive_permutation_tables` per
+    combination and word: the plane gathers, the tail sub-grid (with its
+    intermediates) and the all-sample masks, plus three ``(P, ...)`` word
+    blocks and a byte count per permutation."""
+    sub_cells = 3 ** (order - 1)
+    return itemsize * (3 * order + 3 * sub_cells) + sub_cells + n_perms * (3 * itemsize + 1)
+
+
+def naive_permutation_tables(
+    planes: np.ndarray, phenotype_block: np.ndarray, combos: np.ndarray
+) -> np.ndarray:
+    """Naïve tables of ``combos`` under each of a block of phenotypes.
+
+    The batched form of :func:`naive_tables` for a permutation null: only
+    the phenotype changes between relabellings, so the tail sub-grid of
+    each combination is built once per piece, each relabelling's phenotype
+    words are ANDed into the head planes, and the controls are the cell
+    totals minus the cases.  Counts are exact.  Pieces are cut by the
+    budget like every kernel call's, with a footprint that grows with
+    ``P``; the workspace grows to what the call needs, not to the budget.
+
+    Parameters
+    ----------
+    planes:
+        ``(n_snps, 3, n_words)`` packed bit-planes over all samples.
+    phenotype_block:
+        ``(P, n_words)`` packed phenotypes in the layout of ``planes``, zero
+        in the padding bits.
+    combos:
+        ``(n_combos, k)`` strictly increasing SNP index tuples.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(P, n_combos, 3^k, 2)`` frequency tables (a relabelling-major view
+        of combination-major counts).
+    """
+    combos = np.asarray(combos, dtype=np.int64)
+    order = check_order(combos.shape[1])
+    phenotypes = np.asarray(phenotype_block, dtype=planes.dtype)
+    word_bytes = _permuted_word_bytes(order, phenotypes.shape[0], planes.dtype.itemsize)
+    tables = _in_budget_pieces(
+        _naive_permutation_piece, planes, phenotypes, combos, word_bytes
+    )
+    return tables.swapaxes(0, 1)
+
+
+def _naive_permutation_piece(
+    planes: np.ndarray, phenotypes: np.ndarray, combos: np.ndarray
+) -> np.ndarray:
+    """:func:`naive_permutation_tables` over one budget-sized piece,
+    combination-major: ``(n_combos, P, 3^k, 2)``."""
+    order = combos.shape[1]
+    n_combos = combos.shape[0]
+    n_perms, n_words = phenotypes.shape
+    planes, combos = _gather_source(planes, combos)
+    dtype = planes.dtype
+    sub_cells = 3 ** (order - 1)
+    ws = _WORKSPACE.begin(
+        _permuted_word_bytes(order, n_perms, dtype.itemsize) * n_combos * n_words
+    )
+    selected = [_gather_planes(ws, planes, combos[:, t]) for t in range(order)]
+    sub_grid = _genotype_grid(ws, selected[1:])
+
+    totals = np.empty((n_combos, 3**order), dtype=np.int64)
+    with ws.scratch():
+        masked = ws.array(sub_grid.shape, dtype)
+        bit_counts = ws.array(sub_grid.shape, np.uint8)
+        for g0 in range(3):
+            for cell in range(sub_cells):
+                np.bitwise_and(selected[0][g0], sub_grid[cell], out=masked[cell])
+            span = slice(g0 * sub_cells, (g0 + 1) * sub_cells)
+            totals[:, span] = popcount_sum(masked, scratch=bit_counts).T
+
+    # (P, T, W) blocks; broadcast copies keep every AND equal-shape.
+    block = (n_perms, n_combos, n_words)
+    phen, head, masked = (ws.array(block, dtype) for _ in range(3))
+    bit_counts = ws.array(block, np.uint8)
+    np.copyto(phen, phenotypes[:, None, :])
+    tables = np.empty((n_combos, n_perms, 3**order, 2), dtype=np.int64)
+    cases = tables[..., 1]
+    for g0 in range(3):
+        np.copyto(head, selected[0][g0])
+        np.bitwise_and(head, phen, out=head)
+        for cell in range(sub_cells):
+            np.copyto(masked, sub_grid[cell])
+            np.bitwise_and(masked, head, out=masked)
+            cases[:, :, g0 * sub_cells + cell] = popcount_sum(
+                masked, scratch=bit_counts
+            ).T
+    np.subtract(totals[:, None, :], cases, out=tables[..., 0])
     return tables
 
 
@@ -526,7 +642,7 @@ def _split_piece(
     class_planes, combos = _gather_source(class_planes, combos)
     dtype = class_planes.dtype
     plan = _stored_cell_plan(order)
-    ws = _WORKSPACE.begin(order, n_combos, n_words, dtype.itemsize)
+    ws = _WORKSPACE.begin(_piece_bytes(order, n_combos, n_words, dtype.itemsize))
     counts = np.empty((n_combos, 3**order), dtype=np.int64)
     counts[:, plan[0][1]] = popcount_sum(padding_mask)
     with ws.scratch():

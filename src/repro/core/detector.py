@@ -353,9 +353,9 @@ class EpistasisDetector:
         """Frequency tables for explicit combinations (single-threaded).
 
         ``cache=False`` bypasses the process-wide encoding cache — for
-        throw-away datasets that are scored exactly once (the permutation
-        null relabels the phenotype every iteration), where caching would
-        pay the content digest and evict reusable encodings for nothing.
+        throw-away datasets that are scored exactly once (a relabelled
+        phenotype, say), where caching would pay the content digest and
+        evict reusable encodings for nothing.
         """
         if cache:
             encoded = self._prepare_cached(self._prototype, dataset)
@@ -373,8 +373,7 @@ class EpistasisDetector:
 
         Honours the ``fused`` knob: under ``auto``/``on`` the scores come
         from the fused build+score path when the approach supports it
-        (bit-identical; this also speeds the permutation null, which calls
-        here once per relabelled phenotype).
+        (bit-identical).
         """
         if self._fused_active():
             self._prepare_objective(dataset)

@@ -19,8 +19,8 @@ reported top-k is bit-identical for any worker count.
   read-only views of the published dataset and encodings instead of
   unpickling arrays;
 * :mod:`repro.distributed.fleet` — persistent warm worker fleets
-  (:class:`WorkerFleet`) surviving across ``detect()`` calls, pipeline
-  stages and permutation batches;
+  (:class:`WorkerFleet`) surviving across ``detect()`` calls and pipeline
+  stages;
 * :mod:`repro.distributed.resilience` — fault-tolerance policy
   (:class:`RetryPolicy`: bounded retries with backoff, heartbeat-watchdog
   deadlines, the degradation ladder and poison-shard quarantine) and the

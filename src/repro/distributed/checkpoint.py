@@ -17,9 +17,11 @@ records
   permutation stage stores its RNG bit-generator state and exceedance
   counters here).
 
-Scores are stored as JSON numbers; Python's ``json`` encodes floats via
-``repr``, which round-trips ``float64`` exactly, so a resumed run merges
-bit-identical values.
+Ledgers are compact JSON (no indentation), which is what lets CPython
+encode them in C.  Scores are stored as JSON numbers; Python's ``json``
+encodes floats via ``repr`` in either encoder, which round-trips
+``float64`` exactly, so a resumed run merges bit-identical values — also
+from an indented ledger an older writer left.
 """
 
 from __future__ import annotations
@@ -177,15 +179,20 @@ class JsonLedger:
         return self.doc
 
     def write(self) -> None:
-        """Atomically persist the in-memory document."""
+        """Atomically persist the in-memory document as compact JSON.
+
+        ``json.dumps`` without ``indent`` runs CPython's C encoder, and the
+        text goes out in one write; ``json.dump`` would run the pure-Python
+        encoder with one write per token.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(self.doc) + "\n"
         fd, tmp_path = tempfile.mkstemp(
             prefix=self.path.name + ".", suffix=".tmp", dir=self.path.parent
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.doc, fh, indent=1)
-                fh.write("\n")
+                fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.path)

@@ -1,8 +1,8 @@
 """Persistent worker fleets: spawn once, reuse across every run.
 
 A :class:`WorkerFleet` wraps a :class:`~concurrent.futures.ProcessPoolExecutor`
-that *outlives* individual ``detect()`` calls, pipeline stages and
-permutation batches.  The PR-4 runner paid a fresh ``spawn`` (a full
+that *outlives* individual ``detect()`` calls and pipeline stages.  A
+dedicated pool pays a fresh ``spawn`` (a full
 interpreter start plus imports, ~300 ms per worker) for every sweep; a warm
 fleet pays it once per process lifetime, which is what makes multi-process
 execution profitable for the short stage sweeps the staged pipeline issues.

@@ -49,8 +49,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence
 
-import numpy as np
-
 from repro.distributed.merge import (
     interaction_to_row,
     minima_to_payload,
@@ -329,39 +327,6 @@ def _run_shard_batch(
     if session is not None:
         outcomes[0].spans = session.tracer.export_spans()
     return outcomes
-
-
-def _run_null_batch(
-    payload: WorkerPayload,
-    combos: np.ndarray,
-    phenotype_batch: np.ndarray,
-) -> np.ndarray:
-    """Worker entry point for permutation nulls: score relabelled copies.
-
-    ``phenotype_batch`` is ``(B, n_samples)`` relabelled phenotype vectors
-    — the *only* per-iteration data shipped; the genotypes come from the
-    (usually shared-memory) dataset hydrated once per process.  Scoring
-    bypasses the encoding cache (``cache=False``): relabelled encodings
-    are throw-away by contract.
-
-    Returns the ``(B, n_combos)`` score matrix.
-    """
-    install_plan(payload.faults)
-    fire("shard.claim")
-    context = _context_for(payload)
-    from repro.datasets.dataset import GenotypeDataset
-
-    genotypes = context.dataset.genotypes
-    snp_names = list(context.dataset.snp_names)
-    scores = []
-    for phenotypes in phenotype_batch:
-        relabelled = GenotypeDataset(
-            genotypes=genotypes, phenotypes=phenotypes, snp_names=snp_names
-        )
-        scores.append(
-            context.detector.score_combinations(relabelled, combos, cache=False)
-        )
-    return np.asarray(scores)
 
 
 class ProcessRunner:

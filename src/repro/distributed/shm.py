@@ -2,7 +2,7 @@
 
 Before this module every distributed run shipped the whole dataset to every
 worker process by pickling it into the pool (one copy per worker, repeated
-for every ``detect()`` call, pipeline stage and permutation batch).  The
+for every ``detect()`` call and pipeline stage).  The
 :class:`SharedEncodingStore` replaces that with POSIX shared memory: the
 coordinator *publishes* the genotype matrix, the phenotype vector and the
 prepared bit-plane encodings into :mod:`multiprocessing.shared_memory`

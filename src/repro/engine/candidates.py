@@ -215,7 +215,7 @@ class ExplicitRankSource(CandidateSource):
 
 
 class ExplicitCombinationSource(CandidateSource):
-    """Pre-materialised k-tuples (finalist re-scoring, permutation nulls)."""
+    """Pre-materialised k-tuples (finalist re-scoring)."""
 
     def __init__(self, combos: np.ndarray) -> None:
         combos = np.ascontiguousarray(combos, dtype=np.int64)

@@ -81,10 +81,10 @@ class SearchPipeline:
         staged search under one ``run_id``.
     pool / shm:
         Worker-fleet and data-plane knobs of the distributed sweep stages:
-        ``pool="keep"`` (default) runs every stage on one process-wide warm
-        worker fleet — the pipeline spawns processes once, and screen,
-        expand and permutation stages all reuse them; ``pool="fresh"``
-        spawns per stage.  ``shm`` controls the shared-memory data plane
+        ``pool="keep"`` (default) runs every sweep stage on one
+        process-wide warm worker fleet — the pipeline spawns processes
+        once, and screen and expand stages all reuse them (the permutation
+        null runs in-process); ``pool="fresh"`` spawns per stage.  ``shm`` controls the shared-memory data plane
         (``"on"``/``"off"``/``"auto"``; see
         :func:`repro.distributed.run_distributed`).
     retry / faults:

@@ -1,8 +1,8 @@
 """The staged-search pipeline stages.
 
-Each stage is one engine run (or a family of runs, for the permutation
-null) with its own approach/devices/schedule/order configuration, reading
-and updating a shared :class:`StageContext`:
+Each stage is one engine run (plus, for the permutation null, a batched
+in-process count) with its own approach/devices/schedule/order
+configuration, reading and updating a shared :class:`StageContext`:
 
 * :class:`ScreenStage` — cheap low-order exhaustive scan that retains the
   top-``keep`` SNPs by best participating score, pruning the universe the
@@ -30,9 +30,13 @@ from typing import Callable, ClassVar, List
 
 import numpy as np
 
+from repro.bitops.packing import pack_bits
+from repro.core.approaches._kernels import naive_permutation_tables
+from repro.core.contingency import validate_tables
 from repro.core.detector import EpistasisDetector
 from repro.core.result import DetectionResult, Interaction
 from repro.core.scoring import ObjectiveFunction
+from repro.datasets.binarization import BinarizedDataset
 from repro.datasets.dataset import GenotypeDataset
 from repro.engine import (
     CancellationToken,
@@ -111,9 +115,8 @@ class StageContext:
     stage_index: int = 0
     #: Warm-fleet / data-plane knobs threaded into every distributed stage
     #: sweep (see :func:`repro.distributed.run_distributed`): with the
-    #: default ``pool="keep"`` all stages (and the permutation null) reuse
-    #: one process-wide worker fleet and the shared-memory segments it
-    #: keeps alive.
+    #: default ``pool="keep"`` all sweep stages reuse one process-wide
+    #: worker fleet and the shared-memory segments it keeps alive.
     pool: str = "keep"
     shm: object = None
     #: Fault-tolerance policy (:class:`~repro.distributed.resilience
@@ -461,20 +464,25 @@ class PermutationStage(PipelineStage):
     n_permutations)`` — the standard add-one estimate, never exactly zero.
 
     The observed re-scoring is the stage's engine run (per-stage
-    device/schedule overrides apply, and it feeds the stage report); the
-    null loop then scores the finalist tables directly on a dataset sliced
-    to the distinct finalist SNPs — at ``top_k`` scale an engine launch per
-    permutation would be pure scheduling overhead.
+    device/schedule overrides apply, and it feeds the stage report).  The
+    null never launches the engine or the worker fleet: the dataset is
+    sliced to the distinct finalist SNPs and encoded once in the naïve
+    three-plane form, and each window of ``checkpoint_every`` relabellings
+    is one batched count of their packed phenotypes against those planes
+    (:func:`~repro.core.approaches._kernels.naive_permutation_tables`),
+    scored with the stage's objective.  Counts are exact integers, so
+    inline, fleet and resumed runs give bit-identical p-values whatever the
+    approach or backend.
 
     When a :class:`RefineStage` re-scored the finalists, give this stage
     the same ``objective`` so the p-values test the statistic displayed
     next to them (``detect_staged`` wires this automatically).
 
-    Under a checkpointed pipeline run the null loop is crash-safe too:
-    every ``checkpoint_every`` permutations the stage persists its
-    exceedance counters and the RNG bit-generator state to its ledger, so
-    a resumed run continues the *same* permutation stream mid-loop and the
-    p-values are bit-identical to an uninterrupted run.
+    Under a checkpointed pipeline run the null is crash-safe too: after
+    every window the stage persists its exceedance counters and the RNG
+    bit-generator state to its ledger, so a resumed run continues the
+    *same* permutation stream mid-loop and the p-values are bit-identical
+    to an uninterrupted run.  Cancellation is checked at each window start.
     """
 
     name: ClassVar[str] = "permutation"
@@ -489,6 +497,28 @@ class PermutationStage(PipelineStage):
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
 
+    @staticmethod
+    def null_scores(
+        detector: EpistasisDetector,
+        encoded: BinarizedDataset,
+        draws: np.ndarray,
+        combos: np.ndarray,
+    ) -> np.ndarray:
+        """``(P, n_combos)`` scores of ``combos`` under each row of ``draws``.
+
+        ``draws`` holds ``P`` relabelled phenotype vectors of the dataset
+        ``encoded`` encodes.  One batched count builds every relabelling's
+        tables; they are validated under ``validate=True`` and scored with
+        the detector's objective.
+        """
+        tables = naive_permutation_tables(
+            encoded.planes, pack_bits(draws.astype(bool), encoded.layout), combos
+        )
+        if detector.config.validate:
+            validate_tables(tables, encoded.n_controls, encoded.n_cases)
+        scores = detector.objective.score(tables.reshape((-1,) + tables.shape[2:]))
+        return scores.reshape(tables.shape[:2])
+
     def run(self, ctx: StageContext) -> StageReport:
         if not ctx.top:
             raise ValueError(
@@ -498,9 +528,9 @@ class PermutationStage(PipelineStage):
         combos = np.array([inter.snps for inter in ctx.top], dtype=np.int64)
 
         # Slice the dataset down to the distinct finalist SNPs once and
-        # remap the combinations to local indices: every permutation run
-        # then only validates/encodes order x top_k SNPs instead of the full
-        # genotype matrix (only the phenotype vector changes per run).
+        # remap the combinations to local indices: the observed run and the
+        # null's encoding then cover order x top_k SNPs instead of the full
+        # genotype matrix.
         distinct = np.unique(combos)
         local_combos = np.searchsorted(distinct, combos)
         sliced = dataset.subset_snps(distinct)
@@ -561,43 +591,32 @@ class PermutationStage(PipelineStage):
             ledger.doc["rng_state"] = rng.bit_generator.state
             ledger.write()
 
+        # The null: one batched count per window.  Draws follow the RNG
+        # stream in order, and the ledger is written at window ends, where
+        # the live RNG state matches ``perm_done`` draws exactly.
         null_started = time.perf_counter()
-        if ctx.workers > 1:
-            self._null_fleet(
-                ctx,
-                detector,
-                sliced,
-                local_combos,
-                observed_scores,
-                exceed,
-                start_perm,
-                rng,
-                _record,
-                progress,
+        encoded = BinarizedDataset.from_dataset(
+            sliced, layout=detector.approach.word_layout
+        )
+        for window_start in range(
+            start_perm, self.n_permutations, self.checkpoint_every
+        ):
+            if ctx.cancel is not None and ctx.cancel.cancelled:
+                _record(window_start)
+                raise RuntimeError(
+                    f"permutation stage cancelled after {window_start} of "
+                    f"{self.n_permutations} permutations"
+                )
+            window = range(
+                window_start,
+                min(window_start + self.checkpoint_every, self.n_permutations),
             )
-        else:
-            for perm in range(start_perm, self.n_permutations):
-                if ctx.cancel is not None and ctx.cancel.cancelled:
-                    _record(perm)
-                    raise RuntimeError(
-                        f"permutation stage cancelled after {perm} of "
-                        f"{self.n_permutations} permutations"
-                    )
-                permuted = GenotypeDataset(
-                    genotypes=sliced.genotypes,
-                    phenotypes=rng.permutation(sliced.phenotypes),
-                    snp_names=list(sliced.snp_names),
-                )
-                # Permuted datasets are scored exactly once; bypass the
-                # encoding cache so the null loop neither hashes every
-                # relabelling nor evicts the reusable sweep-stage encodings.
-                null_scores = detector.score_combinations(
-                    permuted, local_combos, cache=False
-                )
-                exceed += null_scores <= observed_scores
-                if (perm + 1) % self.checkpoint_every == 0:
-                    _record(perm + 1)
-                if progress is not None:
+            draws = np.stack([rng.permutation(sliced.phenotypes) for _ in window])
+            null_scores = self.null_scores(detector, encoded, draws, local_combos)
+            exceed += (null_scores <= observed_scores).sum(axis=0)
+            _record(window[-1] + 1)
+            if progress is not None:
+                for perm in window:
                     progress(perm + 1, self.n_permutations)
         _record(self.n_permutations)
         elapsed = observed_run.stats.elapsed_seconds + (
@@ -614,162 +633,16 @@ class PermutationStage(PipelineStage):
             observed_run,
             evaluated=(1 + self.n_permutations) * source.total,
             sweep=False,
-            # The null loop scores single-threaded on the prototype
-            # approach's device, not on the engine lanes — price it that way.
+            # The null is one batched in-process count per window, not an
+            # engine run over the lanes — price it single-threaded on the
+            # prototype approach's device.
             estimate_devices=[EngineDevice(kind=detector.approach.device)],
             extra={
                 "n_permutations": self.n_permutations,
                 "seed": self.seed,
                 "min_attainable_p": 1.0 / (1 + self.n_permutations),
                 **({"resumed_at": start_perm} if start_perm else {}),
-                **(
-                    {"null_workers": ctx.workers, "pool": ctx.pool}
-                    if ctx.workers > 1
-                    else {}
-                ),
             },
         )
         report.elapsed_seconds = elapsed
         return report
-
-    def _null_fleet(
-        self,
-        ctx: StageContext,
-        detector: EpistasisDetector,
-        sliced: GenotypeDataset,
-        local_combos: np.ndarray,
-        observed_scores: np.ndarray,
-        exceed: np.ndarray,
-        start_perm: int,
-        rng: np.random.Generator,
-        record: Callable[[int], None],
-        progress: Callable[[int, int], None] | None,
-    ) -> None:
-        """Score the permutation null on the (warm) worker fleet.
-
-        Bit-identity with the inline loop is preserved by drawing every
-        relabelling from the RNG stream *in the parent, in order*: workers
-        only score the relabelled phenotype vectors they are shipped (the
-        genotypes ride the shared-memory data plane, so each batch is a few
-        kilobytes of deltas).  Draws proceed in windows of
-        ``checkpoint_every`` permutations; the ledger is written at window
-        boundaries, where the live RNG state matches ``perm_done`` draws
-        exactly — so inline, fleet and resumed runs all continue the same
-        permutation stream.  Exceedance folding is integer addition and
-        therefore order-independent across a window's batches.
-
-        A worker death breaks the pool mid-window: the fleet respawns once
-        and only the batches that never folded are re-dispatched; a second
-        break raises (progress up to the last checkpoint is in the ledger).
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.distributed.coordinator import (
-            _payload_approach_kwargs,
-            resolve_shm,
-        )
-        from repro.distributed.fleet import WorkerFleet, get_fleet
-        from repro.distributed.runner import WorkerPayload, _run_null_batch
-        from repro.distributed.shm import note_event, publish_dataset, shared_store
-
-        cfg = detector.config
-        keep = ctx.pool == "keep"
-        dedicated: WorkerFleet | None = None
-        if keep:
-            fleet = get_fleet(ctx.workers)
-        else:
-            fleet = dedicated = WorkerFleet(ctx.workers)
-        session = None
-        dataset_for_workers: object = sliced
-        try:
-            if resolve_shm(ctx.shm, ctx.workers):
-                session = (
-                    fleet.store_session() if keep else shared_store().session()
-                )
-                dataset_for_workers = publish_dataset(sliced, session=session)
-            payload = WorkerPayload(
-                dataset=dataset_for_workers,
-                source=ExplicitCombinationSource(local_combos),
-                approach=cfg.approach,
-                objective=cfg.objective,
-                n_threads=cfg.n_workers,
-                chunk_size=cfg.chunk_size,
-                top_k=cfg.top_k,
-                validate=cfg.validate,
-                devices=cfg.devices,
-                schedule=cfg.schedule,
-                fused=getattr(cfg, "fused", None),
-                approach_kwargs=_payload_approach_kwargs(cfg, None),
-            )
-            for window_start in range(
-                start_perm, self.n_permutations, self.checkpoint_every
-            ):
-                if ctx.cancel is not None and ctx.cancel.cancelled:
-                    record(window_start)
-                    raise RuntimeError(
-                        f"permutation stage cancelled after {window_start} of "
-                        f"{self.n_permutations} permutations"
-                    )
-                window_end = min(
-                    window_start + self.checkpoint_every, self.n_permutations
-                )
-                draws = np.stack(
-                    [
-                        rng.permutation(sliced.phenotypes)
-                        for _ in range(window_start, window_end)
-                    ]
-                )
-                chunk = max(1, -(-len(draws) // ctx.workers))
-                chunks = [
-                    draws[i : i + chunk] for i in range(0, len(draws), chunk)
-                ]
-                folded = [False] * len(chunks)
-                futures = {
-                    fleet.submit(_run_null_batch, payload, local_combos, part): i
-                    for i, part in enumerate(chunks)
-                }
-                respawned = False
-                while futures:
-                    done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                    broken: BaseException | None = None
-                    for future in done:
-                        index = futures.pop(future)
-                        try:
-                            scores = future.result()
-                        except BrokenProcessPool as exc:
-                            broken = broken or exc
-                            continue
-                        if not folded[index]:
-                            folded[index] = True
-                            for row in scores:
-                                exceed += row <= observed_scores
-                    if broken is not None:
-                        if respawned:
-                            raise RuntimeError(
-                                "a permutation worker process died mid-run "
-                                "(killed or crashed); progress up to the last "
-                                "checkpoint is preserved in the ledger — rerun "
-                                "with resume to continue"
-                            ) from broken
-                        respawned = True
-                        note_event("pool_respawns")
-                        for future in futures:
-                            future.cancel()
-                        futures = {}
-                        fleet.respawn()
-                        futures = {
-                            fleet.submit(
-                                _run_null_batch, payload, local_combos, part
-                            ): i
-                            for i, part in enumerate(chunks)
-                            if not folded[i]
-                        }
-                record(window_end)
-                if progress is not None:
-                    progress(window_end, self.n_permutations)
-        finally:
-            if dedicated is not None:
-                dedicated.shutdown()
-            if session is not None and not keep:
-                session.close()

@@ -13,8 +13,8 @@ The acceptance properties of PR 6:
   shards are re-dispatched, and the result is bit-identical to an
   undisturbed run (the full chaos matrix lives in ``test_resilience.py``);
 * **bit-identity** — warm-pool runs (including checkpoint/resume slicing
-  and the fleet-backed permutation null) match the inline ``workers=1``
-  path exactly.
+  and pipelines whose permutation null runs in-process) match the inline
+  ``workers=1`` path exactly.
 
 Real OS process spawns are expensive on CI, so multi-process coverage is
 concentrated in a few tests sharing the process-wide warm fleet; the
@@ -240,7 +240,7 @@ class TestWarmFleetRuns:
             (i.snps, i.score) for i in inline.top
         ]
 
-    def test_pipeline_permutation_fleet_matches_inline(self, dataset):
+    def test_pipeline_permutation_fleet_matches_inline(self, dataset, monkeypatch):
         def run(workers):
             pipeline = SearchPipeline(
                 [
@@ -255,12 +255,34 @@ class TestWarmFleetRuns:
             )
             return pipeline.run(dataset)
 
+        # Count what reaches the fleet while the permutation stage runs.
+        from repro.distributed.fleet import WorkerFleet
+
+        submit, stage_run = WorkerFleet.submit, PermutationStage.run
+        submitted = {"sweeps": 0, "null": 0}
+        phase = ["sweeps"]
+
+        def counting_submit(fleet, *args, **kwargs):
+            submitted[phase[0]] += 1
+            return submit(fleet, *args, **kwargs)
+
+        def null_phase_run(stage, ctx):
+            phase[0] = "null"
+            try:
+                return stage_run(stage, ctx)
+            finally:
+                phase[0] = "sweeps"
+
+        monkeypatch.setattr(WorkerFleet, "submit", counting_submit)
+        monkeypatch.setattr(PermutationStage, "run", null_phase_run)
         inline = run(1)
         fleet = run(2)
         assert [i.snps for i in inline.top] == [i.snps for i in fleet.top]
         assert [i.score for i in inline.top] == [i.score for i in fleet.top]
         assert inline.p_values == fleet.p_values
-        assert fleet.stages[-1].extra["null_workers"] == 2
+        # The sweeps ran on the fleet; the null submitted nothing to it.
+        assert submitted["sweeps"] > 0
+        assert submitted["null"] == 0
 
     def test_pipeline_checkpoint_replay_with_warm_pool(self, dataset, tmp_path):
         def pipeline(resume):

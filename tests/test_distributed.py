@@ -373,6 +373,39 @@ class TestDistributedDetect:
         for entry in resumed.result.stats.extra["devices"].values():
             assert entry["items"] == source.total
 
+    def test_indented_ledger_resumes_under_compact_writer(self, dataset, tmp_path):
+        """A half-done ledger written indented (the older format) resumes,
+        and its restored rows merge bit-identically."""
+        path = tmp_path / "sweep.ckpt.json"
+        config = DetectorConfig(approach="cpu-v4", top_k=5)
+        source = DenseRangeSource(dataset.n_snps, 3)
+        run_distributed(
+            dataset, source, config=config, workers=1, checkpoint=str(path),
+            shard_budget=3,
+        )
+        old = json.loads(path.read_text())
+        with path.open("w", encoding="utf-8") as fh:
+            json.dump(old, fh, indent=1)
+            fh.write("\n")
+
+        resumed = run_distributed(
+            dataset, source, config=config, workers=1, checkpoint=str(path),
+            resume=True,
+        )
+        assert resumed.completed and resumed.shards_restored == 3
+
+        def hexed(rows):
+            return [(float(row[0]).hex(), row[1:]) for row in rows]
+
+        new = json.loads(path.read_text())
+        for shard_id, record in old["shards"].items():
+            assert hexed(new["shards"][shard_id]["top"]) == hexed(record["top"])
+        assert "\n " not in path.read_text()  # rewritten compact
+        whole = run_distributed(dataset, source, config=config, workers=1)
+        assert [(i.snps, i.score.hex()) for i in resumed.top] == [
+            (i.snps, i.score.hex()) for i in whole.top
+        ]
+
     def test_workers_must_be_positive(self, dataset):
         with pytest.raises(ValueError, match="workers"):
             EpistasisDetector(approach="cpu-v4").detect(dataset, workers=0)

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from repro.bitops.packing import pack_bits
 from repro.core import EpistasisDetector
+from repro.core.approaches import _kernels
 from repro.core.combinations import combination_count
+from repro.core.result import Interaction
+from repro.datasets.binarization import BinarizedDataset
+from repro.datasets.dataset import GenotypeDataset
 from repro.pipeline import (
     ExpandStage,
     PermutationStage,
@@ -16,6 +22,8 @@ from repro.pipeline import (
     ScreenStage,
     SearchPipeline,
 )
+from repro.pipeline import stages
+from repro.pipeline.stages import PipelineDefaults, StageContext
 from tests.conftest import PLANTED_TRIPLET
 
 
@@ -221,6 +229,188 @@ class TestPermutationStage:
         refine, perm = staged.stages[-2], staged.stages[-1]
         assert not refine.sweep and not perm.sweep
         assert perm.evaluated == 51 * 5
+
+
+def _relabelled(dataset, phenotypes):
+    return GenotypeDataset(genotypes=dataset.genotypes, phenotypes=phenotypes)
+
+
+def _hand_rolled_p_values(dataset, combos, detector, n_permutations, seed):
+    """The null as one ``score_combinations`` call per relabelling."""
+    observed = detector.score_combinations(dataset, combos)
+    rng = np.random.default_rng(seed)
+    exceed = np.zeros(len(combos), dtype=np.int64)
+    for _ in range(n_permutations):
+        permuted = _relabelled(dataset, rng.permutation(dataset.phenotypes))
+        exceed += detector.score_combinations(permuted, combos, cache=False) <= observed
+    return [(1 + int(count)) / (1 + n_permutations) for count in exceed]
+
+
+class TestBatchedPermutationNull:
+    """The batched null against per-relabelling scoring, bit for bit.
+
+    No relabelling beats a search's own finalists, so their p-values all
+    sit at 1/(1+P) and cannot show a wrong null; these tests score fixed,
+    unselected combinations instead.
+    """
+
+    #: Unselected finalists of ``small_dataset`` (24 SNPs, no planted
+    #: effect), sharing SNPs so the stage's slicing remaps them.
+    FINALISTS = np.array(
+        [[0, 5, 9], [1, 5, 17], [2, 9, 23], [3, 12, 17], [4, 13, 20], [6, 9, 17]]
+    )
+    N_PERMUTATIONS = 37
+
+    @pytest.mark.parametrize(
+        "objective", ["k2", "gini", "mutual-information", "chi2"]
+    )
+    @pytest.mark.parametrize("approach", ["cpu-v1", "cpu-v4", "gpu-v4"])
+    @pytest.mark.parametrize("layout", ["u32", "u64"])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_scores_match_per_relabelling_scoring(
+        self, odd_sample_dataset, order, layout, approach, objective
+    ):
+        dataset = odd_sample_dataset  # 205 samples: a partial last word
+        rng = np.random.default_rng(order)
+        combos = np.unique(
+            np.sort(
+                [rng.choice(dataset.n_snps, order, replace=False) for _ in range(9)]
+            ),
+            axis=0,
+        )
+        draws = np.stack([rng.permutation(dataset.phenotypes) for _ in range(5)])
+        detector = EpistasisDetector(
+            approach=approach, objective=objective, order=order, word_layout=layout
+        )
+        expected = np.stack(
+            [
+                detector.score_combinations(
+                    _relabelled(dataset, phenotypes), combos, cache=False
+                )
+                for phenotypes in draws
+            ]
+        )
+        encoded = BinarizedDataset.from_dataset(
+            dataset, layout=detector.approach.word_layout
+        )
+        batched = PermutationStage.null_scores(detector, encoded, draws, combos)
+        assert batched.shape == (len(draws), len(combos))
+        np.testing.assert_array_equal(
+            batched.view(np.uint64), expected.view(np.uint64)
+        )
+
+    def _stage_p_values(self, dataset, approach, objective, **context):
+        detector = EpistasisDetector(approach=approach, objective=objective)
+        scores = detector.score_combinations(dataset, self.FINALISTS)
+        ctx = StageContext(
+            dataset=dataset,
+            defaults=PipelineDefaults(approach=approach, objective=objective),
+            top=[
+                Interaction(snps=tuple(int(s) for s in row), score=float(score))
+                for row, score in zip(self.FINALISTS, scores)
+            ],
+            **context,
+        )
+        PermutationStage(
+            n_permutations=self.N_PERMUTATIONS, seed=5, checkpoint_every=8
+        ).run(ctx)
+        return ctx.p_values
+
+    @pytest.mark.parametrize(
+        "approach,objective", [("cpu-v4", "k2"), ("cpu-v1", "gini")]
+    )
+    def test_stage_matches_hand_rolled_loop(
+        self, small_dataset, approach, objective, tmp_path
+    ):
+        reference = _hand_rolled_p_values(
+            small_dataset,
+            self.FINALISTS,
+            EpistasisDetector(approach=approach, objective=objective),
+            self.N_PERMUTATIONS,
+            seed=5,
+        )
+        # Every p-value strictly inside (1/(1+P), 1): a skipped, repeated
+        # or reordered draw moves at least one of them.
+        floor = 1.0 / (1 + self.N_PERMUTATIONS)
+        assert all(floor < p < 1.0 for p in reference), reference
+        assert self._stage_p_values(small_dataset, approach, objective) == reference
+        checkpointed = self._stage_p_values(
+            small_dataset, approach, objective, checkpoint_dir=str(tmp_path)
+        )
+        assert checkpointed == reference
+
+    @pytest.mark.parametrize("finalists_per_piece,words_per_piece", [(2, None), (1, 1)])
+    def test_small_budget_cuts_finalist_blocks(
+        self, small_dataset, monkeypatch, finalists_per_piece, words_per_piece
+    ):
+        reference = _hand_rolled_p_values(
+            small_dataset,
+            self.FINALISTS,
+            EpistasisDetector(approach="cpu-v4"),
+            self.N_PERMUTATIONS,
+            seed=5,
+        )
+        encoded = BinarizedDataset.from_dataset(small_dataset)
+        per_word = _kernels._permuted_word_bytes(3, 8, encoded.planes.dtype.itemsize)
+        words = words_per_piece or encoded.n_words
+        monkeypatch.setattr(
+            _kernels, "KERNEL_BUDGET_BYTES", per_word * words * finalists_per_piece
+        )
+        pieces = []
+        piece = _kernels._naive_permutation_piece
+
+        def counting_piece(planes, phenotypes, combos):
+            pieces.append((len(combos), planes.shape[2]))
+            return piece(planes, phenotypes, combos)
+
+        monkeypatch.setattr(_kernels, "_naive_permutation_piece", counting_piece)
+        p_values = self._stage_p_values(small_dataset, "cpu-v4", "k2")
+        assert p_values == reference
+        windows = -(-self.N_PERMUTATIONS // 8)
+        blocks = -(-len(self.FINALISTS) // finalists_per_piece)
+        word_passes = -(-encoded.n_words // words)
+        assert len(pieces) == windows * blocks * word_passes
+        assert max(n for n, _ in pieces) == finalists_per_piece
+        assert max(w for _, w in pieces) == words
+
+    def test_validate_checks_every_relabelling(self, small_dataset, monkeypatch):
+        encoded = BinarizedDataset.from_dataset(small_dataset)
+        rng = np.random.default_rng(1)
+        draws = np.stack([rng.permutation(small_dataset.phenotypes) for _ in range(4)])
+        count = _kernels.naive_permutation_tables
+
+        def miscount(*args):
+            tables = count(*args).copy()
+            tables[3, 0, 0, 1] += 1  # one case too many, last relabelling only
+            return tables
+
+        monkeypatch.setattr(stages, "naive_permutation_tables", miscount)
+        PermutationStage.null_scores(
+            EpistasisDetector(), encoded, draws, self.FINALISTS
+        )
+        with pytest.raises(ValueError, match="column sums"):
+            PermutationStage.null_scores(
+                EpistasisDetector(validate=True), encoded, draws, self.FINALISTS
+            )
+
+    def test_workspace_grows_to_the_window_not_the_budget(self, small_dataset):
+        encoded = BinarizedDataset.from_dataset(small_dataset)
+        rng = np.random.default_rng(3)
+        draws = np.stack([rng.permutation(small_dataset.phenotypes) for _ in range(32)])
+        block = pack_bits(draws.astype(bool), encoded.layout)
+        sizes = []
+
+        def run():
+            _kernels.naive_permutation_tables(encoded.planes, block, self.FINALISTS)
+            sizes.append(_kernels._WORKSPACE.buffer.size)
+
+        thread = threading.Thread(target=run)  # a fresh per-thread workspace
+        thread.start()
+        thread.join()
+        needed = _kernels._permuted_word_bytes(3, 32, encoded.planes.dtype.itemsize)
+        needed *= len(self.FINALISTS) * encoded.n_words
+        assert sizes == [needed + 4096]
+        assert needed < _kernels.KERNEL_BUDGET_BYTES // 100
 
 
 class TestPerStageConfiguration:
