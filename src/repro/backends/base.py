@@ -14,14 +14,16 @@ The contracts mirror the reference kernels bit for bit:
 * ``naive_tables(planes, phenotype_words, combos)`` —
   ``(n_snps, 3, W)`` planes over all samples plus the packed phenotype →
   ``(n_combos, 3^k, 2)`` tables;
-* ``split_class_counts(class_planes, padding_mask, combos)`` —
+* ``split_class_counts(class_planes, padding_mask, combos, pairs=None)`` —
   ``(n_snps, 2, W)`` per-class planes of genotypes 0 and 1 (disjoint, zero
   in the padding bits) plus the class's valid-sample mask →
   ``(n_combos, 3^k)`` counts for that class.  How genotype 2 is counted is
-  the backend's choice: the NumPy reference popcounts only the ``2^k``
-  stored-plane cells and derives the rest exactly by inclusion–exclusion,
-  the compiled kernels infer the plane with ``NOR``.  §IV charging, done
-  in the approach layer, models the ``NOR`` mix either way.
+  the backend's choice: the NumPy reference popcounts only the stored-plane
+  cells and derives the rest exactly by inclusion–exclusion, the compiled
+  kernels infer the plane with ``NOR``.  §IV charging, done in the approach
+  layer, models the ``NOR`` mix either way.  ``pairs`` is the encoding's
+  :class:`~repro.datasets.binarization.PairTable` of the class: the NumPy
+  reference reads and fills it, the compiled backends ignore it.
 
 Every backend must be bit-exact against
 :func:`repro.core.contingency.contingency_oracle`; the equivalence suite in
@@ -113,6 +115,7 @@ class ExecutionBackend(ABC):
         class_planes: np.ndarray,
         padding_mask: np.ndarray,
         combos: np.ndarray,
+        pairs=None,
     ) -> np.ndarray:
         """``(n_combos, 3^k)`` one-class counts from the split encoding."""
 
@@ -123,10 +126,14 @@ class ExecutionBackend(ABC):
         control_mask: np.ndarray,
         case_mask: np.ndarray,
         combos: np.ndarray,
+        control_pairs=None,
+        case_pairs=None,
     ) -> np.ndarray:
         """``(n_combos, 3^k, 2)`` tables from both phenotype classes."""
-        controls = self.split_class_counts(control_planes, control_mask, combos)
-        cases = self.split_class_counts(case_planes, case_mask, combos)
+        controls = self.split_class_counts(
+            control_planes, control_mask, combos, pairs=control_pairs
+        )
+        cases = self.split_class_counts(case_planes, case_mask, combos, pairs=case_pairs)
         return np.stack([controls, cases], axis=-1)
 
     # -- fused build+score -----------------------------------------------------
@@ -142,6 +149,8 @@ class ExecutionBackend(ABC):
         case_planes: np.ndarray | None = None,
         control_mask: np.ndarray | None = None,
         case_mask: np.ndarray | None = None,
+        control_pairs=None,
+        case_pairs=None,
     ) -> np.ndarray:
         """Fused build+score: fold each combination's table into its score.
 
@@ -162,7 +171,13 @@ class ExecutionBackend(ABC):
             tables = self.naive_tables(planes, phenotype_words, combos)
         elif family == "split":
             tables = self.split_tables(
-                control_planes, case_planes, control_mask, case_mask, combos
+                control_planes,
+                case_planes,
+                control_mask,
+                case_mask,
+                combos,
+                control_pairs=control_pairs,
+                case_pairs=case_pairs,
             )
         else:
             raise ValueError(

@@ -52,8 +52,11 @@ STORE_PATH_ENV = "REPRO_CALIBRATION_PATH"
 #: inclusion–exclusion, so version-1 ``numpy`` split records price a kernel
 #: that no longer runs.  Version 3: the NumPy kernels reuse a per-thread
 #: workspace instead of page-faulting fresh temporaries on every call, so
-#: version-2 ``numpy`` records underprice the CPU lanes.
-STORE_VERSION = 3
+#: version-2 ``numpy`` records underprice the CPU lanes.  Version 4: the
+#: NumPy split kernel builds each prefix's planes once per run of
+#: combinations and counts each pair once per call, so version-3 ``numpy``
+#: split records underprice it too.
+STORE_VERSION = 4
 
 #: Probe shape: small enough to calibrate in well under a second per
 #: backend, large enough that per-call dispatch overhead is amortised.

@@ -237,6 +237,7 @@ class CupyBackend(ExecutionBackend):
         class_planes: np.ndarray,
         padding_mask: np.ndarray,
         combos: np.ndarray,
+        pairs=None,
     ) -> np.ndarray:
         import cupy
 

@@ -429,6 +429,7 @@ class NumbaBackend(ExecutionBackend):
         class_planes: np.ndarray,
         padding_mask: np.ndarray,
         combos: np.ndarray,
+        pairs=None,
     ) -> np.ndarray:
         combos = np.ascontiguousarray(combos, dtype=np.int64)
         order = int(combos.shape[1])
@@ -458,6 +459,8 @@ class NumbaBackend(ExecutionBackend):
         case_planes: np.ndarray | None = None,
         control_mask: np.ndarray | None = None,
         case_mask: np.ndarray | None = None,
+        control_pairs=None,
+        case_pairs=None,
     ) -> np.ndarray:
         """Fold K2/Gini scoring straight into the counting loop.
 
@@ -487,6 +490,8 @@ class NumbaBackend(ExecutionBackend):
                 case_planes=case_planes,
                 control_mask=control_mask,
                 case_mask=case_mask,
+                control_pairs=control_pairs,
+                case_pairs=case_pairs,
             )
         combos = np.ascontiguousarray(combos, dtype=np.int64)
         order = int(combos.shape[1])

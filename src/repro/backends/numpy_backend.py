@@ -41,5 +41,6 @@ class NumpyBackend(ExecutionBackend):
         class_planes: np.ndarray,
         padding_mask: np.ndarray,
         combos: np.ndarray,
+        pairs=None,
     ) -> np.ndarray:
-        return split_class_counts(class_planes, padding_mask, combos)
+        return split_class_counts(class_planes, padding_mask, combos, pairs)

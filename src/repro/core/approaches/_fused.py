@@ -1,17 +1,23 @@
-"""Shared fused build+score execution over SNP tiles (approach layer).
+"""Shared fused build+score execution over tiles (approach layer).
 
 These helpers drive :meth:`repro.backends.base.ExecutionBackend.
-score_combinations` over the SNP-block tiles of
-:func:`repro.engine.tiling.iter_snp_tiles`: each tile's distinct SNP
-planes are gathered once into a compact contiguous block that every
-combination in the tile reuses, and the backend folds the per-combination
-tables straight into objective scores.  No chunk-wide ``(n_combos, 3^k,
-2)`` table array exists on this path — a backend without true in-kernel
-fusion materializes at most one tile's worth of tables at a time.  A
-chunk that fits one tile (few words per class) runs on the encoding's
-planes as they are: its relabel and gather would bound nothing, the NumPy
-kernels gather their rows themselves, and the cupy backend keeps those
-planes resident where a gathered block is a fresh upload.
+score_combinations` over tiles of a chunk, sized from the kernel byte
+budget (:func:`repro.core.approaches._kernels.combos_per_tile`), and the
+backend folds the per-combination tables straight into objective scores.
+No chunk-wide ``(n_combos, 3^k, 2)`` table array exists on this path — a
+backend without true in-kernel fusion materializes at most one tile's
+worth of tables at a time.
+
+* Naïve tiles are the SNP-block tiles of
+  :func:`repro.engine.tiling.iter_snp_tiles`: each tile's distinct SNP
+  planes are gathered once into a compact contiguous block that every
+  combination in the tile reuses.  A chunk that fits one tile runs on the
+  encoding's planes as they are.
+* Split tiles are rank slices of the chunk, never gathered: their
+  combinations index the encoding's planes and its per-class pair tables
+  directly, so the NumPy kernel's prefix runs and table reads see the
+  encoding's own SNP rows, and the cupy backend keeps those planes
+  resident where a gathered block would be a fresh upload.
 
 The helpers perform **no §IV charging**: the calling approach charges the
 identical modelled per-paper-word mix it charges on the build_tables
@@ -61,25 +67,25 @@ def fused_naive_scores(
 def fused_split_scores(
     backend, split, combos: np.ndarray, objective
 ) -> np.ndarray:
-    """Fused scores over the phenotype-split encoding, tile by tile."""
+    """Fused scores over the phenotype-split encoding, one rank slice at a time."""
     combos = np.asarray(combos, dtype=np.int64)
     order = int(combos.shape[1])
     control_planes = split.control_planes
-    case_planes = split.case_planes
     # The two classes run one kernel call each; the wider one sizes tiles.
-    n_words = max(control_planes.shape[2], case_planes.shape[2])
-    scores = np.empty(combos.shape[0], dtype=np.float64)
+    n_words = max(split.words_per_class)
     tile_combos = combos_per_tile(order, n_words, control_planes.dtype.itemsize)
-    control_mask = np.ascontiguousarray(split.padding_mask(0))
-    case_mask = np.ascontiguousarray(split.padding_mask(1))
-    for tile_slice, unique_snps, local in _tiles(combos, tile_combos):
-        scores[tile_slice] = backend.score_combinations(
-            "split",
-            local,
-            objective,
-            control_planes=np.ascontiguousarray(control_planes[unique_snps]),
-            case_planes=np.ascontiguousarray(case_planes[unique_snps]),
-            control_mask=control_mask,
-            case_mask=case_mask,
+    encoding = dict(
+        control_planes=control_planes,
+        case_planes=split.case_planes,
+        control_mask=np.ascontiguousarray(split.padding_mask(0)),
+        case_mask=np.ascontiguousarray(split.padding_mask(1)),
+        control_pairs=split.pair_table(0),
+        case_pairs=split.pair_table(1),
+    )
+    scores = np.empty(combos.shape[0], dtype=np.float64)
+    for start in range(0, combos.shape[0], tile_combos):
+        tile = slice(start, start + tile_combos)
+        scores[tile] = backend.score_combinations(
+            "split", combos[tile], objective, **encoding
         )
     return scores

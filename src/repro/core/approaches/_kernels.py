@@ -9,11 +9,29 @@ interaction (``k`` between :data:`MIN_ORDER` and :data:`MAX_ORDER`):
   controls.  Its batched form, :func:`naive_permutation_tables`, counts
   one set of planes under a block of phenotypes (a permutation null);
 * the **phenotype-split** kernel (approaches V2–V4): per-class planes of
-  genotypes 0 and 1 only.  Execution ANDs and popcounts just the ``2^k``
-  stored-plane cells of each combination and derives every genotype-2 cell
-  exactly by inclusion–exclusion (``c2 = c* - c0 - c1`` along each axis,
-  the ``c*`` counts coming from lower-order sub-combinations), see
+  genotypes 0 and 1 only.  Execution ANDs and popcounts just the ``2^m``
+  stored-plane cells of each sub-combination and derives every genotype-2
+  cell exactly by inclusion–exclusion (``c2 = c* - c0 - c1`` along each
+  axis, the ``c*`` counts coming from lower-order sub-combinations), see
   :func:`split_class_counts`.
+
+**Prefix lattice and pair table.**  The split kernel walks a batch the way
+the nested ``a < b < c`` loops of the paper's Algorithm 1 do: in rank
+order, the combinations sharing a ``(k-1)``-prefix are consecutive rows.
+It builds the ``2^(k-1)`` AND planes of each such run's prefix once (each
+prefix level from the one below it) and ANDs them with every row's last
+SNP planes for the ``2^k`` top cells; a batch out of rank order only makes
+its runs shorter.  The other pairs of each combination come from the
+encoding's :class:`~repro.datasets.binarization.PairTable` of the class,
+the stored-plane Gram entries of the pairs searches have needed: a call
+looks its pairs up, counts the misses once each and stores them, so a
+search counts each pair once per process and a second search on the same
+encoding counts none.  The table is filled lazily, only with the pairs
+asked for, under a lock (engine threads share one encoding) and never
+shipped between processes.  Without a table, with a table of other
+planes, or once the table is full, the misses are counted on every call,
+by the same code.  The other sub-combinations of sizes 3 to ``k - 1``
+(``k >= 4``) are counted once per budget-sized piece.
 
 The kernels are fully vectorised over a batch of SNP k-tuples: each cell
 is one elementwise AND over plane-major ``(batch, words)`` blocks, and the
@@ -53,16 +71,20 @@ makes it.  Both kernels cut a call whose modelled footprint
 (:func:`combo_word_bytes` per combination and word) exceeds the budget
 into pieces of :func:`combos_per_tile` combinations and, when a single
 combination over every word alone exceeds it, of :func:`words_per_pass`
-words; counts add exactly across pieces.  Fused tiles are sized with the
-same function, so each runs as one piece.  A piece carves at most 1.07x
-the budget from the workspace (the naïve kernel at ``k = 2`` on ``uint32``
-words; the split kernel stays below 0.85x even when no two combinations
-share a sub-combination), so a thread's workspace stays below 9/8 of the
-budget plus 4 KiB for the thread's life.  The batched naïve kernel cuts
-its pieces the same way, from its own footprint per combination and word,
-which grows with the number of phenotypes in the block; a block so large
-that one word of one combination exceeds the budget still runs, as pieces
-of one word.
+words; counts add exactly across pieces.  A split call counts its pair
+misses over every word, in pieces cut the same way, after its pieces.
+Fused tiles are sized with the same function, so each runs as one piece.
+A piece carves at most 1.07x the budget from the workspace (the naïve
+kernel at ``k = 2`` on ``uint32`` words; the split kernel stays below
+half of it whether its prefix runs are long or one row each), so a
+thread's workspace stays below 9/8 of the budget plus 4 KiB for the
+thread's life.  The pair tables count against the same budget: each
+class's table keeps pairs (40 bytes each) while it holds at most half of
+it, so an encoding's two tables stay within it.  The batched naïve kernel
+cuts its pieces the same way, from its own footprint per combination and
+word, which grows with the number of phenotypes in the block; a block so
+large that one word of one combination exceeds the budget still runs, as
+pieces of one word.
 """
 
 from __future__ import annotations
@@ -72,13 +94,16 @@ import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
 from repro.bitops.ops import OpCounter
 from repro.bitops.packing import paper_word_ratio as _paper_word_ratio
 from repro.bitops.popcount import popcount_sum
+
+if TYPE_CHECKING:
+    from repro.datasets.binarization import PairTable
 
 __all__ = [
     "MIN_ORDER",
@@ -561,54 +586,93 @@ def _naive_permutation_piece(
     return tables
 
 
-@lru_cache(maxsize=None)
-def _stored_cell_plan(order: int) -> tuple:
-    """Where each sub-combination size lands in the ``3^k`` cell vector.
+def _subset_cells(order: int, subset: tuple) -> list:
+    """Flat canonical cells of the ``2^m`` stored-plane cells of a position subset.
 
-    For every size ``m`` in ``0..k`` the entry is ``(heads, cells,
-    tails)`` over the position subsets of size ``m`` in
-    :func:`itertools.combinations` order: each subset's first position;
-    the flat canonical cell indices of their ``2^m`` stored-plane cells,
-    subset-major (a position outside the subset takes digit 2, which holds
-    the "any genotype" count until :func:`split_class_counts` derives
-    genotype 2); and, for ``m >= 2``, the index of each subset's tail
-    ``subset[1:]`` among the size ``m - 1`` subsets.
+    The cells run in :func:`itertools.product` order of the subset's bits
+    (its first position most significant).  A position outside the subset
+    takes digit 2, which holds the "any genotype" count until
+    :func:`split_class_counts` derives genotype 2.
     """
     weights = [3 ** (order - 1 - t) for t in range(order)]
-    plan = []
-    previous: list[tuple[int, ...]] = []
-    for m in range(order + 1):
-        subsets = list(combinations(range(order), m))
-        cells = []
-        for subset in subsets:
-            base = sum(2 * weights[t] for t in range(order) if t not in subset)
-            for bits in product((0, 1), repeat=m):
-                cells.append(base + sum(b * weights[t] for b, t in zip(bits, subset)))
-        heads = [subset[0] for subset in subsets if subset]
-        tails = [previous.index(subset[1:]) for subset in subsets] if m >= 2 else None
-        plan.append((heads, np.array(cells, dtype=np.intp), tails))
-        previous = subsets
-    return tuple(plan)
+    base = sum(2 * weights[t] for t in range(order) if t not in subset)
+    return [
+        base + sum(b * weights[t] for b, t in zip(bits, subset))
+        for bits in product((0, 1), repeat=len(subset))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _lattice_plan(order: int) -> dict:
+    """Where the stored cells of each sub-combination land, by how they are counted.
+
+    * ``empty`` and ``singles``: the cells of the empty subset and of each
+      position;
+    * ``prefixes[m]``: the cells of the prefix ``0..m-1``, for ``m`` from
+      2 to ``k`` (the whole combination);
+    * ``pairs`` and ``pair_cells``: the position pairs other than the
+      prefix ``(0, 1)`` and their cells, pair-major;
+    * ``inner``: per size ``m`` from 2 to ``k - 1``, the subsets a piece
+      builds, as ``(heads, tails, cells)``: each subset's first position,
+      its tail's index among the size ``m - 1`` subsets (a position at
+      ``m = 2``) and its cells.  Sizes 3 and up are the subsets that are not
+      prefixes; size 2 holds only their tails and is not counted
+      (``cells`` is ``None``).
+    """
+    positions = range(order)
+    prefixes = {m: _subset_cells(order, tuple(range(m))) for m in range(2, order + 1)}
+    pairs = [pair for pair in combinations(positions, 2) if pair != (0, 1)]
+    levels = {
+        m: [s for s in combinations(positions, m) if s != tuple(range(m))]
+        for m in range(3, order)
+    }
+    if levels:
+        levels[2] = sorted({subset[1:] for subset in levels[3]})
+    inner = []
+    for m in sorted(levels):
+        subsets = levels[m]
+        tails = [s[1] if m == 2 else levels[m - 1].index(s[1:]) for s in subsets]
+        cells = None if m == 2 else np.array(
+            [c for s in subsets for c in _subset_cells(order, s)], dtype=np.intp
+        )
+        inner.append(([s[0] for s in subsets], tails, cells))
+    return {
+        "empty": _subset_cells(order, ()),
+        "singles": [c for t in positions for c in _subset_cells(order, (t,))],
+        "prefixes": prefixes,
+        "pairs": np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        "pair_cells": np.array(
+            [c for pair in pairs for c in _subset_cells(order, pair)], dtype=np.intp
+        ),
+        "inner": inner,
+    }
 
 
 def split_class_counts(
     class_planes: np.ndarray,
     padding_mask: np.ndarray,
     combos: np.ndarray,
+    pairs: PairTable | None = None,
 ) -> np.ndarray:
-    """Per-class ``3^k`` counts by inclusion–exclusion over the stored planes.
+    """Per-class ``3^k`` counts by inclusion–exclusion over a prefix lattice.
 
     The two stored planes of a SNP are disjoint and zero in the padding
     bits, so a sample has genotype 2 exactly when it is valid and in
     neither plane: along any axis, ``c2 = c* - c0 - c1`` where ``c*`` counts
-    every valid sample at that position.  The kernel therefore ANDs and
-    popcounts only the ``2^k`` stored-plane cells of each combination and
-    fills the ``c*`` slots from lower orders — per-row singles, the distinct
-    lower-order sub-combinations of the batch (each counted once per call)
-    and ``popcount(padding_mask)`` — before deriving every genotype-2 cell
-    exactly.  The AND planes of a size-``m`` sub-combination are its head
-    SNP's planes AND its tail's size ``m - 1`` planes, so each level reuses
-    the one below it.
+    every valid sample at that position.  The kernel therefore counts only
+    the ``2^m`` stored-plane cells of every sub-combination (size ``m``)
+    and derives every genotype-2 cell exactly:
+
+    * size 0 and 1: ``popcount(padding_mask)`` and per-row singles;
+    * the prefixes and the combination itself: rows that share a prefix
+      share one run of it, and each run's AND planes are built and
+      popcounted once (:func:`_prefix_lattice`);
+    * the other pairs: read from ``pairs``, the encoding's
+      :class:`~repro.datasets.binarization.PairTable` for these planes;
+      the pairs it lacks are counted once per call and stored in it
+      (:func:`_pair_counts`);
+    * the other sub-combinations of sizes 3 to ``k - 1``: counted once per
+      piece (:func:`_inner_levels`).
 
     Parameters
     ----------
@@ -621,6 +685,9 @@ def split_class_counts(
         the planes.
     combos:
         ``(n_combos, k)`` strictly increasing SNP index tuples.
+    pairs:
+        The pair table of exactly these planes (``pairs.planes is
+        class_planes``), or ``None``; a table of other planes is not used.
 
     Returns
     -------
@@ -629,22 +696,44 @@ def split_class_counts(
         big-endian cell order.  The input may be a word slice of the
         planes: counts add exactly across slices.
     """
-    return _in_budget_pieces(_split_piece, class_planes, padding_mask, combos)
+    combos = np.asarray(combos, dtype=np.int64)
+    order = check_order(combos.shape[1])
+    n_combos = combos.shape[0]
+    # Pieces count cell-major, (3^k, n_combos), and return the transpose.
+    counts = np.ascontiguousarray(
+        _in_budget_pieces(_split_piece, class_planes, padding_mask, combos).T
+    )
+    plan = _lattice_plan(order)
+    if plan["pairs"].size and n_combos:
+        if pairs is not None and pairs.planes is not class_planes:
+            pairs = None
+        rows = combos[:, plan["pairs"]].reshape(-1, 2)
+        values = _pair_counts(class_planes, padding_mask, rows, pairs)
+        counts[plan["pair_cells"]] = values.reshape(n_combos, -1).T
+    for t in range(order):
+        axis = counts.reshape(3**t, 3, 3 ** (order - 1 - t), n_combos)
+        axis[:, 2] -= axis[:, 0] + axis[:, 1]
+    # C order: the objectives' float reductions follow the table's layout.
+    return np.ascontiguousarray(counts.T)
 
 
 def _split_piece(
     class_planes: np.ndarray, padding_mask: np.ndarray, combos: np.ndarray
 ) -> np.ndarray:
-    """:func:`split_class_counts` over one budget-sized piece."""
+    """:func:`split_class_counts` over one budget-sized piece: every stored
+    cell but the other pairs' (left zero), genotype 2 not yet derived, as
+    the transpose of cell-major ``(3^k, n_combos)`` counts."""
     order = combos.shape[1]
     n_combos = combos.shape[0]
     n_words = class_planes.shape[2]
     class_planes, combos = _gather_source(class_planes, combos)
-    dtype = class_planes.dtype
-    plan = _stored_cell_plan(order)
-    ws = _WORKSPACE.begin(_piece_bytes(order, n_combos, n_words, dtype.itemsize))
-    counts = np.empty((n_combos, 3**order), dtype=np.int64)
-    counts[:, plan[0][1]] = popcount_sum(padding_mask)
+    plan = _lattice_plan(order)
+    ws = _WORKSPACE.begin(
+        _piece_bytes(order, n_combos, n_words, class_planes.dtype.itemsize)
+    )
+    counts = np.empty((3**order, n_combos), dtype=np.int64)
+    counts[plan["empty"]] = popcount_sum(padding_mask)
+    counts[plan["pair_cells"]] = 0
     with ws.scratch():
         if class_planes.shape[0] <= combos.size:
             singles = _popcount(ws, class_planes)[combos]
@@ -653,56 +742,156 @@ def _split_piece(
             rows, inverse = np.unique(combos, return_inverse=True)
             singles = _popcount(ws, _gather_planes(ws, class_planes, rows)).T
             singles = singles[inverse.reshape(combos.shape)]
-    counts[:, plan[1][1]] = singles.reshape(n_combos, 2 * order)
+    counts[plan["singles"]] = singles.reshape(n_combos, 2 * order).T
+    if n_combos:
+        with ws.scratch():
+            _prefix_lattice(ws, class_planes, combos, counts, plan["prefixes"])
+        _inner_levels(ws, class_planes, combos, counts, plan["inner"])
+    return counts.T
 
-    # Level m holds the AND planes of the distinct size-m sub-combinations;
-    # ``ids`` maps (combination, subset) to a row of them.  Dedup keys are
-    # head_row * n_tails + tail_id, where n_tails is the SNP row count at
-    # m = 2 and at most n_combos * C(k, m - 1) above it: unlike positional
-    # keys (n_snps^(m-1) * head + ...), they stay far inside int64 however
-    # many SNP rows the planes have.
-    # Level planes are cell-major, (2^m, rows, W): cell ``bit * 2^(m-1) +
-    # tail_cell`` of a row is its head SNP's plane ``bit`` AND its tail's
-    # cell ``tail_cell``.  Each cell is popcounted as soon as it is built,
-    # while it is still in cache; the last level, which nothing reads
-    # after, builds every cell in one reused block.
-    tail_planes, tail_ids, n_tails = None, combos, class_planes.shape[0]
-    for m in range(2, order + 1):
-        head_positions, cells, tails = plan[m]
-        heads = combos[:, head_positions]
-        tail_of = tail_ids[:, tails]
-        if m < order:
-            keys, inverse = np.unique(heads * n_tails + tail_of, return_inverse=True)
-            heads, tail_of = np.divmod(keys, n_tails)
-            ids = inverse.reshape(n_combos, len(head_positions))
+
+def _prefix_lattice(
+    ws: _Workspace, planes: np.ndarray, combos: np.ndarray, counts: np.ndarray, prefixes
+) -> None:
+    """Stored cells of every combination's prefixes and of the combination.
+
+    Consecutive rows with the same ``m``-prefix form one run of it (rank
+    order walks combinations like nested ``a < b < c`` loops, so each
+    prefix's rows are contiguous).  A run's ``2^m`` AND planes are its
+    ``(m - 1)``-prefix run's planes AND its ``m``-th SNP's two planes,
+    built and popcounted once per run; the top ``2^k`` cells AND each row's
+    ``(k - 1)``-prefix planes with its last SNP's planes.  Cells are
+    cell-major ``(2^m, runs, W)``: cell ``2 * prefix_cell + bit``.
+    """
+    n_combos, order = combos.shape
+    n_words, dtype = planes.shape[2], planes.dtype
+    # starts[m - 1, i]: row i starts a run of its m-prefix.
+    starts = np.ones((order - 1, n_combos), dtype=bool)
+    for m in range(1, order):
+        np.not_equal(combos[1:, m - 1], combos[:-1, m - 1], out=starts[m - 1, 1:])
+        if m > 1:
+            starts[m - 1, 1:] |= starts[m - 2, 1:]
+    # A 1-prefix is one SNP: its planes are gathered straight to the rows
+    # that need them, each row (or, below, each 2-prefix run) on its own.
+    prefix, run = None, None
+    if order == 2:
+        prefix = _gather_planes(ws, planes, combos[:, 0])
+    for m in range(2, order):
+        first = np.flatnonzero(starts[m - 1])
+        level = ws.array((2**m, first.size, n_words), dtype)
+        level_counts = np.empty((2**m, first.size), dtype=np.int64)
+        with ws.scratch():
+            if prefix is None:
+                parent = _gather_planes(ws, planes, combos[first, 0])
+            else:
+                parent = ws.array((2 ** (m - 1), first.size, n_words), dtype)
+                np.take(prefix, run[first], axis=1, out=parent, mode="clip")
+            last = _gather_planes(ws, planes, combos[first, m - 1])
+            bit_counts = ws.array((first.size, n_words), np.uint8)
+            for cell in range(2**m):
+                np.bitwise_and(parent[cell // 2], last[cell % 2], out=level[cell])
+                level_counts[cell] = popcount_sum(level[cell], scratch=bit_counts)
+        run = np.cumsum(starts[m - 1]) - 1
+        counts[prefixes[m]] = np.take(level_counts, run, axis=1)
+        prefix = level
+
+    last = _gather_planes(ws, planes, combos[:, -1])
+    # One prefix cell at a time is gathered to the rows; when every row is
+    # its own run, the prefix planes already are.
+    head = None if prefix.shape[1] == n_combos else ws.array((n_combos, n_words), dtype)
+    product = ws.array((n_combos, n_words), dtype)
+    bit_counts = ws.array((n_combos, n_words), np.uint8)
+    top = prefixes[order]
+    for cell in range(prefix.shape[0]):
+        if head is None:
+            rows = prefix[cell]
         else:
-            heads, tail_of, ids = heads[:, 0], tail_of[:, 0], None
-        n_rows, half, last = heads.shape[0], 2 ** (m - 1), m == order
+            rows = np.take(prefix[cell], run, axis=0, out=head, mode="clip")
+        for bit in (0, 1):
+            np.bitwise_and(rows, last[bit], out=product)
+            counts[top[2 * cell + bit]] = popcount_sum(product, scratch=bit_counts)
+
+
+def _inner_levels(
+    ws: _Workspace, planes: np.ndarray, combos: np.ndarray, counts: np.ndarray, inner
+) -> None:
+    """Stored cells of the sub-combinations of sizes 3 to ``k - 1`` that are
+    not prefixes, each distinct one counted once per piece.
+
+    A size-``m`` sub-combination's AND planes are its head SNP's planes AND
+    its tail's size ``m - 1`` planes, so each size builds on the one below
+    it; size 2 builds only the tails size 3 needs.  Dedup keys are
+    ``head_row * n_tails + tail_id``, where ``n_tails`` is the SNP row
+    count at ``m = 2`` and at most ``n_combos * C(k, m - 1)`` above it:
+    unlike positional keys (``n_snps^(m-1) * head + ...``), they stay far
+    inside ``int64`` however many SNP rows the planes have.  Level planes
+    are cell-major, ``(2^m, rows, W)``: cell ``bit * 2^(m-1) + tail_cell``
+    of a row is its head SNP's plane ``bit`` AND its tail's cell
+    ``tail_cell``.  Each cell is popcounted as soon as it is built, while
+    it is still in cache; the last size, which nothing reads after, builds
+    every cell in one reused block.
+    """
+    n_combos = combos.shape[0]
+    n_words, dtype = planes.shape[2], planes.dtype
+    tail_planes, tail_ids, n_tails = None, combos, planes.shape[0]
+    for depth, (head_positions, tails, cells) in enumerate(inner):
+        heads = combos[:, head_positions]
+        keys, inverse = np.unique(heads * n_tails + tail_ids[:, tails], return_inverse=True)
+        heads, tail_of = np.divmod(keys, n_tails)
+        ids = inverse.reshape(n_combos, len(head_positions))
+        n_rows, half, last = heads.shape[0], 2 ** (depth + 1), depth == len(inner) - 1
         # The level's planes outlive it (the next level's tails); its
         # gathers and per-word counts do not.
-        planes = ws.array((1 if last else 2 * half, n_rows, n_words), dtype)
+        level_planes = ws.array((1 if last else 2 * half, n_rows, n_words), dtype)
         level = np.empty((n_rows, 2 * half), dtype=np.int64)
         with ws.scratch():
-            head = _gather_planes(ws, class_planes, heads)
+            head = _gather_planes(ws, planes, heads)
             if tail_planes is None:
-                tail = _gather_planes(ws, class_planes, tail_of)
+                tail = _gather_planes(ws, planes, tail_of)
             else:
                 tail = ws.array((half, n_rows, n_words), dtype)
                 np.take(tail_planes, tail_of, axis=1, out=tail, mode="clip")
             bit_counts = ws.array((n_rows, n_words), np.uint8)
             for cell in range(2 * half):
-                product = planes[0 if last else cell]
+                product = level_planes[0 if last else cell]
                 np.bitwise_and(head[cell // half], tail[cell % half], out=product)
-                level[:, cell] = popcount_sum(product, scratch=bit_counts)
-        counts[:, cells] = (level if ids is None else level[ids]).reshape(
-            n_combos, cells.size
-        )
-        tail_planes, tail_ids, n_tails = planes, ids, n_rows
+                if cells is not None:
+                    level[:, cell] = popcount_sum(product, scratch=bit_counts)
+        if cells is not None:
+            counts[cells] = level[ids].reshape(n_combos, cells.size).T
+        tail_planes, tail_ids, n_tails = level_planes, ids, n_rows
 
-    for t in range(order):
-        axis = counts.reshape(n_combos, 3**t, 3, 3 ** (order - 1 - t))
-        axis[:, :, 2] -= axis[:, :, 0] + axis[:, :, 1]
-    return counts
+
+def _pair_counts(
+    class_planes: np.ndarray,
+    padding_mask: np.ndarray,
+    rows: np.ndarray,
+    table: PairTable | None,
+) -> np.ndarray:
+    """``(n, 4)`` stored-plane counts of the SNP pairs ``rows[i]``.
+
+    Cell ``2 * bit_x + bit_y`` of pair ``(x, y)`` counts plane ``bit_x`` of
+    ``x`` AND plane ``bit_y`` of ``y``.  Pairs the table holds are read from
+    it; the rest are counted once each, as the top cells of second-order
+    pieces, and stored in the table, which keeps what fits half the budget
+    (so an encoding's two tables together stay within it).
+    """
+    if table is None:
+        values, miss = np.empty((rows.shape[0], 4), dtype=np.int64), slice(None)
+    else:
+        values, hit = table.lookup(rows)
+        if hit.all():
+            return values
+        miss = ~hit
+    n_rows, missing = class_planes.shape[0], rows[miss]
+    keys, inverse = np.unique(missing[:, 0] * n_rows + missing[:, 1], return_inverse=True)
+    pairs = np.stack(np.divmod(keys, n_rows), axis=1)
+    pieces = _in_budget_pieces(_split_piece, class_planes, padding_mask, pairs)
+    counted = pieces[:, _lattice_plan(2)["prefixes"][2]]
+    if table is not None:
+        table.store(pairs, counted, KERNEL_BUDGET_BYTES // 2)
+    values[miss] = counted[inverse.reshape(-1)]
+    return values
 
 
 def split_tables(

@@ -135,7 +135,7 @@ class CpuBlockedApproach(Approach):
             n_words = planes.shape[2]
             total_words += n_words
             tables[:, :, phenotype_class] = self.backend.split_class_counts(
-                planes, mask, combos
+                planes, mask, combos, pairs=split.pair_table(phenotype_class)
             )
             # Modelled Algorithm 1 walk: ceil(n_words / (BP / word_bits))
             # sample-chunk passes per class.
@@ -148,7 +148,7 @@ class CpuBlockedApproach(Approach):
     def score_combinations(
         self, encoded: _BlockedEncoding, combos: np.ndarray, objective
     ) -> np.ndarray:
-        """Fused build+score over SNP tiles of the blocked split encoding.
+        """Fused build+score over rank-slice tiles of the blocked split encoding.
 
         The modelled bookkeeping is identical to :meth:`build_tables`: the
         same §IV per-paper-word charge over the full encoding and the same

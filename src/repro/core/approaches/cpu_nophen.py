@@ -54,6 +54,8 @@ class CpuNoPhenotypeApproach(Approach):
             encoded.padding_mask(0),
             encoded.padding_mask(1),
             combos,
+            control_pairs=encoded.pair_table(0),
+            case_pairs=encoded.pair_table(1),
         )
         # Modelled per-paper-word charging, identical whichever backend ran.
         charge_split_ops(
@@ -68,7 +70,7 @@ class CpuNoPhenotypeApproach(Approach):
     def score_combinations(
         self, encoded: PhenotypeSplitDataset, combos: np.ndarray, objective
     ) -> np.ndarray:
-        """Fused build+score over SNP tiles; §IV charging as in build_tables."""
+        """Fused build+score over rank-slice tiles; §IV charging as in build_tables."""
         combos = self._check_combos(combos)
         if combos.size and combos.max() >= encoded.n_snps:
             raise IndexError("combination index exceeds the number of SNPs")

@@ -15,7 +15,9 @@ Two encodings are used by the paper's kernels:
     genotype-2 plane is recovered on the fly with a ``NOR``), and the
     phenotype vector disappears entirely.  Memory traffic drops by roughly
     one third and the per-word instruction count drops from 162 to 57.
-    Used by approaches V2–V4 on both CPU and GPU.
+    Used by approaches V2–V4 on both CPU and GPU.  Each class also owns a
+    :class:`PairTable`, the pair counts the NumPy split kernel has made on
+    this encoding so far.
 
 Both encodings are parametric in the **execution word layout**
 (:class:`~repro.bitops.packing.WordLayout`): the paper's ``uint32`` word or
@@ -26,6 +28,7 @@ operation without changing a single resulting bit.  The default is
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -41,7 +44,7 @@ from repro.bitops.packing import (
 )
 from repro.datasets.dataset import GenotypeDataset
 
-__all__ = ["BinarizedDataset", "PhenotypeSplitDataset"]
+__all__ = ["BinarizedDataset", "PairTable", "PhenotypeSplitDataset"]
 
 
 @dataclass
@@ -128,6 +131,70 @@ class BinarizedDataset:
             raise ValueError("bit-planes overlap: some sample has two genotypes")
 
 
+class PairTable:
+    """Stored-plane counts of SNP pairs of one phenotype class.
+
+    Cell ``2 * i + j`` of pair ``(x, y)`` counts the samples set in plane
+    ``i`` of SNP ``x`` and plane ``j`` of SNP ``y``: the pairs' entries of
+    the Gram matrix of the class's stored planes.  The table starts empty
+    and holds only the pairs callers :meth:`store`, sorted by the key
+    ``x * n_snps + y``.
+
+    Readers take no lock: :meth:`lookup` reads one published ``(keys,
+    counts)`` state, and :meth:`store` builds the next state under a lock
+    and publishes it whole, so threads sharing an encoding see one state
+    or the other, never half of one.  A pickled table arrives empty: its
+    counts belong to the process that made them.
+    """
+
+    def __init__(self, planes: np.ndarray) -> None:
+        #: The ``(n_snps, 2, n_words)`` planes the counts are of.
+        self.planes = planes
+        self._lock = threading.Lock()
+        self._state = (np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64))
+
+    def __reduce__(self):
+        return type(self), (self.planes,)
+
+    def __len__(self) -> int:
+        return int(self._state[0].size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the keys and counts held."""
+        held, counts = self._state
+        return int(held.nbytes + counts.nbytes)
+
+    def _keys(self, pairs: np.ndarray) -> np.ndarray:
+        return pairs[:, 0] * self.planes.shape[0] + pairs[:, 1]
+
+    def lookup(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, hit)``: the ``(n, 4)`` counts of the ``(n, 2)`` SNP
+        pairs, valid where ``hit``."""
+        held, counts = self._state
+        if not held.size:
+            return np.empty((len(pairs), 4), dtype=np.int64), np.zeros(len(pairs), bool)
+        keys = self._keys(pairs)
+        slots = np.searchsorted(held, keys)
+        np.minimum(slots, held.size - 1, out=slots)
+        return np.take(counts, slots, axis=0), held[slots] == keys
+
+    def store(self, pairs: np.ndarray, counts: np.ndarray, max_bytes: int) -> None:
+        """Keep the ``(n, 4)`` counts of ``n`` distinct SNP pairs, while the
+        table stays within ``max_bytes``; pairs beyond that are dropped."""
+        keys = self._keys(pairs)
+        with self._lock:
+            held, held_counts = self._state
+            fresh = ~np.isin(keys, held, assume_unique=True)
+            # A pair takes an int64 key and four int64 counts.
+            room = max(0, (max_bytes - self.nbytes) // 40)
+            keys, counts = keys[fresh][:room], counts[fresh][:room]
+            if keys.size:
+                merged = np.concatenate([held, keys])
+                order = np.argsort(merged, kind="stable")
+                self._state = (merged[order], np.concatenate([held_counts, counts])[order])
+
+
 @dataclass
 class PhenotypeSplitDataset:
     """Optimised encoding: case/control split, genotype-2 plane elided.
@@ -154,6 +221,8 @@ class PhenotypeSplitDataset:
     case_order: np.ndarray
     #: Cached per-class padding masks (built lazily — see :meth:`padding_mask`).
     _masks: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Per-class pair tables (made lazily — see :meth:`pair_table`).
+    _pairs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_dataset(
@@ -232,6 +301,19 @@ class PhenotypeSplitDataset:
             mask = self.layout.padding_mask(n_valid)
             self._masks[phenotype_class] = mask
         return mask
+
+    def pair_table(self, phenotype_class: int) -> PairTable:
+        """The class's :class:`PairTable`, shared by every thread of this process.
+
+        The NumPy split kernel reads its pair counts from the table and
+        stores the ones it counts, so each pair of this encoding is counted
+        once per process.
+        """
+        table = self._pairs.get(phenotype_class)
+        if table is None:
+            planes, _ = self.planes_for_class(phenotype_class)
+            table = self._pairs.setdefault(phenotype_class, PairTable(planes))
+        return table
 
     def memory_reduction_vs_naive(self) -> float:
         """Fraction of bytes saved relative to :class:`BinarizedDataset`.

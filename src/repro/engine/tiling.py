@@ -1,13 +1,15 @@
-"""SNP-block tiling of combination batches (the fused path's enumerator).
+"""SNP-block tiling of combination batches (the naïve fused path's enumerator).
 
 A scheduler chunk enumerates combinations in rank order, so consecutive
 combinations share most of their SNPs: at order ``k`` the trailing column
 cycles fastest and the leading columns change only every few hundred
-rows.  The fused scoring path exploits that by cutting each chunk into
-**tiles** of consecutive combinations, gathering the packed bit-planes of
-each tile's distinct SNPs once, and running the kernels against the
-compact gathered planes with locally remapped combination indices — the
-CPU analogue of the paper's tiled GPU kernel.  Every combination in a
+rows.  The naïve family's fused scoring path exploits that by cutting
+each chunk into **tiles** of consecutive combinations, gathering the
+packed bit-planes of each tile's distinct SNPs once, and running the
+kernels against the compact gathered planes with locally remapped
+combination indices — the CPU analogue of the paper's tiled GPU kernel.
+(Split-family tiles are plain rank slices: their kernel reads the
+encoding's rows and pair tables directly.)  Every combination in a
 tile reuses the same small plane block (typically a handful of SNPs for
 hundreds of combinations), and the caller sizes tiles from the kernel
 byte budget (:func:`repro.core.approaches._kernels.combos_per_tile`), which

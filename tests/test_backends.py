@@ -293,6 +293,20 @@ class TestCalibrationStore:
         assert len(store) == 0
         assert store.lookup("numpy", "2.0.0", "split", 3, "u64") is None
 
+    def test_version_3_store_reads_empty(self, tmp_path):
+        # Version-3 numpy split records timed the kernel that rebuilt every
+        # pair's planes per piece; the prefix-lattice kernel runs faster.
+        path = tmp_path / "calib.json"
+        record = _record()
+        path.write_text(
+            json.dumps(
+                {"version": 3, "records": {record.fingerprint: asdict(record)}}
+            )
+        )
+        store = CalibrationStore(path)
+        assert len(store) == 0
+        assert store.lookup("numpy", "2.0.0", "split", 3, "u64") is None
+
     def test_empty_store_is_not_replaced(self, tmp_path):
         # CalibrationStore defines __len__, so an empty store is falsy;
         # calibrate() must still write into the instance it was handed.

@@ -180,7 +180,18 @@ class TestWarmFleetRuns:
     def _config(self):
         return DetectorConfig(approach="cpu-v4", order=2, top_k=5)
 
-    def test_zero_repacks_on_second_run(self, dataset):
+    def test_zero_repacks_on_second_run(self):
+        # First contact needs a dataset no other test uses: the kept fleet
+        # outlives a test file, so a dataset another file already ran on
+        # it is attached before this test starts.
+        dataset = generate_dataset(
+            SyntheticConfig(
+                n_snps=20,
+                n_samples=256,
+                interaction=PlantedInteraction(snps=PLANTED, model="xor", effect=0.9),
+                seed=1717,
+            )
+        )
         source = DenseRangeSource(dataset.n_snps, 2)
         config = self._config()
         first = run_distributed(

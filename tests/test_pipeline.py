@@ -339,6 +339,38 @@ class TestBatchedPermutationNull:
         )
         assert checkpointed == reference
 
+    def test_ledger_commits_once_per_window(self, small_dataset, monkeypatch, tmp_path):
+        # A fresh checkpointed null writes its ledger once up front and once
+        # per window; the last window's write already records the finished
+        # null, so a resumed run of it counts nothing and writes nothing.
+        from repro.distributed.checkpoint import JsonLedger
+
+        written = []
+        write = JsonLedger.write
+
+        def counting_write(ledger):
+            written.append(ledger.doc["perm_done"])
+            write(ledger)
+
+        monkeypatch.setattr(JsonLedger, "write", counting_write)
+        fresh = self._stage_p_values(
+            small_dataset, "cpu-v4", "k2", checkpoint_dir=str(tmp_path)
+        )
+        windows = list(range(8, self.N_PERMUTATIONS, 8)) + [self.N_PERMUTATIONS]
+        assert written == [0] + windows
+
+        written.clear()
+
+        def no_null(*args):
+            raise AssertionError("a finished null was counted again")
+
+        monkeypatch.setattr(PermutationStage, "null_scores", no_null)
+        resumed = self._stage_p_values(
+            small_dataset, "cpu-v4", "k2", checkpoint_dir=str(tmp_path), resume=True
+        )
+        assert resumed == fresh
+        assert written == []
+
     @pytest.mark.parametrize("finalists_per_piece,words_per_piece", [(2, None), (1, 1)])
     def test_small_budget_cuts_finalist_blocks(
         self, small_dataset, monkeypatch, finalists_per_piece, words_per_piece

@@ -1,27 +1,35 @@
 """NumPy kernels: oracle tests of every execution branch and the workspace.
 
-The NumPy phenotype-split kernel popcounts only the ``2^k`` stored-plane
-cells of a combination and derives each genotype-2 cell as
-``c* - c0 - c1``, with the ``c*`` counts coming from per-row singles, the
-batch's distinct lower-order sub-combinations and the padding mask.  These
-tests pin it against :func:`repro.core.contingency.contingency_oracle_many`
-on the paths that reach it:
+The NumPy phenotype-split kernel popcounts only the stored-plane cells of
+each sub-combination and derives each genotype-2 cell as
+``c* - c0 - c1``.  Its prefixes come from a lattice over runs of
+consecutive combinations sharing them, its other pairs from the
+encoding's per-class pair table (the pairs the table lacks are counted
+and stored), and its other sub-combinations from a per-piece dedup.
+These tests pin it against
+:func:`repro.core.contingency.contingency_oracle_many` on the paths that
+reach it:
 
-* a direct call at orders 2-5;
+* a direct call at orders 2-5, with and without a pair table;
+* shuffled combinations and candidate-source combinations, whose prefix
+  runs have length 1;
 * calls beyond the kernel budget, which both kernels cut into pieces of
   fewer combinations and, below one combination's words, word slices;
 * the word slices of the blocked ``build_tables`` (``cpu-v3`` and
-  ``cpu-v4``), forced with a small kernel budget;
+  ``cpu-v4``), forced with a small kernel budget, and a pair table held
+  full by the same budget;
 * fused tiles of one combination, forced with a one-byte kernel budget;
 * whole-dataset planes of more than 70 000 SNP rows at ``k = 5``, where a
-  positional sub-combination key (``n_snps^4``) would overflow ``int64``.
+  positional sub-combination key (``n_snps^4``) would overflow ``int64``;
+* searches that share one encoding: a second search counts no pair, and
+  four engine threads filling one table match a single thread bit for bit.
 
 Both kernels (split and naïve) carve their temporaries from one per-thread
 workspace; the remaining tests pin its contract: reuse across growing and
 shrinking batches, results that never alias it, concurrent threads,
 ``IndexError`` on an out-of-range SNP, a footprint within the budget after
-calls and unfused searches of any size, and no page faults in steady
-state.
+calls (prefix runs of any length, table fills) and unfused searches of any
+size, and no page faults in steady state.
 
 Both word layouts run, and the sample counts leave padding bits in the last
 word of each class under either layout.
@@ -39,13 +47,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import EpistasisDetector
 from repro.core.approaches import _kernels, get_approach
 from repro.core.approaches._kernels import naive_tables, split_class_counts
 from repro.core.combinations import generate_combinations
 from repro.core.contingency import contingency_oracle_many
 from repro.core.scoring import get_objective
+from repro.datasets import SyntheticConfig, generate_dataset
 from repro.datasets.binarization import BinarizedDataset, PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
+from repro.engine import ExplicitCombinationSource
 
 ORDERS = (2, 3, 4, 5)
 LAYOUTS = ("u32", "u64")
@@ -87,6 +98,65 @@ def test_direct_call_matches_oracle(dataset, order, layout):
         assert split_class_counts(planes, mask, combos[:0]).shape == (0, 3**order)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_direct_call_with_a_pair_table_matches_oracle(dataset, order, layout):
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
+    combos = _combos(dataset, order)
+    expected = _oracle(dataset, combos)
+    for phenotype_class in (0, 1):
+        planes, _ = split.planes_for_class(phenotype_class)
+        mask = split.padding_mask(phenotype_class)
+        table = split.pair_table(phenotype_class)
+        for _ in range(2):  # the second call reads every pair from the table
+            counts = split_class_counts(planes, mask, combos, table)
+            np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
+        assert split_class_counts(planes, mask, combos[:0], table).shape == (0, 3**order)
+        n_pairs = dataset.n_snps * (dataset.n_snps - 1) // 2
+        assert 0 < len(table) < n_pairs if order > 2 else len(table) == 0
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_shuffled_combos_match_oracle(dataset, order, layout):
+    # Out of rank order, most rows start a new prefix run.
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
+    combos = np.random.default_rng(order).permutation(
+        generate_combinations(dataset.n_snps, order)
+    )
+    assert (combos[1:, : order - 1] != combos[:-1, : order - 1]).any(axis=1).mean() > 0.75
+    expected = _oracle(dataset, combos)
+    for phenotype_class in (0, 1):
+        planes, _ = split.planes_for_class(phenotype_class)
+        counts = split_class_counts(
+            planes,
+            split.padding_mask(phenotype_class),
+            combos,
+            split.pair_table(phenotype_class),
+        )
+        np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
+
+
+@pytest.mark.parametrize("fused", ("on", "off"))
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", ("cpu-v2", "cpu-v3", "cpu-v4"))
+def test_candidate_source_combos_match_oracle(dataset, name, order, fused):
+    # Scattered candidates: prefix runs of length 1 on the engine's path.
+    rng = np.random.default_rng(order)
+    combos = np.unique(
+        np.sort([rng.choice(dataset.n_snps, order, replace=False) for _ in range(30)]),
+        axis=0,
+    )[::-1]
+    detector = EpistasisDetector(
+        approach=name, order=order, fused=fused, top_k=len(combos)
+    )
+    result = detector.detect_candidates(dataset, ExplicitCombinationSource(combos))
+    objective = get_objective("k2")
+    objective.prepare(dataset)
+    expected = dict(zip(map(tuple, combos.tolist()), objective.score(_oracle(dataset, combos))))
+    assert {i.snps: i.score for i in result.top} == expected
+
+
 @pytest.mark.parametrize("pass_words", (1, 2))
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("order", ORDERS)
@@ -108,6 +178,97 @@ def test_blocked_word_slices_match_oracle(
     assert _kernels.words_per_pass(order, 1, itemsize) == pass_words
     tables = approach.build_tables(encoded, combos)
     np.testing.assert_array_equal(tables, _oracle(dataset, combos))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", (3, 4, 5))
+def test_full_pair_table_and_word_slices_match_oracle(
+    dataset, monkeypatch, order, layout
+):
+    # A budget whose half holds exactly the pairs of the first combination
+    # (all but its prefix pair, 40 bytes each): every later pair is counted
+    # on every call, and every piece is one combination over one word.
+    first_pairs = order * (order - 1) // 2 - 1
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", 2 * 40 * first_pairs)
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
+    itemsize = split.control_planes.dtype.itemsize
+    assert _kernels.words_per_pass(order, 1, itemsize) == 1
+    first = np.arange(order)[None, :]
+    combos = _combos(dataset, order)[:40]
+    expected = _oracle(dataset, combos)
+    for phenotype_class in (0, 1):
+        planes, _ = split.planes_for_class(phenotype_class)
+        mask = split.padding_mask(phenotype_class)
+        table = split.pair_table(phenotype_class)
+        split_class_counts(planes, mask, first, table)
+        assert len(table) == first_pairs
+        for _ in range(2):
+            counts = split_class_counts(planes, mask, combos, table)
+            np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
+        assert len(table) == first_pairs
+        assert table.nbytes <= _kernels.KERNEL_BUDGET_BYTES // 2
+
+
+def test_tables_of_other_planes_are_not_used(dataset):
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
+    combos = _combos(dataset, 3)
+    expected = _oracle(dataset, combos)
+    cases = split.pair_table(1)
+    counts = split_class_counts(split.control_planes, split.padding_mask(0), combos, cases)
+    np.testing.assert_array_equal(counts, expected[:, :, 0])
+    assert len(cases) == 0
+
+
+@pytest.mark.parametrize("fused", ("on", "off"))
+@pytest.mark.parametrize("order", (3, 4, 5))
+def test_a_second_search_counts_no_new_pair(monkeypatch, order, fused):
+    # A fresh encoding counts each pair its search needs once per class,
+    # across tiles; a second search on it reads every pair from the table.
+    seed = 2 * order + (fused == "on")  # a fresh encoding per case
+    dataset = generate_dataset(SyntheticConfig(n_snps=11, n_samples=300, seed=seed))
+    counted = []
+    piece = _kernels._split_piece
+
+    def counting_piece(planes, mask, combos):
+        if combos.shape[1] == 2:  # this search counts pairs only as misses
+            counted.extend(map(tuple, combos.tolist()))
+        return piece(planes, mask, combos)
+
+    monkeypatch.setattr(_kernels, "_split_piece", counting_piece)
+    itemsize = get_approach("cpu-v4").word_layout.dtype().itemsize
+    monkeypatch.setattr(  # tiles and pieces of at most 20 combinations
+        _kernels, "KERNEL_BUDGET_BYTES", 20 * _kernels.combo_word_bytes(order, itemsize) * 3
+    )
+    detector = EpistasisDetector(approach="cpu-v4", order=order, fused=fused, top_k=5)
+    first = detector.detect(dataset)
+    # Every pair but (0, 1), which is only ever a prefix, per class.
+    assert len(counted) == 2 * (11 * 10 // 2 - 1)
+    assert len(set(counted)) == len(counted) // 2
+    counted.clear()
+    second = detector.detect(dataset)
+    assert counted == []
+    assert [(i.snps, i.score) for i in second.top] == [(i.snps, i.score) for i in first.top]
+
+
+@pytest.mark.parametrize("order", (3, 4))
+def test_threads_sharing_one_encoding_match_one_thread(order):
+    # Four engine threads fill one encoding's tables concurrently; cpu-v2
+    # keys its own encoding, whose tables one thread fills.
+    dataset = generate_dataset(SyntheticConfig(n_snps=16, n_samples=700, seed=40 + order))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = EpistasisDetector(
+            approach="cpu-v4", order=order, n_workers=4, chunk_size=64, top_k=10
+        ).detect(dataset)
+    finally:
+        sys.setswitchinterval(interval)
+    single = EpistasisDetector(
+        approach="cpu-v2", order=order, n_workers=1, top_k=10
+    ).detect(dataset)
+    assert [(i.snps, i.score) for i in threaded.top] == [
+        (i.snps, i.score) for i in single.top
+    ]
 
 
 @pytest.mark.parametrize("words", (2, None))
@@ -280,6 +441,45 @@ def test_concurrent_threads_stay_oracle_exact(dataset):
             np.testing.assert_array_equal(counts, reference)
 
 
+def test_concurrent_threads_sharing_pair_tables_stay_oracle_exact(dataset):
+    # Jobs of every order look up and store pairs in the same two tables.
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
+    jobs = [
+        generate_combinations(dataset.n_snps, order)[offset::4]
+        for offset, order in enumerate((2, 3, 4, 5))
+    ]
+    expected = [_oracle(dataset, combos) for combos in jobs]
+
+    def run(combos):
+        return [
+            np.stack(
+                [
+                    split_class_counts(
+                        split.planes_for_class(c)[0],
+                        split.padding_mask(c),
+                        combos,
+                        split.pair_table(c),
+                    )
+                    for c in (0, 1)
+                ],
+                axis=-1,
+            )
+            for _ in range(5)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, combos) for combos in jobs]
+            outcomes = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for results, reference in zip(outcomes, expected):
+        for counts in results:
+            np.testing.assert_array_equal(counts, reference)
+
+
 @pytest.mark.parametrize("bad", ([[0, 1, 12]], [[-1, 3, 4]]))
 def test_out_of_range_snp_raises_index_error(dataset, bad):
     split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
@@ -334,6 +534,36 @@ def test_calls_of_any_size_stay_within_the_budget(monkeypatch, order, layout):
     _in_fresh_thread(body)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_prefix_runs_and_table_fills_stay_within_the_budget(monkeypatch, order, layout):
+    # Rank-ordered batches share long prefix runs and fill a pair table;
+    # whole batches, and one-combination word slices below one
+    # combination's words, stay within the bound too.
+    budget = 128 << 10
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
+    rng = np.random.default_rng(order)
+    genotypes = rng.choice(3, size=(40, 700), p=[0.5, 0.3, 0.2])
+    phenotypes = (rng.random(700) < 0.5).astype(np.int8)
+    split = PhenotypeSplitDataset.from_dataset(
+        GenotypeDataset(genotypes=genotypes, phenotypes=phenotypes), layout=layout
+    )
+    ranked = generate_combinations(40, order)[:4000]
+    table = split.pair_table(0)
+    limit = _workspace_limit(budget)
+
+    def body():
+        split_class_counts(split.control_planes, split.padding_mask(0), ranked, table)
+        assert 0 < _kernels._WORKSPACE.buffer.size <= limit
+        assert 0 < len(table) <= 40 * 39 // 2 if order > 2 else len(table) == 0
+        narrow = _kernels.combo_word_bytes(order, split.control_planes.dtype.itemsize) * 3
+        monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", narrow)
+        split_class_counts(split.control_planes, split.padding_mask(0), ranked[:20], table)
+        assert _kernels._WORKSPACE.buffer.size <= limit
+
+    _in_fresh_thread(body)
+
+
 @pytest.mark.parametrize(
     "name", ("cpu-v1", "cpu-v2", "cpu-v3", "cpu-v4", "gpu-v1", "gpu-v2")
 )
@@ -341,9 +571,6 @@ def test_unfused_searches_keep_the_workspace_within_the_budget(monkeypatch, name
     # An unfused search hands the kernels whole chunks (a single-lane
     # detect() runs on the calling thread); the workspace it leaves behind
     # stays within the budget's bound.
-    from repro.core import EpistasisDetector
-    from repro.datasets import SyntheticConfig, generate_dataset
-
     budget = 256 << 10
     monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
     dataset = generate_dataset(SyntheticConfig(n_snps=24, n_samples=4096, seed=4))
