@@ -24,14 +24,23 @@ SNP planes for the ``2^k`` top cells; a batch out of rank order only makes
 its runs shorter.  The other pairs of each combination come from the
 encoding's :class:`~repro.datasets.binarization.PairTable` of the class,
 the stored-plane Gram entries of the pairs searches have needed: a call
-looks its pairs up, counts the misses once each and stores them, so a
-search counts each pair once per process and a second search on the same
-encoding counts none.  The table is filled lazily, only with the pairs
-asked for, under a lock (engine threads share one encoding) and never
-shipped between processes.  Without a table, with a table of other
-planes, or once the table is full, the misses are counted on every call,
-by the same code.  The other sub-combinations of sizes 3 to ``k - 1``
-(``k >= 4``) are counted once per budget-sized piece.
+looks its pairs up, counts the misses once each and stores them, so,
+while the table has room, a search counts each pair once per process and
+a second search on the same encoding counts none.  The table is filled
+lazily, only with the pairs asked for, under a lock (engine threads share
+one encoding) and never shipped between processes.  It holds rows of
+``n_snps`` pair slots (17 bytes a slot), one per first SNP of a stored
+pair, within half the budget per class: every row of an encoding of up
+to about 740 SNPs.  Without a table, with a table of other planes, or
+for the pairs of rows a full table could not add, the misses are counted
+on every call, by the same code, and the table adds a lookup to them
+(a store writes its pairs in place).  The table therefore speeds a
+search up while the first SNPs of its pairs fit; past that, those pairs
+cost what they cost without a table.  Singles are counted over the SNP
+rows a piece uses, so a rank slice of a wide encoding counts no more of
+them than a gathered block of its SNPs would.  The other
+sub-combinations of sizes 3 to ``k - 1`` (``k >= 4``) are counted once
+per budget-sized piece.
 
 The kernels are fully vectorised over a batch of SNP k-tuples: each cell
 is one elementwise AND over plane-major ``(batch, words)`` blocks, and the
@@ -78,9 +87,12 @@ A piece carves at most 1.07x the budget from the workspace (the naïve
 kernel at ``k = 2`` on ``uint32`` words; the split kernel stays below
 half of it whether its prefix runs are long or one row each), so a
 thread's workspace stays below 9/8 of the budget plus 4 KiB for the
-thread's life.  The pair tables count against the same budget: each
-class's table keeps pairs (40 bytes each) while it holds at most half of
-it, so an encoding's two tables stay within it.  The batched naïve kernel
+thread's life.  The pair tables are bounded per encoding, not per
+process: each class's table adds rows (17 bytes per SNP) while it holds
+at most half the budget, so an encoding's two tables stay within one
+budget, and a process holds at most one budget of tables per split
+encoding it keeps alive (the encoding cache keeps at most eight; see
+:mod:`repro.core.encoding_cache`).  The batched naïve kernel
 cuts its pieces the same way, from its own footprint per combination and
 word, which grows with the number of phenotypes in the block; a block so
 large that one word of one combination exceeds the budget still runs, as
@@ -735,13 +747,16 @@ def _split_piece(
     counts[plan["empty"]] = popcount_sum(padding_mask)
     counts[plan["pair_cells"]] = 0
     with ws.scratch():
-        if class_planes.shape[0] <= combos.size:
+        # Singles of the rows the piece uses: a rank slice of a wide
+        # encoding uses few of its rows.
+        used = np.zeros(class_planes.shape[0], dtype=bool)
+        used[combos] = True
+        rows = np.flatnonzero(used)
+        if rows.size == used.size:
             singles = _popcount(ws, class_planes)[combos]
         else:
-            # Whole-dataset planes under a small batch: count the used rows only.
-            rows, inverse = np.unique(combos, return_inverse=True)
             singles = _popcount(ws, _gather_planes(ws, class_planes, rows)).T
-            singles = singles[inverse.reshape(combos.shape)]
+            singles = singles[(np.cumsum(used) - 1)[combos]]
     counts[plan["singles"]] = singles.reshape(n_combos, 2 * order).T
     if n_combos:
         with ws.scratch():
@@ -872,9 +887,9 @@ def _pair_counts(
 
     Cell ``2 * bit_x + bit_y`` of pair ``(x, y)`` counts plane ``bit_x`` of
     ``x`` AND plane ``bit_y`` of ``y``.  Pairs the table holds are read from
-    it; the rest are counted once each, as the top cells of second-order
-    pieces, and stored in the table, which keeps what fits half the budget
-    (so an encoding's two tables together stay within it).
+    it; the rest are counted once each (:func:`_pair_piece`) and offered to
+    the table, which keeps what fits half the budget (so an encoding's two
+    tables together stay within it).
     """
     if table is None:
         values, miss = np.empty((rows.shape[0], 4), dtype=np.int64), slice(None)
@@ -886,12 +901,24 @@ def _pair_counts(
     n_rows, missing = class_planes.shape[0], rows[miss]
     keys, inverse = np.unique(missing[:, 0] * n_rows + missing[:, 1], return_inverse=True)
     pairs = np.stack(np.divmod(keys, n_rows), axis=1)
-    pieces = _in_budget_pieces(_split_piece, class_planes, padding_mask, pairs)
-    counted = pieces[:, _lattice_plan(2)["prefixes"][2]]
+    counted = _in_budget_pieces(_pair_piece, class_planes, padding_mask, pairs)
     if table is not None:
         table.store(pairs, counted, KERNEL_BUDGET_BYTES // 2)
     values[miss] = counted[inverse.reshape(-1)]
     return values
+
+
+def _pair_piece(
+    class_planes: np.ndarray, padding_mask: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """The four stored cells of each pair over one budget-sized piece,
+    ``(n, 4)``: the top cells of a second-order piece, without its singles."""
+    n_pairs, n_words = pairs.shape[0], class_planes.shape[2]
+    class_planes, pairs = _gather_source(class_planes, pairs)
+    ws = _WORKSPACE.begin(_piece_bytes(2, n_pairs, n_words, class_planes.dtype.itemsize))
+    counts = np.empty((4, n_pairs), dtype=np.int64)
+    _prefix_lattice(ws, class_planes, pairs, counts, {2: range(4)})
+    return counts.T
 
 
 def split_tables(

@@ -12,12 +12,17 @@ the same genotype matrix.
 
 ``(dataset.content_digest(), n_snps, n_samples, *approach.encoding_key())``
 
-so repeated runs over the same dataset reuse one immutable encoding.
-Encodings are read-only by contract (they are already shared across worker
+so repeated runs over the same dataset reuse one encoding.  An encoding's
+planes are read-only by contract (they are already shared across worker
 threads within a run), which is what makes cross-run sharing safe.  The
-cache is bounded (LRU) and keyed by content, so mutating a dataset — which
-the dataset API never does in place — yields a different digest rather than
-a stale hit.
+one thing that grows on a cached encoding is a phenotype-split encoding's
+pair tables (:class:`~repro.datasets.binarization.PairTable`): counts
+derived from those planes, filled under a lock by the NumPy split kernel
+and kept while the encoding lives, each encoding's two tables within one
+:data:`~repro.core.approaches._kernels.KERNEL_BUDGET_BYTES`.  The cache is
+bounded (LRU) and keyed by content, so mutating a dataset — which the
+dataset API never does in place — yields a different digest rather than a
+stale hit.
 """
 
 from __future__ import annotations
@@ -55,9 +60,12 @@ class EncodingCache:
     ----------
     max_entries:
         Retained encodings; the least recently used entry is evicted first.
-        Encodings are a few bytes per SNP-sample, so a handful of entries
-        covers every realistic multi-stage or benchmark workload without
-        holding stale datasets alive forever.
+        Encodings are a few bits per SNP-sample, plus at most one kernel
+        budget of pair tables each (up to ``max_entries`` budgets, 144 MiB
+        at the defaults, for split encodings whose searches touched more
+        pairs than fit), so a handful of entries covers every realistic
+        multi-stage or benchmark workload without holding stale datasets
+        alive forever.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
@@ -95,8 +103,8 @@ class EncodingCache:
         Resolution order: local LRU, then the shared-memory tier (when
         attached), then the builder.  The builder runs under the cache
         lock so concurrent workers of one run never pack the same dataset
-        twice; the encodings themselves are immutable, so handing the same
-        object to every caller is safe.
+        twice; the encodings' planes are immutable and their pair tables
+        thread-safe, so handing the same object to every caller is safe.
         """
         with self._lock:
             if key in self._entries:

@@ -137,62 +137,99 @@ class PairTable:
     Cell ``2 * i + j`` of pair ``(x, y)`` counts the samples set in plane
     ``i`` of SNP ``x`` and plane ``j`` of SNP ``y``: the pairs' entries of
     the Gram matrix of the class's stored planes.  The table starts empty
-    and holds only the pairs callers :meth:`store`, sorted by the key
-    ``x * n_snps + y``.
+    and holds rows of that matrix, one per first SNP ``x`` of the pairs
+    callers :meth:`store`, each holding only the pairs stored in it.  A row
+    (``n_snps`` slots of four ``int32`` counts and a held flag, 17 bytes a
+    slot) is added the first time a pair of its SNP is stored, while the
+    table stays within the store's byte bound; a table with no room for
+    another row still stores the pairs of its rows.  Pairs are written in
+    place and the row buffer doubles when it grows, so a store costs the
+    pairs it stores, never a copy of the table per call.
 
-    Readers take no lock: :meth:`lookup` reads one published ``(keys,
-    counts)`` state, and :meth:`store` builds the next state under a lock
-    and publishes it whole, so threads sharing an encoding see one state
-    or the other, never half of one.  A pickled table arrives empty: its
-    counts belong to the process that made them.
+    Readers take no lock: :meth:`lookup` reads a pair's held flag before
+    its counts, :meth:`store` writes the counts before the flag, and a
+    grown buffer is filled before it is published, so threads sharing an
+    encoding read a stored pair or a miss, never half of one.  A pickled
+    table arrives empty: its counts belong to the process that made them.
+    The table lives as long as its encoding and holds what :meth:`store`'s
+    byte bound lets it: the NumPy split kernel bounds each class's table by
+    half of :data:`~repro.core.approaches._kernels.KERNEL_BUDGET_BYTES`.
     """
 
     def __init__(self, planes: np.ndarray) -> None:
         #: The ``(n_snps, 2, n_words)`` planes the counts are of.
         self.planes = planes
         self._lock = threading.Lock()
-        self._state = (np.empty(0, dtype=np.int64), np.empty((0, 4), dtype=np.int64))
+        self._rows = 0
+        #: ``None`` until a row is added, then ``(row_of, counts, held)``:
+        #: each SNP's row (-1 for none), the ``(capacity, n_snps, 4)``
+        #: counts and the ``(capacity, n_snps)`` held flags.
+        self._state = None
 
     def __reduce__(self):
         return type(self), (self.planes,)
 
     def __len__(self) -> int:
-        return int(self._state[0].size)
+        """Pairs held."""
+        return 0 if self._state is None else int(self._state[2].sum())
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the keys and counts held."""
-        held, counts = self._state
-        return int(held.nbytes + counts.nbytes)
-
-    def _keys(self, pairs: np.ndarray) -> np.ndarray:
-        return pairs[:, 0] * self.planes.shape[0] + pairs[:, 1]
+        """Bytes of the row index, counts and flags allocated."""
+        return 0 if self._state is None else sum(a.nbytes for a in self._state)
 
     def lookup(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(counts, hit)``: the ``(n, 4)`` counts of the ``(n, 2)`` SNP
         pairs, valid where ``hit``."""
-        held, counts = self._state
-        if not held.size:
-            return np.empty((len(pairs), 4), dtype=np.int64), np.zeros(len(pairs), bool)
-        keys = self._keys(pairs)
-        slots = np.searchsorted(held, keys)
-        np.minimum(slots, held.size - 1, out=slots)
-        return np.take(counts, slots, axis=0), held[slots] == keys
+        state = self._state
+        if state is None:
+            return np.empty((len(pairs), 4), dtype=np.int32), np.zeros(len(pairs), bool)
+        row_of, counts, held = state
+        rows = row_of[pairs[:, 0]]
+        hit = rows >= 0
+        # Flat slots; a row-less SNP reads row 0, masked by ``hit``.
+        slots = np.maximum(rows, 0) * self.planes.shape[0] + pairs[:, 1]
+        hit &= held.reshape(-1)[slots]
+        return counts.reshape(-1, 4)[slots], hit
 
     def store(self, pairs: np.ndarray, counts: np.ndarray, max_bytes: int) -> None:
-        """Keep the ``(n, 4)`` counts of ``n`` distinct SNP pairs, while the
-        table stays within ``max_bytes``; pairs beyond that are dropped."""
-        keys = self._keys(pairs)
+        """Keep the ``(n, 4)`` counts of ``n`` SNP pairs that fall in rows
+        the table holds or can add within ``max_bytes``; drop the rest."""
+        n_snps = self.planes.shape[0]
+        row_bytes = 17 * n_snps
         with self._lock:
-            held, held_counts = self._state
-            fresh = ~np.isin(keys, held, assume_unique=True)
-            # A pair takes an int64 key and four int64 counts.
-            room = max(0, (max_bytes - self.nbytes) // 40)
-            keys, counts = keys[fresh][:room], counts[fresh][:room]
-            if keys.size:
-                merged = np.concatenate([held, keys])
-                order = np.argsort(merged, kind="stable")
-                self._state = (merged[order], np.concatenate([held_counts, counts])[order])
+            state = self._state
+            if state is None:
+                if max_bytes < 4 * n_snps + row_bytes:
+                    return
+                state = (
+                    np.full(n_snps, -1, dtype=np.int32),
+                    np.empty((0, n_snps, 4), dtype=np.int32),
+                    np.zeros((0, n_snps), dtype=bool),
+                )
+            row_of, table, held = state
+            firsts = pairs[:, 0]
+            max_rows = (max_bytes - row_of.nbytes) // row_bytes
+            new = np.unique(firsts[row_of[firsts] < 0])[: max(0, max_rows - self._rows)]
+            used = self._rows + new.size
+            grow = used > table.shape[0]
+            if grow:  # filled below, then published
+                capacity = min(max(used, 2 * table.shape[0]), max_rows)
+                grown = np.empty((capacity, n_snps, 4), dtype=np.int32)
+                grown_held = np.zeros((capacity, n_snps), dtype=bool)
+                grown[: self._rows] = table[: self._rows]
+                grown_held[: self._rows] = held[: self._rows]
+                row_of, table, held = row_of.copy(), grown, grown_held
+            # A new row's flags are all clear until its pairs are written.
+            row_of[new] = np.arange(self._rows, used)
+            self._rows = used
+            rows = row_of[firsts]
+            kept = rows >= 0
+            rows, seconds = rows[kept], pairs[kept, 1]
+            table[rows, seconds] = counts[kept]
+            held[rows, seconds] = True
+            if grow:
+                self._state = (row_of, table, held)
 
 
 @dataclass
@@ -306,8 +343,8 @@ class PhenotypeSplitDataset:
         """The class's :class:`PairTable`, shared by every thread of this process.
 
         The NumPy split kernel reads its pair counts from the table and
-        stores the ones it counts, so each pair of this encoding is counted
-        once per process.
+        stores the ones it counts, so each pair the table has a row for is
+        counted once per process.
         """
         table = self._pairs.get(phenotype_class)
         if table is None:

@@ -17,12 +17,17 @@ reach it:
   fewer combinations and, below one combination's words, word slices;
 * the word slices of the blocked ``build_tables`` (``cpu-v3`` and
   ``cpu-v4``), forced with a small kernel budget, and a pair table held
-  full by the same budget;
+  full by the same budget, which then neither grows nor copies itself;
 * fused tiles of one combination, forced with a one-byte kernel budget;
 * whole-dataset planes of more than 70 000 SNP rows at ``k = 5``, where a
   positional sub-combination key (``n_snps^4``) would overflow ``int64``;
 * searches that share one encoding: a second search counts no pair, and
-  four engine threads filling one table match a single thread bit for bit.
+  four engine threads filling one table match a single thread bit for bit;
+  several cached encodings each fill their own tables.
+
+The pair table itself adds rows first come within its byte bound and,
+once full, still stores the pairs of its rows; a piece counts the singles
+of the SNP rows it uses only.
 
 Both kernels (split and naïve) carve their temporaries from one per-thread
 workspace; the remaining tests pin its contract: reuse across growing and
@@ -52,9 +57,10 @@ from repro.core.approaches import _kernels, get_approach
 from repro.core.approaches._kernels import naive_tables, split_class_counts
 from repro.core.combinations import generate_combinations
 from repro.core.contingency import contingency_oracle_many
+from repro.core.encoding_cache import ENCODING_CACHE, encoding_cache_key
 from repro.core.scoring import get_objective
 from repro.datasets import SyntheticConfig, generate_dataset
-from repro.datasets.binarization import BinarizedDataset, PhenotypeSplitDataset
+from repro.datasets.binarization import BinarizedDataset, PairTable, PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
 from repro.engine import ExplicitCombinationSource
 
@@ -185,28 +191,54 @@ def test_blocked_word_slices_match_oracle(
 def test_full_pair_table_and_word_slices_match_oracle(
     dataset, monkeypatch, order, layout
 ):
-    # A budget whose half holds exactly the pairs of the first combination
-    # (all but its prefix pair, 40 bytes each): every later pair is counted
-    # on every call, and every piece is one combination over one word.
-    first_pairs = order * (order - 1) // 2 - 1
-    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", 2 * 40 * first_pairs)
+    # Six SNP rows and a budget whose half holds one row of the table: the
+    # first call adds SNP 0's row, and later calls find the table full.
+    # They neither grow nor copy it, read SNP 0's pairs from it and count
+    # the others on every call; every piece is one combination over one word.
+    n_rows = 6
+    one_row = 4 * n_rows + 17 * n_rows  # the row index and one row
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", 2 * one_row)
     split = PhenotypeSplitDataset.from_dataset(dataset, layout=layout)
-    itemsize = split.control_planes.dtype.itemsize
-    assert _kernels.words_per_pass(order, 1, itemsize) == 1
-    first = np.arange(order)[None, :]
-    combos = _combos(dataset, order)[:40]
+    assert _kernels.words_per_pass(order, 1, split.control_planes.dtype.itemsize) == 1
+    combos = generate_combinations(n_rows, order)
     expected = _oracle(dataset, combos)
     for phenotype_class in (0, 1):
-        planes, _ = split.planes_for_class(phenotype_class)
+        planes = split.planes_for_class(phenotype_class)[0][:n_rows]
         mask = split.padding_mask(phenotype_class)
-        table = split.pair_table(phenotype_class)
-        split_class_counts(planes, mask, first, table)
-        assert len(table) == first_pairs
+        table = PairTable(planes)
+        counts = split_class_counts(planes, mask, combos, table)
+        np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
+        state, held = table._state, len(table)
+        assert table.nbytes == one_row and held == n_rows - 2
         for _ in range(2):
             counts = split_class_counts(planes, mask, combos, table)
             np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
-        assert len(table) == first_pairs
-        assert table.nbytes <= _kernels.KERNEL_BUDGET_BYTES // 2
+        assert table._state is state and len(table) == held
+
+
+def test_pair_table_keeps_the_rows_that_fit():
+    # Rows are added first come, smallest SNP first within a store, up to
+    # the bound; a full table still stores the pairs of its rows, in place.
+    rng = np.random.default_rng(7)
+    n_snps, bound = 50, 4 * 50 + 3 * 17 * 50  # the row index and three rows
+    table = PairTable(np.zeros((n_snps, 2, 1), dtype=np.uint64))
+    rows, expected = [], {}
+    for _ in range(4):
+        pairs = np.stack(np.divmod(rng.choice(n_snps**2, 60, replace=False), n_snps), axis=1)
+        counts = rng.integers(0, 1000, size=(60, 4))
+        rows += sorted(set(pairs[:, 0].tolist()) - set(rows))[: 3 - len(rows)]
+        for pair, count in zip(map(tuple, pairs.tolist()), counts):
+            if pair[0] in rows:
+                expected[pair] = count
+        table.store(pairs, counts, bound)
+    assert table.nbytes == bound and len(table) == len(expected)
+    held = sorted(expected)
+    values, hit = table.lookup(np.array(held))
+    assert hit.all()
+    np.testing.assert_array_equal(values, [expected[pair] for pair in held])
+    absent = [(x, y) for x in (rows[0], max(rows) + 1) for y in range(n_snps)]
+    absent = np.array([pair for pair in absent if pair not in expected])
+    assert not table.lookup(absent)[1].any()
 
 
 def test_tables_of_other_planes_are_not_used(dataset):
@@ -227,14 +259,13 @@ def test_a_second_search_counts_no_new_pair(monkeypatch, order, fused):
     seed = 2 * order + (fused == "on")  # a fresh encoding per case
     dataset = generate_dataset(SyntheticConfig(n_snps=11, n_samples=300, seed=seed))
     counted = []
-    piece = _kernels._split_piece
+    piece = _kernels._pair_piece
 
-    def counting_piece(planes, mask, combos):
-        if combos.shape[1] == 2:  # this search counts pairs only as misses
-            counted.extend(map(tuple, combos.tolist()))
-        return piece(planes, mask, combos)
+    def counting_piece(planes, mask, pairs):
+        counted.extend(map(tuple, pairs.tolist()))
+        return piece(planes, mask, pairs)
 
-    monkeypatch.setattr(_kernels, "_split_piece", counting_piece)
+    monkeypatch.setattr(_kernels, "_pair_piece", counting_piece)
     itemsize = get_approach("cpu-v4").word_layout.dtype().itemsize
     monkeypatch.setattr(  # tiles and pieces of at most 20 combinations
         _kernels, "KERNEL_BUDGET_BYTES", 20 * _kernels.combo_word_bytes(order, itemsize) * 3
@@ -269,6 +300,55 @@ def test_threads_sharing_one_encoding_match_one_thread(order):
     assert [(i.snps, i.score) for i in threaded.top] == [
         (i.snps, i.score) for i in single.top
     ]
+
+
+def test_cached_encodings_fill_their_own_tables(monkeypatch):
+    # Each split encoding the cache keeps fills its own two tables up to
+    # half the budget each: the tables are bounded per encoding, and the
+    # cache bounds how many encodings a process keeps.
+    budget = 8 << 10
+    monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
+    datasets = [
+        generate_dataset(SyntheticConfig(n_snps=24, n_samples=300, seed=seed))
+        for seed in (61, 62, 63)
+    ]
+    approach = get_approach("cpu-v4")
+    ENCODING_CACHE.clear()
+    try:
+        for data in datasets:
+            blocked = EpistasisDetector(approach="cpu-v4", order=3, top_k=5).detect(data)
+            naive = EpistasisDetector(approach="cpu-v1", order=3, top_k=5).detect(data)
+            assert [(i.snps, i.score) for i in blocked.top] == [
+                (i.snps, i.score) for i in naive.top
+            ]
+        assert len(ENCODING_CACHE) == 2 * len(datasets) <= ENCODING_CACHE.max_entries
+        for data in datasets:
+            encoded = ENCODING_CACHE.get_or_build(
+                encoding_cache_key(data, approach), lambda: pytest.fail("evicted")
+            )
+            for phenotype_class in (0, 1):
+                # No room for another row of 17 bytes per SNP.
+                table = encoded.split.pair_table(phenotype_class)
+                assert table.nbytes <= budget // 2 < table.nbytes + 17 * data.n_snps
+    finally:
+        ENCODING_CACHE.clear()
+
+
+def test_pieces_count_singles_of_the_rows_they_use(dataset, monkeypatch):
+    # A rank slice of an encoding popcounts the planes of its own rows only.
+    split = PhenotypeSplitDataset.from_dataset(dataset, layout="u64")
+    popcounted = []
+    popcount = _kernels._popcount
+
+    def counting_popcount(ws, words):
+        popcounted.append(words.shape[:-1])
+        return popcount(ws, words)
+
+    monkeypatch.setattr(_kernels, "_popcount", counting_popcount)
+    combos = generate_combinations(dataset.n_snps, 3)[:5]  # SNP rows 0 to 6
+    counts = split_class_counts(split.control_planes, split.padding_mask(0), combos)
+    np.testing.assert_array_equal(counts, _oracle(dataset, combos)[:, :, 0])
+    assert popcounted == [(2, 7)]
 
 
 @pytest.mark.parametrize("words", (2, None))
