@@ -129,12 +129,16 @@ class ExecutionBackend(ABC):
         control_pairs=None,
         case_pairs=None,
     ) -> np.ndarray:
-        """``(n_combos, 3^k, 2)`` tables from both phenotype classes."""
-        controls = self.split_class_counts(
+        """C-ordered ``(n_combos, 3^k, 2)`` tables from both phenotype classes."""
+        combos = np.asarray(combos)
+        tables = np.empty((combos.shape[0], 3 ** combos.shape[1], 2), dtype=np.int64)
+        tables[..., 0] = self.split_class_counts(
             control_planes, control_mask, combos, pairs=control_pairs
         )
-        cases = self.split_class_counts(case_planes, case_mask, combos, pairs=case_pairs)
-        return np.stack([controls, cases], axis=-1)
+        tables[..., 1] = self.split_class_counts(
+            case_planes, case_mask, combos, pairs=case_pairs
+        )
+        return tables
 
     # -- fused build+score -----------------------------------------------------
     def score_combinations(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.base import ExecutionBackend
-from repro.core.approaches._kernels import naive_tables, split_class_counts
+from repro.core.approaches._kernels import naive_tables, split_class_counts, split_tables
 
 __all__ = ["NumpyBackend"]
 
@@ -44,3 +44,23 @@ class NumpyBackend(ExecutionBackend):
         pairs=None,
     ) -> np.ndarray:
         return split_class_counts(class_planes, padding_mask, combos, pairs)
+
+    def split_tables(
+        self,
+        control_planes: np.ndarray,
+        case_planes: np.ndarray,
+        control_mask: np.ndarray,
+        case_mask: np.ndarray,
+        combos: np.ndarray,
+        control_pairs=None,
+        case_pairs=None,
+    ) -> np.ndarray:
+        return split_tables(
+            control_planes,
+            case_planes,
+            control_mask,
+            case_mask,
+            combos,
+            control_pairs=control_pairs,
+            case_pairs=case_pairs,
+        )

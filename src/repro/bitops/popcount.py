@@ -43,6 +43,10 @@ __all__ = [
 #: Whether the running NumPy exposes ``bitwise_count`` (NumPy >= 2.0).
 HAS_BITWISE_COUNT: bool = hasattr(np, "bitwise_count")
 
+#: Longest last axis :func:`popcount_sum` adds column by column instead of
+#: reducing (see its docstring for the measured crossover).
+COLUMN_SUM_WORDS: int = 16
+
 # ---------------------------------------------------------------------------
 # Lookup table: number of set bits for every 16-bit value.  65536 uint8
 # entries (64 KiB); built once at import time with a vectorised expression.
@@ -99,12 +103,29 @@ def popcount_sum(
     and bit-exact with the two-step form.  ``scratch``, a ``uint8`` array
     of the input's shape, receives the per-word counts instead of a fresh
     array (the kernels pass their workspace).
+
+    A short last axis is summed column by column instead: NumPy's reduce
+    pays a fixed cost per output row (about 20 ns for a 4-word row, whose
+    ``bitwise_count`` takes 3 ns), while one ``int64`` add per word column
+    streams every row at once.  Measured over 16 384 rows (NumPy 2.4,
+    2 vCPUs): column adds win 6-8x at 2 words, 3.4-4.3x at 4, 2.0-2.7x at
+    8 and 1.35-1.6x at 16 words, tie at 24-32 and lose 6x at 128, so
+    axes up to :data:`COLUMN_SUM_WORDS` words take the column path.  That
+    puts the 4-word rows of a 512-sample class on the column side and the
+    128-word rows of the paper's 16 384 samples on the reduce side.
     """
     arr = _as_unsigned(words)
     if arr.dtype not in (np.uint32, np.uint64):
         arr = arr.astype(np.uint32)
     if HAS_BITWISE_COUNT:
-        bound = arr.shape[axis] * arr.dtype.itemsize * 8
+        n_words = arr.shape[axis]
+        if arr.ndim > 1 and axis in (-1, arr.ndim - 1) and 0 < n_words <= COLUMN_SUM_WORDS:
+            counts = np.bitwise_count(arr, out=scratch)
+            total = counts[..., 0].astype(np.int64)
+            for word in range(1, n_words):
+                np.add(total, counts[..., word], out=total)
+            return total
+        bound = n_words * arr.dtype.itemsize * 8
         accumulator = (
             np.uint16 if bound < 2**16 else np.int32 if bound < 2**31 else np.int64
         )

@@ -130,6 +130,8 @@ __all__ = [
     "combo_word_bytes",
     "combos_per_tile",
     "words_per_pass",
+    "claim_bytes",
+    "claim_combos",
     "naive_tables",
     "naive_permutation_tables",
     "split_class_counts",
@@ -280,6 +282,31 @@ def combos_per_tile(order: int, n_words: int, itemsize: int) -> int:
 def words_per_pass(order: int, n_combos: int, itemsize: int) -> int:
     """Words of a kernel piece over a batch of ``n_combos`` combinations."""
     return _budget_count(combo_word_bytes(order, itemsize), n_combos)
+
+
+def claim_bytes(order: int) -> int:
+    """Modelled bytes one combination of an engine claim keeps live.
+
+    Scoring a claim holds, per combination and genotype cell, its
+    two-class ``int64`` table (2 words), one class's ``int64`` kernel
+    counts while they are written into it (1 word) and the objective's
+    three ``float64`` temporaries (K2's first term, second term and the
+    addend of the second): six 8-byte words.  The kernel workspace is not
+    in it: the budget bounds that per piece already.
+    """
+    return 6 * 8 * 3 ** check_order(order)
+
+
+def claim_combos(order: int) -> int:
+    """Combinations of an engine claim whose size the caller left unset.
+
+    A claim holds an eighth of the budget of what it keeps live
+    (:func:`claim_bytes`), so a thread's claim and its workspace (below
+    9/8 of the budget) stay within 5/4 of the budget.  At the default
+    budget that is 5 461 combinations at ``k = 2``, 1 820 at 3, 606 at 4
+    and 202 at 5.
+    """
+    return _budget_count(8 * claim_bytes(order), 1)
 
 
 def _in_budget_pieces(
@@ -665,6 +692,7 @@ def split_class_counts(
     padding_mask: np.ndarray,
     combos: np.ndarray,
     pairs: PairTable | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-class ``3^k`` counts by inclusion–exclusion over a prefix lattice.
 
@@ -700,13 +728,17 @@ def split_class_counts(
     pairs:
         The pair table of exactly these planes (``pairs.planes is
         class_planes``), or ``None``; a table of other planes is not used.
+    out:
+        Optional ``(n_combos, 3^k)`` ``int64`` array (a view such as one
+        class column of a table batch) that receives the counts instead of
+        a fresh C-ordered array.
 
     Returns
     -------
     numpy.ndarray
-        ``(n_combos, 3^k)`` counts for this class, in the canonical
-        big-endian cell order.  The input may be a word slice of the
-        planes: counts add exactly across slices.
+        ``(n_combos, 3^k)`` counts for this class (``out`` when given), in
+        the canonical big-endian cell order.  The input may be a word slice
+        of the planes: counts add exactly across slices.
     """
     combos = np.asarray(combos, dtype=np.int64)
     order = check_order(combos.shape[1])
@@ -725,8 +757,11 @@ def split_class_counts(
     for t in range(order):
         axis = counts.reshape(3**t, 3, 3 ** (order - 1 - t), n_combos)
         axis[:, 2] -= axis[:, 0] + axis[:, 1]
-    # C order: the objectives' float reductions follow the table's layout.
-    return np.ascontiguousarray(counts.T)
+    if out is None:
+        # C order: the objectives' float reductions follow the table's layout.
+        return np.ascontiguousarray(counts.T)
+    out[...] = counts.T
+    return out
 
 
 def _split_piece(
@@ -928,15 +963,25 @@ def split_tables(
     case_mask: np.ndarray,
     combos: np.ndarray,
     counter: OpCounter | None = None,
+    *,
+    control_pairs: PairTable | None = None,
+    case_pairs: PairTable | None = None,
 ) -> np.ndarray:
     """Phenotype-split frequency-table construction (approaches V2–V4).
 
-    Returns ``(n_combos, 3^k, 2)`` tables: column 0 from the control planes,
-    column 1 from the case planes.
+    Returns C-ordered ``(n_combos, 3^k, 2)`` tables: column 0 from the
+    control planes, column 1 from the case planes.  Each class's counts are
+    written straight into their column, so no per-class copy outlives its
+    kernel call.  ``control_pairs`` and ``case_pairs`` are the classes'
+    pair tables, as in :func:`split_class_counts`.
     """
     combos = np.asarray(combos, dtype=np.int64)
-    controls = split_class_counts(control_planes, control_mask, combos)
-    cases = split_class_counts(case_planes, case_mask, combos)
+    order = check_order(combos.shape[1])
+    tables = np.empty((combos.shape[0], 3**order, 2), dtype=np.int64)
+    split_class_counts(
+        control_planes, control_mask, combos, control_pairs, out=tables[..., 0]
+    )
+    split_class_counts(case_planes, case_mask, combos, case_pairs, out=tables[..., 1])
     if counter is not None:
         n_words_total = control_planes.shape[2] + case_planes.shape[2]
         charge_split_ops(
@@ -946,4 +991,4 @@ def split_tables(
             combos.shape[1],
             word_ratio=_paper_word_ratio(control_planes),
         )
-    return np.stack([controls, cases], axis=-1)
+    return tables

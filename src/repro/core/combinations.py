@@ -21,6 +21,7 @@ partitioning) and the GPU launch scheduler carve the space.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -42,6 +43,24 @@ __all__ = [
 #: Largest combination-space size the vectorised ``int64`` unranking can
 #: address; larger spaces fall back to the arbitrary-precision scalar path.
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+@lru_cache(maxsize=32)
+def _suffix_counts(n_snps: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``suffix[c] = C(M - c, slots)`` for ``c`` in ``0 .. M + 1``, and ``-suffix``.
+
+    The combinations of the remaining ``slots`` positions drawn entirely
+    from ``{c, ..., M-1}`` (non-increasing in ``c``).  Built once per
+    ``(n_snps, slots)`` with one Python ``comb`` per SNP and kept
+    read-only, so an engine chunk unranks with NumPy work alone.
+    """
+    suffix = np.array(
+        [comb(max(n_snps - c, 0), slots) for c in range(n_snps + 2)], dtype=np.int64
+    )
+    negated = -suffix
+    suffix.setflags(write=False)
+    negated.setflags(write=False)
+    return suffix, negated
 
 
 def combination_count(n_snps: int, order: int = 3) -> int:
@@ -144,11 +163,7 @@ def combination_ranks(combos: np.ndarray, n_snps: int) -> np.ndarray:
     ranks = np.zeros(n, dtype=np.int64)
     prev = np.full(n, -1, dtype=np.int64)
     for t in range(order):
-        slots = order - t
-        suffix = np.array(
-            [comb(max(n_snps - c, 0), slots) for c in range(n_snps + 2)],
-            dtype=np.int64,
-        )
+        suffix, _ = _suffix_counts(n_snps, order - t)
         c = combos[:, t]
         ranks += suffix[prev + 1] - suffix[c]
         prev = c
@@ -219,17 +234,12 @@ def combinations_from_ranks(
     prev = np.full(ranks.size, -1, dtype=np.int64)
     remaining = ranks.copy()
     for t in range(order):
-        slots = order - t  # positions still to fill, including this one
-        # suffix[c] = C(M - c, slots): combinations of the remaining slots
-        # drawn entirely from {c, ..., M-1}.  Non-increasing in c.
-        suffix = np.array(
-            [comb(max(n_snps - c, 0), slots) for c in range(n_snps + 2)],
-            dtype=np.int64,
-        )
+        # Positions still to fill, including this one.
+        suffix, negated = _suffix_counts(n_snps, order - t)
         target = suffix[prev + 1] - remaining
         # Largest c with suffix[c] >= target  <=>  last index of the
         # non-decreasing array -suffix that is <= -target.
-        c = np.searchsorted(-suffix, -target, side="right") - 1
+        c = np.searchsorted(negated, -target, side="right") - 1
         remaining -= suffix[prev + 1] - suffix[c]
         out[:, t] = c
         prev = c

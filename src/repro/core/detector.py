@@ -53,7 +53,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.approaches import APPROACHES, Approach, get_approach
-from repro.core.approaches._kernels import check_order
+from repro.core.approaches._kernels import check_order, claim_combos
 from repro.core.contingency import validate_tables
 from repro.core.encoding_cache import ENCODING_CACHE, encoding_cache_key
 from repro.core.result import ApproachStats, DetectionResult
@@ -73,6 +73,10 @@ from repro.engine import (
 )
 
 __all__ = ["DetectorConfig", "EpistasisDetector"]
+
+#: Claims every thread of a multi-threaded plan gets at least when the
+#: detector sizes them, so dynamic scheduling can still even the threads out.
+CLAIMS_PER_THREAD = 4
 
 
 @dataclass
@@ -105,10 +109,14 @@ class DetectorConfig:
         lanes a single launch-stream thread; a default (``devices=None``)
         plan keeps ``n_workers`` on whatever lane the approach targets.
     chunk_size:
-        Combinations per scheduler chunk (the unit of dynamic scheduling and
-        of the vectorised kernel batch), or ``"auto"``: each worker then
-        tunes its own claim size from measured per-chunk throughput within
-        per-device-lane bounds (:mod:`repro.engine.autotune`).
+        Combinations per scheduler chunk (the claim: the unit of dynamic
+        scheduling and of the vectorised kernel batch), ``"auto"``: each
+        worker then tunes its own claim size from measured per-chunk
+        throughput within per-device-lane bounds
+        (:mod:`repro.engine.autotune`), or ``None`` (default): each search
+        sizes its claims from the kernel byte budget for its order
+        (:func:`~repro.core.approaches._kernels.claim_combos`), at most a
+        quarter of each thread's share when several threads run.
     top_k:
         Number of best interactions kept in the result.
     word_layout:
@@ -168,7 +176,7 @@ class DetectorConfig:
     objective: str | ObjectiveFunction = "k2"
     order: int = 3
     n_workers: int = 1
-    chunk_size: int | str = 2048
+    chunk_size: int | str | None = None
     top_k: int = 10
     validate: bool = False
     devices: str | None = None
@@ -208,7 +216,7 @@ class DetectorConfig:
                     f"chunk_size must be a positive integer or 'auto'; "
                     f"got {self.chunk_size!r}"
                 )
-        elif self.chunk_size < 1:
+        elif self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         if self.top_k < 1:
             raise ValueError("top_k must be positive")
@@ -232,7 +240,7 @@ class EpistasisDetector:
         *,
         order: int = 3,
         n_workers: int = 1,
-        chunk_size: int | str = 2048,
+        chunk_size: int | str | None = None,
         top_k: int = 10,
         validate: bool = False,
         devices: str | None = None,
@@ -421,24 +429,38 @@ class EpistasisDetector:
             prepare(dataset)
 
     # -- execution-plan assembly ---------------------------------------------------
-    def engine_devices(self) -> List[EngineDevice]:
+    def engine_devices(self, source: CandidateSource | None = None) -> List[EngineDevice]:
         """The resolved engine device lanes this detector's plans run on.
 
         Public so orchestration layers (the staged pipeline's per-stage cost
         reports) can price work against the same lanes the executor uses.
+        An unset ``chunk_size`` becomes budget-sized claims for ``source``'s
+        order (the configured order without a source); when the lanes run
+        several threads, a claim is at most ``1/CLAIMS_PER_THREAD`` of each
+        thread's share of ``source``.
         """
         cfg = self.config
         if cfg.devices is None:
-            return [
+            lanes = [
                 EngineDevice(
                     kind=self._prototype.device,
                     n_workers=cfg.n_workers,
                     chunk_size=cfg.chunk_size,
                 )
             ]
-        return parse_devices(
-            cfg.devices, n_workers=cfg.n_workers, chunk_size=cfg.chunk_size
-        )
+        else:
+            lanes = parse_devices(
+                cfg.devices, n_workers=cfg.n_workers, chunk_size=cfg.chunk_size
+            )
+        if cfg.chunk_size is None:
+            claim = claim_combos(source.order if source is not None else cfg.order)
+            threads = sum(lane.n_workers for lane in lanes)
+            if threads > 1 and source is not None:
+                share = -(-source.total // (CLAIMS_PER_THREAD * threads))
+                claim = min(claim, max(1, share))
+            for lane in lanes:
+                lane.chunk_size = claim
+        return lanes
 
     def _build_policy(
         self, dataset: GenotypeDataset, source: CandidateSource
@@ -710,7 +732,7 @@ class EpistasisDetector:
         total = source.total
         with span_or_null("plan", total=total):
             self._prepare_objective(dataset)
-            devices = self.engine_devices()
+            devices = self.engine_devices(source)
             policy = self._build_policy(dataset, source)
             plan = ExecutionPlan(
                 source=source, devices=devices, policy=policy, top_k=cfg.top_k

@@ -121,7 +121,9 @@ class _TableObjective:
 
     @staticmethod
     def _check(tables: np.ndarray) -> np.ndarray:
-        arr = np.asarray(tables, dtype=np.float64)
+        # C order: float reductions follow the memory layout, so a
+        # Fortran-ordered or strided batch would otherwise score an ulp off.
+        arr = np.ascontiguousarray(tables, dtype=np.float64)
         if arr.ndim < 2 or arr.shape[-1] != 2:
             raise ValueError(
                 f"tables must have shape (..., n_cells, 2); got {arr.shape}"
@@ -199,13 +201,23 @@ class K2Score(_TableObjective):
             and arr.shape[-1] == 2
             and arr.size
         ):
-            row_totals = arr.sum(axis=-1)  # r_i
-            if int(arr.min()) >= 0 and int(row_totals.max()) + 1 < logfact.size:
+            # C order, so the cell sum below reduces along contiguous rows.
+            arr = np.ascontiguousarray(arr)
+            controls, cases = arr[..., 0], arr[..., 1]
+            # The two classes are added as columns: a reduce over the
+            # length-2 class axis pays NumPy's per-row cost for one add.
+            totals = controls + cases  # r_i
+            if int(arr.min()) >= 0 and int(totals.max()) + 1 < logfact.size:
+                totals += 1
                 # sum_{b=1}^{r_i+1} log b = log((r_i + 1)!) — one table probe
-                first = logfact[row_totals + 1]
-                # sum_j sum_{d=1}^{r_ij} log d = sum_j log(r_ij!)
-                second = logfact[arr].sum(axis=-1)
-                return (first - second).sum(axis=-1)
+                first = logfact[totals]
+                del totals
+                # sum_j sum_{d=1}^{r_ij} log d = log(r_i0!) + log(r_i1!),
+                # the same two-term sum a reduce over the class axis makes
+                second = logfact[controls]
+                second += logfact[cases]
+                first -= second
+                return first.sum(axis=-1)
         arr = self._check(tables)
         row_totals = arr.sum(axis=-1)  # r_i
         # sum_{b=1}^{r_i+1} log b = gammaln(r_i + 2)

@@ -91,7 +91,7 @@ class WorkerPayload:
     approach: str
     objective: object = "k2"
     n_threads: int = 1
-    chunk_size: int | str = 2048  # an int, or "auto" for the chunk autotuner
+    chunk_size: int | str | None = None  # an int, "auto" (autotuner) or None (budget)
     top_k: int = 10
     validate: bool = False
     devices: str | None = None

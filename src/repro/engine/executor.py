@@ -161,6 +161,11 @@ class HeterogeneousExecutor:
                     "a scorer kernel requires the plan to carry a candidate source"
                 )
             evaluate = source_evaluator(plan.source, scorer)
+        if any(d.chunk_size is None for d in plan.devices):
+            raise ValueError(
+                "every device lane needs a chunk_size (an integer or 'auto'); "
+                "EpistasisDetector sizes unset claims from the kernel byte budget"
+            )
         assignments = plan.policy.assign(plan.total, plan.devices)
         labels = plan.device_labels()
 

@@ -45,10 +45,13 @@ class EngineDevice:
         runs one worker per core.
     chunk_size:
         Work items per claimed chunk on this lane (the unit of dynamic
-        scheduling and of the vectorised kernel batch), or the string
+        scheduling and of the vectorised kernel batch), the string
         ``"auto"`` to let each worker of the lane tune its claim size from
         measured per-chunk throughput
-        (:mod:`repro.engine.autotune`).
+        (:mod:`repro.engine.autotune`), or ``None`` (unset) for whoever
+        builds the plan to size: the detector sizes unset claims from the
+        kernel byte budget (``EpistasisDetector.engine_devices``), and a
+        plan cannot run a lane left unset.
     catalog_key:
         Optional Table I/II key (``"CI3"``, ``"GN4"``, ...) identifying the
         modelled hardware; the CARM-ratio policy uses it to estimate the
@@ -58,7 +61,7 @@ class EngineDevice:
 
     kind: str = "cpu"
     n_workers: int = 1
-    chunk_size: int | str = 2048
+    chunk_size: int | str | None = None
     catalog_key: str | None = None
 
     def __post_init__(self) -> None:
@@ -74,7 +77,7 @@ class EngineDevice:
                     f"chunk_size must be a positive integer or 'auto'; "
                     f"got {self.chunk_size!r}"
                 )
-        elif self.chunk_size < 1:
+        elif self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
 
     @property
@@ -94,7 +97,7 @@ class EngineDevice:
 def parse_devices(
     spec: str,
     n_workers: int = 1,
-    chunk_size: int | str = 2048,
+    chunk_size: int | str | None = None,
     gpu_workers: int = 1,
 ) -> List[EngineDevice]:
     """Parse a CLI-style device expression into engine device lanes.

@@ -95,6 +95,15 @@ class TopKHeap:
             raise ValueError("combos and scores must have the same length")
         if combos.shape[0] == 0:
             return
+        if combos.shape[0] > self.k:
+            # Only rows scoring at or below the batch's k-th score can be in
+            # its top-k; ties with the k-th score stay, so the total order
+            # below still decides among them.  A NaN k-th score (fewer than
+            # k numbers: NaN sorts last) keeps every row.
+            kth = np.partition(scores, self.k - 1)[self.k - 1]
+            if not np.isnan(kth):
+                keep = np.flatnonzero(scores <= kth)
+                combos, scores = combos[keep], scores[keep]
         # Select the batch top-k under the total order (score, snps): the
         # last lexsort key is the primary one, then the SNP columns left to
         # right.  A plain stable argsort on the scores would break ties by

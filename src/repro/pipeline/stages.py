@@ -77,7 +77,7 @@ class PipelineDefaults:
     devices: str | None = None
     schedule: str | SchedulingPolicy = "dynamic"
     n_workers: int = 1
-    chunk_size: int | str = 2048
+    chunk_size: int | str | None = None
     top_k: int = 10
     validate: bool = False
     word_layout: str | None = None
