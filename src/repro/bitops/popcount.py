@@ -44,8 +44,10 @@ __all__ = [
 HAS_BITWISE_COUNT: bool = hasattr(np, "bitwise_count")
 
 #: Longest last axis :func:`popcount_sum` adds column by column instead of
-#: reducing (see its docstring for the measured crossover).
+#: reducing, and the rows per word such a call needs (see its docstring for
+#: the measured crossovers).
 COLUMN_SUM_WORDS: int = 16
+COLUMN_SUM_ROWS_PER_WORD: int = 128
 
 # ---------------------------------------------------------------------------
 # Lookup table: number of set bits for every 16-bit value.  65536 uint8
@@ -112,14 +114,22 @@ def popcount_sum(
     8 and 1.35-1.6x at 16 words, tie at 24-32 and lose 6x at 128, so
     axes up to :data:`COLUMN_SUM_WORDS` words take the column path.  That
     puts the 4-word rows of a 512-sample class on the column side and the
-    128-word rows of the paper's 16 384 samples on the reduce side.
+    128-word rows of the paper's 16 384 samples on the reduce side.  Each
+    column costs a ufunc call (about 1.5 us), so a call also needs
+    :data:`COLUMN_SUM_ROWS_PER_WORD` rows per word: the column path broke
+    even at about 150 rows of 4 words, 800 of 8 and 1 500 of 16.
     """
     arr = _as_unsigned(words)
     if arr.dtype not in (np.uint32, np.uint64):
         arr = arr.astype(np.uint32)
     if HAS_BITWISE_COUNT:
         n_words = arr.shape[axis]
-        if arr.ndim > 1 and axis in (-1, arr.ndim - 1) and 0 < n_words <= COLUMN_SUM_WORDS:
+        if (
+            arr.ndim > 1
+            and axis in (-1, arr.ndim - 1)
+            and 0 < n_words <= COLUMN_SUM_WORDS
+            and arr.size >= COLUMN_SUM_ROWS_PER_WORD * n_words**2
+        ):
             counts = np.bitwise_count(arr, out=scratch)
             total = counts[..., 0].astype(np.int64)
             for word in range(1, n_words):

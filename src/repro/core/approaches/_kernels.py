@@ -756,7 +756,9 @@ def split_class_counts(
         counts[plan["pair_cells"]] = values.reshape(n_combos, -1).T
     for t in range(order):
         axis = counts.reshape(3**t, 3, 3 ** (order - 1 - t), n_combos)
-        axis[:, 2] -= axis[:, 0] + axis[:, 1]
+        # Two in-place subtractions: exact, and no temporary block.
+        axis[:, 2] -= axis[:, 0]
+        axis[:, 2] -= axis[:, 1]
     if out is None:
         # C order: the objectives' float reductions follow the table's layout.
         return np.ascontiguousarray(counts.T)
@@ -783,16 +785,22 @@ def _split_piece(
     counts[plan["pair_cells"]] = 0
     with ws.scratch():
         # Singles of the rows the piece uses: a rank slice of a wide
-        # encoding uses few of its rows.
+        # encoding uses few of its rows.  Each position's two counts are
+        # taken straight into their cells.
         used = np.zeros(class_planes.shape[0], dtype=bool)
         used[combos] = True
         rows = np.flatnonzero(used)
         if rows.size == used.size:
-            singles = _popcount(ws, class_planes)[combos]
+            singles, local = _popcount(ws, class_planes), combos
         else:
             singles = _popcount(ws, _gather_planes(ws, class_planes, rows)).T
-            singles = singles[(np.cumsum(used) - 1)[combos]]
-    counts[plan["singles"]] = singles.reshape(n_combos, 2 * order).T
+            local = np.take(np.cumsum(used) - 1, combos)
+        cells = plan["singles"]
+        for t in range(order):
+            for bit in (0, 1):
+                np.take(
+                    singles[:, bit], local[:, t], out=counts[cells[2 * t + bit]], mode="clip"
+                )
     if n_combos:
         with ws.scratch():
             _prefix_lattice(ws, class_planes, combos, counts, plan["prefixes"])

@@ -203,21 +203,17 @@ class K2Score(_TableObjective):
         ):
             # C order, so the cell sum below reduces along contiguous rows.
             arr = np.ascontiguousarray(arr)
-            controls, cases = arr[..., 0], arr[..., 1]
-            # The two classes are added as columns: a reduce over the
-            # length-2 class axis pays NumPy's per-row cost for one add.
-            totals = controls + cases  # r_i
-            if int(arr.min()) >= 0 and int(totals.max()) + 1 < logfact.size:
-                totals += 1
-                # sum_{b=1}^{r_i+1} log b = log((r_i + 1)!) — one table probe
-                first = logfact[totals]
-                del totals
-                # sum_j sum_{d=1}^{r_ij} log d = log(r_i0!) + log(r_i1!),
-                # the same two-term sum a reduce over the class axis makes
-                second = logfact[controls]
-                second += logfact[cases]
-                first -= second
-                return first.sum(axis=-1)
+            rows = arr.reshape(-1, arr.shape[-2], 2)
+            scores = np.empty(rows.shape[0], dtype=np.float64)
+            step = max(1, _K2_BLOCK_BYTES // (8 * rows.shape[1]))
+            if int(arr.min()) >= 0:
+                for start in range(0, rows.shape[0], step):
+                    block = _k2_rows(logfact, rows[start : start + step])
+                    if block is None:
+                        break  # a count outside the table: the gammaln path
+                    scores[start : start + step] = block
+                else:
+                    return scores.reshape(arr.shape[:-2])
         arr = self._check(tables)
         row_totals = arr.sum(axis=-1)  # r_i
         # sum_{b=1}^{r_i+1} log b = gammaln(r_i + 2)
@@ -225,6 +221,35 @@ class K2Score(_TableObjective):
         # sum_j sum_{d=1}^{r_ij} log d = sum_j gammaln(r_ij + 1)
         second = gammaln(arr + 1.0).sum(axis=-1)
         return (first - second).sum(axis=-1)
+
+
+#: Bytes of each of K2's float64 temporaries per block of table rows: a
+#: block's temporaries stay in cache and below glibc's mmap threshold, so
+#: scoring a large batch neither spills nor churns fresh pages.
+_K2_BLOCK_BYTES = 2**17
+
+
+def _k2_rows(logfact: np.ndarray, tables: np.ndarray) -> np.ndarray | None:
+    """K2 scores of C-ordered, non-negative integer ``(n, cells, 2)``
+    tables, or ``None`` when a row total is outside ``logfact``.
+
+    The two classes are added as columns: a reduce over the length-2 class
+    axis pays NumPy's per-row cost for one add.
+    """
+    controls, cases = tables[..., 0], tables[..., 1]
+    totals = controls + cases  # r_i
+    if int(totals.max()) + 1 >= logfact.size:
+        return None
+    totals += 1
+    # sum_{b=1}^{r_i+1} log b = log((r_i + 1)!) — one table probe
+    first = logfact[totals]
+    del totals
+    # sum_j sum_{d=1}^{r_ij} log d = log(r_i0!) + log(r_i1!), the same
+    # two-term sum a reduce over the class axis makes
+    second = logfact[controls]
+    second += logfact[cases]
+    first -= second
+    return first.sum(axis=-1)
 
 
 class MutualInformationScore(_TableObjective):
