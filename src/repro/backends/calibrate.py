@@ -55,8 +55,11 @@ STORE_PATH_ENV = "REPRO_CALIBRATION_PATH"
 #: version-2 ``numpy`` records underprice the CPU lanes.  Version 4: the
 #: NumPy split kernel builds each prefix's planes once per run of
 #: combinations and counts each pair once per call, so version-3 ``numpy``
-#: split records underprice it too.
-STORE_VERSION = 4
+#: split records underprice it too.  Version 5: the probe scores through
+#: K2, which now adds the two class columns instead of reducing over them,
+#: and ``popcount_sum`` adds short word axes column by column, so version-4
+#: records underprice the fused probes.
+STORE_VERSION = 5
 
 #: Probe shape: small enough to calibrate in well under a second per
 #: backend, large enough that per-call dispatch overhead is amortised.

@@ -45,7 +45,8 @@ per budget-sized piece.
 The kernels are fully vectorised over a batch of SNP k-tuples: each cell
 is one elementwise AND over plane-major ``(batch, words)`` blocks, and the
 per-word population counts are reduced with
-:func:`repro.bitops.popcount.popcount_sum` — the kernels accept planes in
+:func:`repro.bitops.popcount.popcount_sum` (which adds the word columns of
+a short word axis instead of reducing each row) — the kernels accept planes in
 either machine-word layout (``uint32`` or ``uint64``; the wide layout
 halves the element count of every AND/POPCNT).  Both kernels are bit-exact
 with the :func:`repro.core.contingency.contingency_oracle` construction
@@ -87,8 +88,15 @@ A piece carves at most 1.07x the budget from the workspace (the naïve
 kernel at ``k = 2`` on ``uint32`` words; the split kernel stays below
 half of it whether its prefix runs are long or one row each), so a
 thread's workspace stays below 9/8 of the budget plus 4 KiB for the
-thread's life.  The pair tables are bounded per encoding, not per
-process: each class's table adds rows (17 bytes per SNP) while it holds
+thread's life.  The engine's claims, when a search leaves their size
+unset, come from the same budget (:func:`claim_combos`): a claim holds
+an eighth of it of what scoring keeps live per combination
+(:func:`claim_bytes`), so short word axes, where each claim is one
+kernel call, pay a call's fixed costs once per 5 461 pairs instead of
+once per 2 048.  A split call writes each class's counts straight into
+its table column and derives genotype 2 in place.  The pair tables are
+bounded per encoding, not per process: each class's table adds rows
+(17 bytes per SNP) while it holds
 at most half the budget, so an encoding's two tables stay within one
 budget, and a process holds at most one budget of tables per split
 encoding it keeps alive (the encoding cache keeps at most eight; see
@@ -289,10 +297,11 @@ def claim_bytes(order: int) -> int:
 
     Scoring a claim holds, per combination and genotype cell, its
     two-class ``int64`` table (2 words), one class's ``int64`` kernel
-    counts while they are written into it (1 word) and the objective's
-    three ``float64`` temporaries (K2's first term, second term and the
-    addend of the second): six 8-byte words.  The kernel workspace is not
-    in it: the budget bounds that per piece already.
+    counts while they are written into it (1 word) and three ``float64``
+    objective temporaries (K2's first term, second term and the addend of
+    the second; K2 holds them for one block of rows at a time, the other
+    objectives for the whole batch): six 8-byte words.  The kernel
+    workspace is not in it: the budget bounds that per piece already.
     """
     return 6 * 8 * 3 ** check_order(order)
 

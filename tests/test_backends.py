@@ -169,6 +169,39 @@ class TestNumpyOracle:
         np.testing.assert_array_equal(tables, _oracle(odd_sample_dataset, combos))
 
 
+@pytest.mark.parametrize("budget", [None, 4096])
+@pytest.mark.parametrize("layout", ["u32", "u64"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_numpy_results_are_c_ordered(odd_sample_dataset, monkeypatch, order, layout, budget):
+    # Objectives reduce in the tables' memory order: every kernel result
+    # comes back C-contiguous, whole calls and budget-cut pieces alike.
+    from repro.core.approaches import _kernels
+
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "KERNEL_BUDGET_BYTES", budget)
+    backend = get_backend("numpy")
+    combos = generate_combinations(odd_sample_dataset.n_snps, order)[:150]
+    split = PhenotypeSplitDataset.from_dataset(odd_sample_dataset, layout=layout)
+    results = [
+        _naive_result(backend, odd_sample_dataset, combos, layout),
+        backend.split_class_counts(
+            split.control_planes, split.padding_mask(0), combos, pairs=split.pair_table(0)
+        ),
+        backend.split_tables(
+            split.control_planes,
+            split.case_planes,
+            split.padding_mask(0),
+            split.padding_mask(1),
+            combos,
+            control_pairs=split.pair_table(0),
+            case_pairs=split.pair_table(1),
+        ),
+    ]
+    for result in results:
+        assert result.flags.c_contiguous
+    np.testing.assert_array_equal(results[2], _oracle(odd_sample_dataset, combos))
+
+
 @needs_numba
 @pytest.mark.parametrize("layout", ["u32", "u64"])
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -301,6 +334,20 @@ class TestCalibrationStore:
         path.write_text(
             json.dumps(
                 {"version": 3, "records": {record.fingerprint: asdict(record)}}
+            )
+        )
+        store = CalibrationStore(path)
+        assert len(store) == 0
+        assert store.lookup("numpy", "2.0.0", "split", 3, "u64") is None
+
+    def test_version_4_store_reads_empty(self, tmp_path):
+        # Version-4 records timed the fused probe through a K2 that reduced
+        # over the class axis; the column-add K2 scores faster.
+        path = tmp_path / "calib.json"
+        record = _record()
+        path.write_text(
+            json.dumps(
+                {"version": 4, "records": {record.fingerprint: asdict(record)}}
             )
         )
         store = CalibrationStore(path)

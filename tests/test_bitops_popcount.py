@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitops.popcount import (
+    COLUMN_SUM_ROWS_PER_WORD,
     HAS_BITWISE_COUNT,
+    popcount,
+    popcount_sum,
     popcount32,
     popcount64,
     popcount_lut,
     popcount_reduce,
     scalar_popcount,
 )
+
+# The package re-exports the function ``popcount`` under the module's name.
+popcount_module = importlib.import_module("repro.bitops.popcount")
 
 
 class TestScalarPopcount:
@@ -108,3 +116,52 @@ class TestPopcountReduce:
 def test_hardware_popcount_available():
     """NumPy >= 2.0 is installed offline, so the fast path must be active."""
     assert HAS_BITWISE_COUNT
+
+
+@pytest.mark.skipif(not HAS_BITWISE_COUNT, reason="needs np.bitwise_count")
+class TestPopcountSumColumns:
+    """Short last axes are summed column by column; the counts must match
+    the reduce (forced by a zero column bound) and the two-step form."""
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    @pytest.mark.parametrize("n_words", range(1, 41))
+    def test_matches_reduce(self, rng, monkeypatch, dtype, n_words):
+        rows = COLUMN_SUM_ROWS_PER_WORD * n_words + 3
+        words = rng.integers(0, 2**63, size=(rows, n_words), dtype=np.uint64).astype(dtype)
+        expected = popcount(words).sum(axis=-1)
+        outputs = [
+            popcount_sum(words),
+            popcount_sum(words, scratch=np.empty(words.shape, np.uint8)),
+        ]
+        monkeypatch.setattr(popcount_module, "COLUMN_SUM_WORDS", 0)
+        outputs.append(popcount_sum(words))
+        for out in outputs:
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_other_axes_and_few_rows(self, rng, dtype):
+        words = rng.integers(0, 2**63, size=(3, 5000, 4), dtype=np.uint64).astype(dtype)
+        for axis in (0, 1, -1, 2):
+            np.testing.assert_array_equal(
+                popcount_sum(words, axis=axis), popcount(words).sum(axis=axis)
+            )
+        few = words[0, :7]  # below the rows-per-word floor: the reduce
+        np.testing.assert_array_equal(popcount_sum(few), popcount(few).sum(axis=-1))
+        np.testing.assert_array_equal(popcount_sum(words[0, 0]), popcount(words[0, 0]).sum())
+
+    def test_column_path_taken_on_short_axes(self, rng, monkeypatch):
+        words = rng.integers(0, 2**63, size=(4096, 4), dtype=np.uint64)
+        adds = []
+        real_add = np.add
+
+        def counting_add(*args, **kwargs):
+            adds.append(args[0].shape)
+            return real_add(*args, **kwargs)
+
+        monkeypatch.setattr(popcount_module.np, "add", counting_add)
+        popcount_sum(words)
+        assert adds == [(4096,)] * 3  # one add per word column after the first
+        adds.clear()
+        popcount_sum(rng.integers(0, 2**63, size=(4096, 32), dtype=np.uint64))
+        assert adds == []  # a long axis keeps the reduce

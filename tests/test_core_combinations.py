@@ -15,6 +15,7 @@ from repro.core.combinations import (
     combination_count,
     combination_from_rank,
     combination_rank,
+    combination_ranks,
     combinations_from_ranks,
     combinations_in_block_triple,
     generate_combinations,
@@ -127,6 +128,29 @@ class TestVectorizedUnranking:
             combinations_from_ranks(np.array([comb(10, 3)]), 10, 3)
         with pytest.raises(ValueError):
             combinations_from_ranks(np.array([[0, 1]]), 10, 3)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_suffix_tables_built_once(self, order):
+        # The per-position suffix tables are built once per (n_snps, slots)
+        # and kept read-only: a second call (either direction) builds none.
+        from repro.core.combinations import _suffix_counts
+
+        n = 37
+        _suffix_counts.cache_clear()
+        ranks = np.arange(0, comb(n, order), 97)
+        first = combinations_from_ranks(ranks, n, order)
+        built = _suffix_counts.cache_info().misses
+        assert built == order
+        again = combinations_from_ranks(ranks, n, order)
+        ranked = combination_ranks(first, n)
+        assert _suffix_counts.cache_info().misses == built
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(ranked, ranks)
+        expected = list(itertools_combinations(range(n), order))
+        assert [tuple(row) for row in first] == [expected[r] for r in ranks]
+        suffix, negated = _suffix_counts(n, order)
+        assert not suffix.flags.writeable and not negated.flags.writeable
+        np.testing.assert_array_equal(negated, -suffix)
 
 
 class TestGenerateCombinations:

@@ -170,3 +170,87 @@ class TestRegistry:
         tables = rng.integers(0, 5, size=(3, 27, 2))
         k2 = K2Score()
         assert np.array_equal(k2(tables), k2.score(tables))
+
+
+class _Samples:
+    """Stand-in dataset for ``K2Score.prepare``: only the sample count matters."""
+
+    def __init__(self, n_samples: int) -> None:
+        self.n_samples = n_samples
+
+
+def _k2_class_reduce(logfact: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The K2 table path as it was: sums over the length-2 class axis."""
+    totals = tables.sum(axis=-1)
+    return (logfact[totals + 1] - logfact[tables].sum(axis=-1)).sum(axis=-1)
+
+
+def _count_tables(rng, kind: str, n: int, cells: int, n_samples: int) -> np.ndarray:
+    """``(n, cells, 2)`` tables of ``n_samples`` samples each: random, all
+    zero, or every sample of each class in one cell (the table's largest
+    counts)."""
+    if kind == "zero":
+        return np.zeros((n, cells, 2), dtype=np.int64)
+    tables = np.zeros((n, cells, 2), dtype=np.int64)
+    if kind == "full":
+        tables[:, rng.integers(0, cells), 0] = n_samples // 2
+        tables[:, rng.integers(0, cells), 1] = n_samples - n_samples // 2
+        return tables
+    for column, size in ((0, n_samples // 2), (1, n_samples - n_samples // 2)):
+        cell = rng.integers(0, cells, size=(n, size))
+        for row in range(n):
+            tables[row, :, column] = np.bincount(cell[row], minlength=cells)
+    return tables
+
+
+class TestK2ColumnSum:
+    """K2 adds the two class columns instead of reducing over them, in row
+    blocks; every score bit must match the previous formula and scipy."""
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "full"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_bit_identical(self, rng, order, kind):
+        n_samples = 301
+        k2 = K2Score()
+        k2.prepare(_Samples(n_samples))
+        n = 40 if order < 4 else 12
+        tables = _count_tables(rng, kind, n, 3**order, n_samples)
+        scores = k2.score(tables)
+        assert scores.tobytes() == _k2_class_reduce(k2._logfact, tables).tobytes()
+        assert scores.tobytes() == K2Score(precompute=False).score(tables).tobytes()
+
+    def test_blocks_and_leading_axes(self, rng):
+        # 5 000 pair tables span several row blocks; leading axes reshape.
+        k2 = K2Score()
+        k2.prepare(_Samples(120))
+        tables = _count_tables(rng, "random", 5000, 9, 120)
+        expected = _k2_class_reduce(k2._logfact, tables)
+        assert k2.score(tables).tobytes() == expected.tobytes()
+        batched = k2.score(tables.reshape(10, 500, 9, 2))
+        assert batched.shape == (10, 500)
+        assert batched.reshape(-1).tobytes() == expected.tobytes()
+
+    def test_counts_beyond_the_table_take_scipy(self, rng):
+        # Blocks scored before a count outside the log-factorial table
+        # are rescored by the gammaln path: same bits either way.
+        k2 = K2Score()
+        k2.prepare(_Samples(60))
+        tables = _count_tables(rng, "random", 5000, 9, 60)
+        tables[-1, 0, 0] = 500
+        expected = K2Score(precompute=False).score(tables)
+        assert k2.score(tables).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_scores_do_not_depend_on_table_layout(rng, name):
+    # Float reductions follow memory order, so Fortran-ordered and strided
+    # tables are scored as C-ordered copies.
+    objective = get_objective(name)
+    objective.prepare(_Samples(400))
+    tables = _count_tables(rng, "random", 220, 27, 400)
+    expected = objective.score(tables).tobytes()
+    strided = np.zeros((220, 27, 4), dtype=np.int64)[..., ::2]
+    strided[...] = tables
+    for layout in (np.asfortranarray(tables), strided, np.asfortranarray(tables.astype(float))):
+        assert not layout.flags.c_contiguous
+        assert objective.score(layout).tobytes() == expected

@@ -211,3 +211,59 @@ class TestSyntheticProperties:
             )
         )
         assert ds.n_cases == int(round(case_fraction * n_samples))
+
+
+class TestTopKPrefilter:
+    """``TopKHeap.push_batch`` selects each batch's top-k among the rows
+    scoring at or below its k-th score; the heap must equal the one a full
+    lexsort of every batch builds, ties, NaN and signed zeros included."""
+
+    @staticmethod
+    def _full_sort_heap(k, batches):
+        import heapq
+
+        from repro.core.result import Interaction
+
+        items = []
+        for combos, scores in batches:
+            keys = tuple(combos[:, col] for col in range(combos.shape[1] - 1, -1, -1))
+            order = np.lexsort(keys + (scores,))[:k]
+            candidates = [
+                Interaction(snps=tuple(int(s) for s in combos[i]), score=float(scores[i]))
+                for i in order
+            ]
+            items = heapq.nsmallest(k, items + candidates)
+        return items
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        batches=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 30),
+                    st.sampled_from([-1.5, -0.0, 0.0, 0.0, 2.0, 2.0, float("nan")]),
+                ),
+                min_size=1,
+                max_size=40,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_matches_full_lexsort(self, k, batches):
+        from repro.engine.worker import TopKHeap
+
+        arrays = []
+        for batch in batches:
+            firsts = np.array([first for first, _ in batch], dtype=np.int64)
+            combos = np.stack([firsts, firsts + np.arange(1, len(batch) + 1)], axis=1)
+            arrays.append((combos, np.array([score for _, score in batch])))
+        heap = TopKHeap(k)
+        for combos, scores in arrays:
+            heap.push_batch(combos, scores)
+
+        def key(items):
+            return [(item.snps, float(item.score).hex()) for item in items]
+
+        assert key(heap.items) == key(self._full_sort_heap(k, arrays))
