@@ -838,11 +838,12 @@ def _prefix_lattice(
         np.not_equal(combos[1:, m - 1], combos[:-1, m - 1], out=starts[m - 1, 1:])
         if m > 1:
             starts[m - 1, 1:] |= starts[m - 2, 1:]
-    # A 1-prefix is one SNP: its planes are gathered straight to the rows
-    # that need them, each row (or, below, each 2-prefix run) on its own.
+    # A 1-prefix is one SNP: at k >= 3 its planes are gathered straight to
+    # each 2-prefix run below; at k = 2, once per run of the first SNP.
     prefix, run = None, None
     if order == 2:
-        prefix = _gather_planes(ws, planes, combos[:, 0])
+        prefix = _gather_planes(ws, planes, combos[np.flatnonzero(starts[0]), 0])
+        run = np.cumsum(starts[0]) - 1
     for m in range(2, order):
         first = np.flatnonzero(starts[m - 1])
         level = ws.array((2**m, first.size, n_words), dtype)
