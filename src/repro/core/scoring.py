@@ -213,7 +213,7 @@ class K2Score(_TableObjective):
                         break  # a count outside the table: the gammaln path
                     scores[start : start + step] = block
                 else:
-                    return scores.reshape(arr.shape[:-2])
+                    return scores.reshape(arr.shape[:-2])[()]
         arr = self._check(tables)
         row_totals = arr.sum(axis=-1)  # r_i
         # sum_{b=1}^{r_i+1} log b = gammaln(r_i + 2)

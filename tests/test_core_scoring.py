@@ -229,6 +229,8 @@ class TestK2ColumnSum:
         batched = k2.score(tables.reshape(10, 500, 9, 2))
         assert batched.shape == (10, 500)
         assert batched.reshape(-1).tobytes() == expected.tobytes()
+        single = k2.score(tables[7])
+        assert np.ndim(single) == 0 and single == expected[7]
 
     def test_counts_beyond_the_table_take_scipy(self, rng):
         # Blocks scored before a count outside the log-factorial table
