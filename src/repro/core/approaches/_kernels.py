@@ -92,8 +92,8 @@ thread's life.  The engine's claims, when a search leaves their size
 unset, come from the same budget (:func:`claim_combos`): a claim holds
 an eighth of it of what scoring keeps live per combination
 (:func:`claim_bytes`), so short word axes, where each claim is one
-kernel call, pay a call's fixed costs once per 5 461 pairs instead of
-once per 2 048.  A split call writes each class's counts straight into
+kernel call, pay a call's fixed costs once per 5 461 pairs.  A split
+call writes each class's counts straight into
 its table column and derives genotype 2 in place.  The pair tables are
 bounded per encoding, not per process: each class's table adds rows
 (17 bytes per SNP) while it holds
