@@ -50,7 +50,6 @@ Quickstart
 """
 
 from repro.core.detector import DetectorConfig, EpistasisDetector
-from repro.core.pairwise import PairwiseEpistasisDetector
 from repro.core.result import ApproachStats, DetectionResult, Interaction
 from repro.core.scoring import K2Score, get_objective
 from repro.datasets.dataset import GenotypeDataset
@@ -90,7 +89,6 @@ __all__ = [
     "__version__",
     "EpistasisDetector",
     "DetectorConfig",
-    "PairwiseEpistasisDetector",
     "DetectionResult",
     "Interaction",
     "ApproachStats",

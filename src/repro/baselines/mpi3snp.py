@@ -29,8 +29,7 @@ MPI3SNP's ``MPI_Comm_size`` decomposition); the default ``processes=False``
 runs the same static per-rank spans on host threads through the engine,
 which is cheaper to launch and bit-identical in its results.  Broadcast and
 gather traffic plus the static-partition load imbalance are accounted by
-:class:`repro.distributed.cluster.RankAccounting` in both modes (the
-removed ``repro.parallel.SimulatedCluster`` is no longer involved).
+:class:`repro.distributed.cluster.RankAccounting` in both modes.
 """
 
 from __future__ import annotations

@@ -683,10 +683,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if not _check_resume_flags(args):
         return 2
     dataset = load_dataset(args.dataset)
-    detector = _build_detector(args)
     progress = _progress_printer() if args.progress else None
     try:
-        result = detector.detect(
+        result = _build_detector(args).detect(
             dataset,
             progress=progress,
             workers=args.workers,
@@ -740,10 +739,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if not _check_resume_flags(args):
         return 2
     dataset = load_dataset(args.dataset)
-    detector = _build_detector(args)
     progress = _stage_progress_printer() if args.progress else None
     try:
-        result = detector.detect_staged(
+        result = _build_detector(args).detect_staged(
             dataset,
             screen_order=args.screen_order,
             keep_snps=args.retain,

@@ -19,8 +19,6 @@ The engine is organised as:
   which combines an approach, an objective function, an interaction order
   and the heterogeneous execution engine (:mod:`repro.engine`) into a
   single ``detect()`` call.
-* :mod:`repro.core.pairwise` — deprecation shims of the retired dedicated
-  pairwise stack (use ``EpistasisDetector(order=2)`` instead).
 * :mod:`repro.core.result` — result containers (best interaction, top-k
   ranking, execution statistics).
 """
@@ -53,7 +51,6 @@ from repro.core.scoring import (
 )
 from repro.core.result import ApproachStats, DetectionResult, Interaction
 from repro.core.detector import DetectorConfig, EpistasisDetector
-from repro.core.pairwise import PairwiseEpistasisDetector
 from repro.core.approaches import get_approach, list_approaches
 
 __all__ = [
@@ -82,7 +79,6 @@ __all__ = [
     "DetectionResult",
     "EpistasisDetector",
     "DetectorConfig",
-    "PairwiseEpistasisDetector",
     "get_approach",
     "list_approaches",
 ]

@@ -47,8 +47,10 @@ A heterogeneous CPU+GPU run with the CARM-ratio splitter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List
+import hashlib
+import pickle
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, List, Mapping
 
 import numpy as np
 
@@ -87,9 +89,13 @@ class _WorkerState:
     encoded: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
-    """Configuration of an exhaustive detection run.
+    """The execution spec of a search: one frozen, validated value.
+
+    A detector, every stage of a staged search and every distributed worker
+    process run from one of these; a pipeline stage derives its own with
+    :func:`dataclasses.replace`, a worker receives the coordinator's.
 
     Attributes
     ----------
@@ -129,23 +135,23 @@ class DetectorConfig:
     backend:
         Execution backend of the table-construction hot loop: ``"numpy"``
         (reference), ``"numba"`` (JIT-compiled CPU kernels), ``"cupy"``
-        (real CUDA device) or ``"auto"``/``None`` for the registry default
-        (:func:`repro.backends.get_backend`; the ``REPRO_BACKEND``
-        environment variable supplies it when unset).  All backends are
-        bit-exact, and the §IV op/traffic accounting is backend-independent;
-        an unavailable optional backend degrades to ``numpy`` with a
-        warning.  The selection reaches every approach instance the
-        detector builds — both lanes of a heterogeneous plan and the
-        distributed worker processes.
+        (real CUDA device) or ``"auto"`` for the registry default
+        (:func:`repro.backends.get_backend`).  ``None`` takes the
+        ``REPRO_BACKEND`` environment variable, else ``"auto"``.  All
+        backends are bit-exact, and the §IV op/traffic accounting is
+        backend-independent; an unavailable optional backend degrades to
+        ``numpy`` with a warning.  The selection reaches every approach
+        instance the spec builds — both lanes of a heterogeneous plan and
+        the distributed worker processes.
     fused:
-        Fused build+score path: ``"auto"`` (default) folds each
-        combination's table straight into its objective score whenever the
+        Fused build+score path: ``"auto"`` folds each combination's table
+        straight into its objective score whenever the
         approach/backend/objective supports it bit-identically (SNP-block
         tiled, no chunk-wide table array; compiled backends score K2/Gini
         inside the kernel), ``"on"`` requires it (rejecting
         ``validate=True``, which needs materialized tables), ``"off"``
-        pins the classic build-then-score path.  ``None`` defers to the
-        ``REPRO_FUSED`` environment variable, else ``auto``.  Top-k
+        pins the classic build-then-score path.  ``None`` takes the
+        ``REPRO_FUSED`` environment variable, else ``"auto"``.  Top-k
         results and §IV op/traffic accounting are bit-identical whichever
         path runs.
     validate:
@@ -164,12 +170,24 @@ class DetectorConfig:
         instance.
     telemetry:
         Telemetry mode of the run (:mod:`repro.telemetry`): ``"off"``
-        (default — zero recording, zero hot-path cost), ``"minimal"``
+        (zero recording, zero hot-path cost), ``"minimal"``
         (run/plan/lane/stage/shard spans plus the metrics registry) or
-        ``"full"`` (adds per-chunk ``kernel`` samples).  ``None`` defers
-        to the ``REPRO_TELEMETRY`` environment variable, else ``off``.
+        ``"full"`` (adds per-chunk ``kernel`` samples).  ``None`` takes the
+        ``REPRO_TELEMETRY`` environment variable, else ``"off"``.
         Results are bit-identical whatever the mode; every run carries a
         ``run_id`` in ``stats.extra`` either way.
+    approach_params:
+        Constructor keyword arguments of the named approach (``isa=`` for
+        ``cpu-v4``, ``block_size=`` for ``gpu-v4``, ...); the
+        ``**approach_params`` of :class:`EpistasisDetector`.  They apply to
+        that approach only, never to the counterpart of another device
+        lane.  Kept as a key-sorted copy, so equal params fingerprint
+        equally.
+
+    The ``REPRO_BACKEND``, ``REPRO_FUSED`` and ``REPRO_TELEMETRY`` defaults
+    are read here, once, at construction: a spec holds what they resolved
+    to, so changing the environment later does not change a search built
+    from it.
     """
 
     approach: str | Approach = "cpu-v4"
@@ -185,29 +203,33 @@ class DetectorConfig:
     backend: str | None = None
     fused: str | None = None
     telemetry: str | None = None
+    approach_params: Mapping[str, object] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
+        from repro.backends import check_backend_name, default_backend_name
+        from repro.core.fusion import resolve_fused_mode
         from repro.engine.autotune import is_auto_chunk
+        from repro.telemetry import resolve_telemetry_mode
 
-        self.order = check_order(self.order)
-        if self.backend is not None:
-            from repro.backends import check_backend_name
-
-            self.backend = check_backend_name(self.backend)
-        if self.fused is not None:
-            from repro.core.fusion import check_fused_mode
-
-            self.fused = check_fused_mode(self.fused)
-            if self.fused == "on" and self.validate:
-                raise ValueError(
-                    "fused='on' is incompatible with validate=True: table "
-                    "validation needs the materialized tables the fused "
-                    "path never builds (use fused='auto' or drop validate)"
-                )
-        if self.telemetry is not None:
-            from repro.telemetry import check_telemetry_mode
-
-            self.telemetry = check_telemetry_mode(self.telemetry)
+        resolved = {
+            "order": check_order(self.order),
+            "backend": (
+                check_backend_name(self.backend)
+                if self.backend is not None
+                else default_backend_name()
+            ),
+            "fused": resolve_fused_mode(self.fused),
+            "telemetry": resolve_telemetry_mode(self.telemetry),
+            "approach_params": dict(sorted(dict(self.approach_params).items())),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+        if self.fused == "on" and self.validate:
+            raise ValueError(
+                "fused='on' is incompatible with validate=True: table "
+                "validation needs the materialized tables the fused "
+                "path never builds (use fused='auto' or drop validate)"
+            )
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
         if isinstance(self.chunk_size, str):
@@ -221,6 +243,41 @@ class DetectorConfig:
         if self.top_k < 1:
             raise ValueError("top_k must be positive")
 
+    def approach_kwargs(self) -> Dict[str, object]:
+        """Constructor keyword arguments of the configured approach."""
+        kwargs = dict(self.approach_params)
+        if self.word_layout is not None:
+            kwargs["word_layout"] = self.word_layout
+        kwargs["backend"] = self.backend
+        return kwargs
+
+    def context_key(self, *context: object) -> str:
+        """Digest of everything but ``telemetry``, plus ``context``.
+
+        Two equal keys hydrate identical execution state: a warm worker
+        process reuses one context per key (``context`` names the dataset,
+        the candidate source and the minima switch), so traced and
+        untraced searches share it.
+        """
+        spec = tuple(
+            getattr(self, f.name) for f in fields(self) if f.name != "telemetry"
+        )
+        blob = pickle.dumps((spec, context), protocol=4)
+        return hashlib.sha1(blob).hexdigest()
+
+    def ledger_key(self, collect_snp_minima: bool) -> Dict[str, object]:
+        """The ``"search"`` document a shard ledger must match to resume.
+
+        Only what changes the ledger's recorded rows: threads, claim size,
+        layout, backend, devices and schedule may differ across a resume.
+        """
+        return {
+            "approach": self.approach,
+            "objective": get_objective(self.objective).name,
+            "top_k": int(self.top_k),
+            "collect_snp_minima": bool(collect_snp_minima),
+        }
+
 
 class EpistasisDetector:
     """Exhaustive k-way epistasis detector (public API).
@@ -230,7 +287,9 @@ class EpistasisDetector:
     :class:`~repro.engine.plan.ExecutionPlan` sizing, the CARM-policy
     split and the result reporting; the default ``order=3`` reproduces the
     paper's third-order study.  Parameters mirror :class:`DetectorConfig`;
-    either pass a config object or the individual keyword arguments.
+    either pass a config object or the individual keyword arguments.  Any
+    other keyword is an approach param (``isa=``, ``block_size=``, ...),
+    added to ``config.approach_params`` when a config is given.
     """
 
     def __init__(
@@ -250,7 +309,7 @@ class EpistasisDetector:
         fused: str | None = None,
         telemetry: str | None = None,
         config: DetectorConfig | None = None,
-        **approach_kwargs,
+        **approach_params,
     ) -> None:
         if config is None:
             config = DetectorConfig(
@@ -267,23 +326,17 @@ class EpistasisDetector:
                 backend=backend,
                 fused=fused,
                 telemetry=telemetry,
+                approach_params=approach_params,
+            )
+        elif approach_params:
+            config = replace(
+                config, approach_params={**config.approach_params, **approach_params}
             )
         self.config = config
-        self._approach_kwargs = dict(approach_kwargs)
-        if config.word_layout is not None:
-            # The execution word width applies to every approach instance
-            # this detector builds (both lanes of a heterogeneous plan, and
-            # — through approach_kwargs — the distributed worker processes).
-            self._approach_kwargs.setdefault("word_layout", config.word_layout)
-        if config.backend is not None:
-            # The execution backend rides the same channel as the word
-            # layout: every lane and every worker process selects the same
-            # backend (graceful fallback included).
-            self._approach_kwargs.setdefault("backend", config.backend)
         if isinstance(config.approach, Approach):
             self._prototype = config.approach
         else:
-            self._prototype = get_approach(config.approach, **self._approach_kwargs)
+            self._prototype = get_approach(config.approach, **config.approach_kwargs())
         self.objective = get_objective(config.objective)
 
     # -- approach management -----------------------------------------------------
@@ -323,21 +376,13 @@ class EpistasisDetector:
                 )
             return self.config.approach
         name = self._approach_name_for_kind(kind)
-        # Constructor kwargs (isa=, block_size=, ...) only apply to the
-        # approach family they were written for; the word layout is
-        # family-agnostic and applies to every lane.
-        if name == self._prototype.name:
-            kwargs = self._approach_kwargs
-        else:
-            kwargs = {
-                key: value
-                for key, value in (
-                    ("word_layout", self.config.word_layout),
-                    ("backend", self.config.backend),
-                )
-                if value is not None
-            }
-        return get_approach(name, **kwargs)
+        # Approach params (isa=, block_size=, ...) only apply to the
+        # approach family they were written for; the word layout and the
+        # backend are family-agnostic and apply to every lane.
+        spec = self.config
+        if name != self._prototype.name:
+            spec = replace(spec, approach_params={})
+        return get_approach(name, **spec.approach_kwargs())
 
     @staticmethod
     def _prepare_cached(approach: Approach, dataset: GenotypeDataset) -> object:
@@ -383,7 +428,7 @@ class EpistasisDetector:
         from the fused build+score path when the approach supports it
         (bit-identical).
         """
-        if self._fused_active():
+        if self.config.fused != "off" and not self.config.validate:
             self._prepare_objective(dataset)
             if cache:
                 encoded = self._prepare_cached(self._prototype, dataset)
@@ -397,26 +442,6 @@ class EpistasisDetector:
         tables = self.build_tables(dataset, combos, cache=cache)
         self._prepare_objective(dataset)
         return self.objective.score(tables)
-
-    def _fused_mode(self) -> str:
-        """The resolved fused tri-state (config, else ``REPRO_FUSED``)."""
-        from repro.core.fusion import resolve_fused_mode
-
-        mode = resolve_fused_mode(self.config.fused)
-        if mode == "on" and self.config.validate:
-            # Reachable via REPRO_FUSED=on (explicit config pairs are
-            # rejected at construction time): requiring fusion while
-            # requiring table validation is a contradiction either way.
-            raise ValueError(
-                "fused='on' is incompatible with validate=True: table "
-                "validation needs the materialized tables the fused path "
-                "never builds (use fused='auto' or drop validate)"
-            )
-        return mode
-
-    def _fused_active(self) -> bool:
-        """Whether chunk scoring should try the fused path first."""
-        return self._fused_mode() != "off" and not self.config.validate
 
     def _prepare_objective(self, dataset: GenotypeDataset) -> None:
         """Give the objective its per-dataset precomputation hook.
@@ -629,7 +654,6 @@ class EpistasisDetector:
             current_run,
             finish_run,
             new_run_id,
-            resolve_telemetry_mode,
             span_or_null,
             start_run,
         )
@@ -639,11 +663,10 @@ class EpistasisDetector:
             raise ValueError("workers must be positive")
         # Join the ambient telemetry run (pipeline stage, distributed
         # worker) when one is active; otherwise this call owns the run.
-        mode = resolve_telemetry_mode(cfg.telemetry)
         session = current_run()
         owns_session = False
-        if session is None and mode != "off":
-            session = start_run(mode)
+        if session is None and cfg.telemetry != "off":
+            session = start_run(cfg.telemetry)
             owns_session = True
         run_id = session.run_id if session is not None else new_run_id()
         try:
@@ -712,7 +735,6 @@ class EpistasisDetector:
                 resume=resume,
                 progress=progress,
                 cancel=cancel,
-                approach_kwargs=self._approach_kwargs,
                 pool=pool,
                 shm=shm,
                 run_id=run_id,
@@ -759,7 +781,7 @@ class EpistasisDetector:
 
         snp_names = list(dataset.snp_names)
         n_cases, n_controls = dataset.n_cases, dataset.n_controls
-        fused_active = self._fused_active()
+        fused_active = cfg.fused != "off" and not cfg.validate
 
         def scorer(worker: DeviceWorker, combos: np.ndarray) -> np.ndarray:
             state: _WorkerState = worker.state
@@ -919,18 +941,7 @@ class EpistasisDetector:
                 )
         pipeline = SearchPipeline(
             stages,
-            approach=cfg.approach,
-            objective=cfg.objective,
-            devices=cfg.devices,
-            schedule=cfg.schedule,
-            n_workers=cfg.n_workers,
-            chunk_size=cfg.chunk_size,
-            top_k=cfg.top_k,
-            validate=cfg.validate,
-            word_layout=cfg.word_layout,
-            backend=cfg.backend,
-            fused=cfg.fused,
-            telemetry=cfg.telemetry,
+            config=cfg,
             workers=workers or 1,
             checkpoint=checkpoint,
             resume=resume,
@@ -990,7 +1001,7 @@ class EpistasisDetector:
         # The backend that actually ran (post-fallback), not the requested
         # name — surfaced by the CLI summary line.
         extra["backend"] = getattr(self._prototype, "backend_name", None)
-        extra["fused"] = self._fused_mode()
+        extra["fused"] = self.config.fused
         extra["candidates"] = source.describe()
         extra["devices"] = device_stats
 

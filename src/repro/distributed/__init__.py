@@ -29,8 +29,7 @@ reported top-k is bit-identical for any worker count.
 * :mod:`repro.distributed.coordinator` — :func:`run_distributed`, the
   orchestration loop behind ``detect(..., workers=N, checkpoint=...)``;
 * :mod:`repro.distributed.cluster` — rank bookkeeping and broadcast/gather
-  traffic accounting for the MPI3SNP-style baseline (plus the legacy
-  :class:`SimulatedCluster` harness of the removed ``repro.parallel``).
+  traffic accounting for the MPI3SNP-style baseline.
 """
 
 from repro.distributed.shards import (
@@ -59,7 +58,7 @@ from repro.distributed.resilience import (
 )
 from repro.distributed.runner import ProcessRunner, ShardOutcome, WorkerPayload
 from repro.distributed.coordinator import DistributedOutcome, run_distributed
-from repro.distributed.cluster import ClusterRank, RankAccounting, SimulatedCluster
+from repro.distributed.cluster import ClusterRank, RankAccounting
 from repro.distributed.fleet import WorkerFleet, get_fleet, shutdown_fleets
 from repro.distributed.shm import (
     DatasetHandle,
@@ -96,7 +95,6 @@ __all__ = [
     "run_distributed",
     "ClusterRank",
     "RankAccounting",
-    "SimulatedCluster",
     "WorkerFleet",
     "get_fleet",
     "shutdown_fleets",

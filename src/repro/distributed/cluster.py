@@ -9,23 +9,16 @@ broadcast/gather traffic and the static-partition load imbalance — while
 the actual rank execution now runs through :mod:`repro.distributed`
 (:func:`~repro.distributed.coordinator.run_distributed` with a
 one-shard-per-rank static plan), either as real OS processes or inline.
-
-:class:`SimulatedCluster` remains as the legacy sequential harness the
-removed ``repro.parallel`` package shipped (rank functions executed in
-order on the calling thread); it now simply extends the accounting with an
-in-process ``run`` loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, List, Sequence, TypeVar
+from typing import List
 
 from repro.engine.scheduling import static_partition
 
-__all__ = ["ClusterRank", "RankAccounting", "SimulatedCluster"]
-
-T = TypeVar("T")
+__all__ = ["ClusterRank", "RankAccounting"]
 
 
 @dataclass
@@ -91,28 +84,3 @@ class RankAccounting:
         if mean == 0:
             return 1.0
         return max(sizes) / mean
-
-
-class SimulatedCluster(RankAccounting, Generic[T]):
-    """Legacy sequential rank harness (kept for backward compatibility).
-
-    ``run`` executes rank 0, rank 1, … in order on the calling thread; the
-    measured quantity of interest is *work done per rank* and the
-    broadcast/gather traffic, not wall-clock overlap.  New code should use
-    :func:`repro.distributed.run_distributed`, which executes ranks as real
-    OS processes with checkpointing and deterministic merging.
-    """
-
-    def run(self, rank_fn: Callable[[ClusterRank], T]) -> List[T]:
-        """Execute ``rank_fn`` for every rank and return the partial results."""
-        if not self.ranks:
-            raise RuntimeError("scatter_work must be called before run")
-        results: List[T] = []
-        for rank in self.ranks:
-            results.append(rank_fn(rank))
-        return results
-
-    def gather(self, partials: Sequence[T], bytes_per_partial: int = 0) -> List[T]:
-        """Gather partial results on rank 0 (accounts the traffic)."""
-        self.account_gather(bytes_per_partial)
-        return list(partials)

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.core.result import ApproachStats, DetectionResult, Interaction
-from repro.core.scoring import get_objective
+from repro.core.approaches import get_approach
 from repro.datasets.dataset import GenotypeDataset
 from repro.engine.candidates import CandidateSource
 from repro.engine.policies import get_policy
@@ -175,7 +175,7 @@ def _aggregate_data_plane(
     return totals
 
 
-def _publish_data_plane(dataset, config, approach_kwargs, session):
+def _publish_data_plane(dataset, prototype, session):
     """Publish the dataset (and the prototype encoding) into shared memory.
 
     Returns the :class:`~repro.distributed.shm.DatasetHandle` the payload
@@ -184,11 +184,9 @@ def _publish_data_plane(dataset, config, approach_kwargs, session):
     reuse it) and published alongside; GPU layouts carry device-side state
     and are rebuilt worker-side from the shared dataset instead.
     """
-    from repro.core.approaches import get_approach
     from repro.core.encoding_cache import ENCODING_CACHE, encoding_cache_key
 
     handle = publish_dataset(dataset, session=session)
-    prototype = get_approach(config.approach, **approach_kwargs)
     if prototype.device == "cpu":
         key = encoding_cache_key(dataset, prototype)
         if key is not None:
@@ -197,26 +195,6 @@ def _publish_data_plane(dataset, config, approach_kwargs, session):
             )
             publish_encoding(key, encoded, session=session)
     return handle
-
-
-def _payload_approach_kwargs(
-    config, approach_kwargs: Dict[str, object] | None
-) -> Dict[str, object]:
-    """Approach constructor kwargs shipped to the worker processes.
-
-    The config's ``word_layout`` and ``backend`` ride along even when the
-    caller passed no explicit kwargs (the pipeline stages do), so
-    distributed shards always pack with the same execution word width and
-    run the same kernel backend as an in-process run.
-    """
-    kwargs = dict(approach_kwargs or {})
-    layout = getattr(config, "word_layout", None)
-    if layout is not None:
-        kwargs.setdefault("word_layout", layout)
-    backend = getattr(config, "backend", None)
-    if backend is not None:
-        kwargs.setdefault("backend", backend)
-    return kwargs
 
 
 def run_distributed(
@@ -232,7 +210,6 @@ def run_distributed(
     collect_snp_minima: bool = False,
     progress: ProgressCallback | None = None,
     cancel=None,
-    approach_kwargs: Dict[str, object] | None = None,
     mp_context: str = "spawn",
     pool: str = "keep",
     shm: object = None,
@@ -251,8 +228,9 @@ def run_distributed(
         file; defaults to the ambient telemetry run's id (when the
         detector or pipeline owns one) or a fresh id.
     config:
-        A :class:`~repro.core.detector.DetectorConfig`; ``approach`` must be
-        a registry name (worker processes build their own instances).
+        The :class:`~repro.core.detector.DetectorConfig` every worker runs
+        (with the order taken from ``source``); ``approach`` must be a
+        registry name (worker processes build their own instances).
         ``n_workers`` is the *per-process* host thread count.
     workers:
         Worker process count; ``1`` runs the identical shard/checkpoint
@@ -317,21 +295,14 @@ def run_distributed(
     if source.total < 1:
         raise ValueError("cannot distribute an empty candidate source")
 
-    from repro.telemetry import (
-        current_run,
-        finish_run,
-        new_run_id,
-        resolve_telemetry_mode,
-        start_run,
-    )
+    from repro.telemetry import current_run, finish_run, new_run_id, start_run
 
     # Join the ambient telemetry run (the detector or pipeline usually
     # owns it); direct callers (benchmarks) own the run themselves.
-    mode = resolve_telemetry_mode(getattr(config, "telemetry", None))
     session = current_run()
-    owns_session = session is None and mode != "off"
+    owns_session = session is None and config.telemetry != "off"
     if owns_session:
-        session = start_run(mode)
+        session = start_run(config.telemetry)
     if session is not None:
         run_id = session.run_id
     elif run_id is None:
@@ -349,7 +320,6 @@ def run_distributed(
             collect_snp_minima=collect_snp_minima,
             progress=progress,
             cancel=cancel,
-            approach_kwargs=approach_kwargs,
             mp_context=mp_context,
             pool=pool,
             shm=shm,
@@ -376,7 +346,6 @@ def _run_distributed_impl(
     collect_snp_minima: bool,
     progress: ProgressCallback | None,
     cancel,
-    approach_kwargs: Dict[str, object] | None,
     mp_context: str,
     pool: str,
     shm: object,
@@ -406,12 +375,7 @@ def _run_distributed_impl(
             # never splice partials from a same-shaped but different
             # candidate set.
             "source": source.fingerprint(),
-            "search": {
-                "approach": config.approach,
-                "objective": get_objective(config.objective).name,
-                "top_k": int(config.top_k),
-                "collect_snp_minima": bool(collect_snp_minima),
-            },
+            "search": config.ledger_key(collect_snp_minima),
         }
         restored = store.begin(fingerprint, shards, resume=resume)
         # Correlate the ledger with this run's trace file (and any
@@ -437,6 +401,10 @@ def _run_distributed_impl(
     if progress is not None and items_restored:
         progress(items_total_done, total)
 
+    # The approach every worker builds from ``config``: it packs the
+    # published encoding and names the backend the workers ran.
+    prototype = get_approach(config.approach, **config.approach_kwargs())
+
     # Arm the fault plan (if any): arming allocates the claim directory
     # that makes firing budgets exact across the whole process tree.  The
     # plan is installed locally for the coordinator's own sites
@@ -452,21 +420,11 @@ def _run_distributed_impl(
     install_plan(fault_plan)
 
     shm_enabled = resolve_shm(shm, workers)
-    approach_kwargs_resolved = _payload_approach_kwargs(config, approach_kwargs)
     payload = WorkerPayload(
         dataset=dataset,
         source=source,
-        approach=config.approach,
-        objective=config.objective,
-        n_threads=config.n_workers,
-        chunk_size=config.chunk_size,
-        top_k=config.top_k,
-        validate=config.validate,
-        devices=config.devices,
-        schedule=config.schedule,
+        config=config,
         collect_minima=collect_snp_minima,
-        fused=getattr(config, "fused", None),
-        approach_kwargs=approach_kwargs_resolved,
         faults=fault_plan,
     )
     runner = ProcessRunner(
@@ -483,7 +441,7 @@ def _run_distributed_impl(
     parent_before = data_plane_snapshot()
     if shm_enabled and pending:
         payload.dataset = _publish_data_plane(
-            dataset, config, approach_kwargs_resolved, runner.data_session()
+            dataset, prototype, runner.data_session()
         )
 
     from contextlib import nullcontext
@@ -609,16 +567,11 @@ def _run_distributed_impl(
     if completed:
         if not top:
             raise RuntimeError("distributed search produced no interactions")
-        from repro.backends import get_backend
-        from repro.core.fusion import resolve_fused_mode
-
         extra: Dict[str, object] = {
             "order": source.order,
             "schedule": get_policy(config.schedule).name,
-            # Workers resolve the backend from the same config/env on the
-            # same host, so resolving here names what they actually ran.
-            "backend": get_backend(getattr(config, "backend", None)).name,
-            "fused": resolve_fused_mode(getattr(config, "fused", None)),
+            "backend": prototype.backend_name,
+            "fused": config.fused,
             "candidates": source.describe(),
             "devices": device_stats,
             "run_id": run_id,

@@ -38,15 +38,13 @@ fleets spawned long before the plan existed honour it).
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
-import pickle
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Sequence
 
 from repro.distributed.merge import (
@@ -80,25 +78,16 @@ class WorkerPayload:
     ``dataset`` is either a ``GenotypeDataset`` (pickled inline with every
     batch — the fallback data plane) or a
     :class:`~repro.distributed.shm.DatasetHandle` resolved against shared
-    memory on first touch.  ``approach`` must be a registry *name* (a
-    pre-built approach instance carries per-run counter state that must
-    not be shared across processes); ``objective`` and ``schedule`` may be
-    names or picklable instances.
+    memory on first touch.  ``config`` is the coordinator's
+    :class:`~repro.core.detector.DetectorConfig`; its ``approach`` must be
+    a registry *name* (a pre-built approach instance carries per-run
+    counter state that must not be shared across processes).
     """
 
     dataset: object  # GenotypeDataset or DatasetHandle
     source: object  # CandidateSource
-    approach: str
-    objective: object = "k2"
-    n_threads: int = 1
-    chunk_size: int | str | None = None  # an int, "auto" (autotuner) or None (budget)
-    top_k: int = 10
-    validate: bool = False
-    devices: str | None = None
-    schedule: object = "dynamic"
+    config: object  # DetectorConfig
     collect_minima: bool = False
-    fused: str | None = None
-    approach_kwargs: Dict[str, object] = field(default_factory=dict)
     #: Cross-process telemetry propagation
     #: (:class:`~repro.telemetry.TraceContext` or ``None``).  Deliberately
     #: excluded from :meth:`fingerprint`: the run identity changes per run
@@ -126,25 +115,7 @@ class WorkerPayload:
             ds = ("handle", self.dataset.digest)
         else:
             ds = ("inline", self.dataset.content_digest())
-        blob = pickle.dumps(
-            (
-                ds,
-                self.source,
-                self.approach,
-                self.objective,
-                self.n_threads,
-                self.chunk_size,
-                self.top_k,
-                self.validate,
-                self.devices,
-                self.schedule,
-                self.collect_minima,
-                self.fused,
-                sorted(self.approach_kwargs.items()),
-            ),
-            protocol=4,
-        )
-        digest = hashlib.sha1(blob).hexdigest()
+        digest = self.config.context_key(ds, self.source, self.collect_minima)
         self._fingerprint = digest
         return digest
 
@@ -202,18 +173,13 @@ class _WorkerContext:
         elif multiprocessing.parent_process() is not None:
             note_event("dataset_unpickled")
         self.dataset = dataset
+        # A worker records spans only under the coordinator's shipped trace
+        # context, never a run of its own: that keeps one context right for
+        # traced and untraced searches alike.
         self.detector = EpistasisDetector(
-            approach=payload.approach,
-            objective=payload.objective,
-            order=payload.source.order,
-            n_workers=payload.n_threads,
-            chunk_size=payload.chunk_size,
-            top_k=payload.top_k,
-            validate=payload.validate,
-            devices=payload.devices,
-            schedule=payload.schedule,
-            fused=payload.fused,
-            **payload.approach_kwargs,
+            config=replace(
+                payload.config, order=payload.source.order, telemetry="off"
+            )
         )
 
     def run_shard(self, task: tuple[int, int, int]) -> ShardOutcome:

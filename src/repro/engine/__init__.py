@@ -69,7 +69,6 @@ from repro.engine.executor import (
     EngineResult,
     HeterogeneousExecutor,
 )
-from repro.engine.mapreduce import WorkerResult, parallel_map_reduce
 
 __all__ = [
     "AUTO_CHUNK",
@@ -109,6 +108,4 @@ __all__ = [
     "CancellationToken",
     "EngineResult",
     "HeterogeneousExecutor",
-    "WorkerResult",
-    "parallel_map_reduce",
 ]

@@ -4,9 +4,8 @@ Chaos engineering needs faults that are **schedulable** (fire at a named
 site, optionally at a named shard), **bounded** (fire exactly ``count``
 times across the whole process tree, no matter how many workers race) and
 **inert by default** (a production run with no plan installed pays one
-``None`` check per site).  This module replaces the original single-purpose
-``REPRO_DIST_FAULT`` environment hook (which could only SIGKILL one worker)
-with a :class:`FaultPlan`: a list of :class:`FaultSpec` entries naming
+``None`` check per site).  A :class:`FaultPlan` is a list of
+:class:`FaultSpec` entries naming
 
 * a **site** — ``shard.claim`` (a worker picked up a batch), ``shard.run``
   (a worker is about to evaluate one shard), ``outcome.ship`` (a worker

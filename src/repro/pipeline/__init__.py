@@ -28,7 +28,6 @@ from repro.pipeline.result import PipelineResult, StageReport
 from repro.pipeline.stages import (
     ExpandStage,
     PermutationStage,
-    PipelineDefaults,
     PipelineStage,
     RefineStage,
     ScreenStage,
@@ -40,7 +39,6 @@ __all__ = [
     "PipelineResult",
     "StageReport",
     "PipelineStage",
-    "PipelineDefaults",
     "StageContext",
     "ScreenStage",
     "ExpandStage",

@@ -1,8 +1,9 @@
 """The :class:`SearchPipeline` orchestrator.
 
-A pipeline is an ordered list of stages sharing one dataset and one set of
-execution defaults; running it threads a :class:`~repro.pipeline.stages.StageContext`
-through the stages and aggregates their reports into a
+A pipeline is an ordered list of stages sharing one dataset and one
+execution spec (:class:`~repro.core.detector.DetectorConfig`); running it
+threads a :class:`~repro.pipeline.stages.StageContext` through the stages
+and aggregates their reports into a
 :class:`~repro.pipeline.result.PipelineResult`.
 
 Example — screen at order 2, keep 16 SNPs, expand at order 3, validate the
@@ -28,19 +29,15 @@ finalists with a permutation null::
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from math import comb
 from typing import List, Sequence
 
-from repro.core.scoring import ObjectiveFunction
+from repro.core.detector import DetectorConfig
 from repro.datasets.dataset import GenotypeDataset
-from repro.engine import CancellationToken, SchedulingPolicy
+from repro.engine import CancellationToken
 from repro.pipeline.result import PipelineResult, StageReport
-from repro.pipeline.stages import (
-    PipelineDefaults,
-    PipelineProgress,
-    PipelineStage,
-    StageContext,
-)
+from repro.pipeline.stages import PipelineProgress, PipelineStage, StageContext
 
 __all__ = ["SearchPipeline"]
 
@@ -54,10 +51,18 @@ class SearchPipeline:
         The stages to execute, in order.  At least one stage must produce
         finalists (an :class:`~repro.pipeline.stages.ExpandStage`) for the
         pipeline to return a result.
-    approach / objective / devices / schedule / n_workers / chunk_size /
-    top_k / validate:
-        Execution defaults inherited by every stage that does not override
-        them (see :class:`~repro.pipeline.stages.PipelineDefaults`).
+    config:
+        The execution spec every stage derives its own from
+        (:class:`~repro.core.detector.DetectorConfig`; stages replace the
+        order and whatever they override).  Its ``telemetry`` mode is the
+        pipeline's: the pipeline owns one telemetry session, and every
+        stage, engine run and distributed sweep joins it, so a single trace
+        covers the whole staged search under one ``run_id``.
+    **spec_fields:
+        :class:`~repro.core.detector.DetectorConfig` fields
+        (``approach="cpu-v4"``, ``n_workers=2``, ...), applied on top of
+        ``config`` (or of the default spec without one).  The spec and
+        every stage's overrides are validated here, before any stage runs.
     workers:
         Sharded multi-process execution (:mod:`repro.distributed`) of the
         sweep stages: each screen/expand stage cuts its candidate space
@@ -73,12 +78,6 @@ class SearchPipeline:
         Restore completed stages and shards from the checkpoint directory
         instead of re-executing them (fingerprints validated; safe to pass
         when no checkpoint exists yet).
-    telemetry:
-        Telemetry mode of the pipeline run (``"off"``/``"minimal"``/
-        ``"full"``; ``None`` defers to ``REPRO_TELEMETRY``).  The pipeline
-        owns one telemetry session — every stage, engine run and
-        distributed sweep joins it, so a single trace covers the whole
-        staged search under one ``run_id``.
     pool / shm:
         Worker-fleet and data-plane knobs of the distributed sweep stages:
         ``pool="keep"`` (default) runs every sweep stage on one
@@ -99,18 +98,7 @@ class SearchPipeline:
         self,
         stages: Sequence[PipelineStage],
         *,
-        approach: str = "cpu-v4",
-        objective: str | ObjectiveFunction = "k2",
-        devices: str | None = None,
-        schedule: str | SchedulingPolicy = "dynamic",
-        n_workers: int = 1,
-        chunk_size: int | str | None = None,
-        top_k: int = 10,
-        validate: bool = False,
-        word_layout: str | None = None,
-        backend: str | None = None,
-        fused: str | None = None,
-        telemetry: str | None = None,
+        config: DetectorConfig | None = None,
         workers: int = 1,
         checkpoint: str | None = None,
         resume: bool = False,
@@ -118,17 +106,22 @@ class SearchPipeline:
         shm: object = None,
         retry: object = None,
         faults: object = None,
+        **spec_fields,
     ) -> None:
-        from repro.telemetry import check_telemetry_mode
-
         stages = list(stages)
         if not stages:
             raise ValueError("a search pipeline needs at least one stage")
         if workers < 1:
             raise ValueError("workers must be positive")
-        if telemetry is not None:
-            check_telemetry_mode(telemetry)
+        if config is None:
+            config = DetectorConfig(**spec_fields)
+        elif spec_fields:
+            config = replace(config, **spec_fields)
+        for stage in stages:
+            # Refuse invalid overrides (n_workers=0, ...) before any stage runs.
+            stage.config(config)
         self.stages = stages
+        self.defaults = config
         self.workers = workers
         self.checkpoint = checkpoint
         self.resume = resume
@@ -136,20 +129,6 @@ class SearchPipeline:
         self.shm = shm
         self.retry = retry
         self.faults = faults
-        self.defaults = PipelineDefaults(
-            approach=approach,
-            objective=objective,
-            devices=devices,
-            schedule=schedule,
-            n_workers=n_workers,
-            chunk_size=chunk_size,
-            top_k=top_k,
-            validate=validate,
-            word_layout=word_layout,
-            backend=backend,
-            fused=fused,
-            telemetry=telemetry,
-        )
 
     def run(
         self,
@@ -175,12 +154,11 @@ class SearchPipeline:
             current_run,
             finish_run,
             new_run_id,
-            resolve_telemetry_mode,
             span_or_null,
             start_run,
         )
 
-        mode = resolve_telemetry_mode(self.defaults.telemetry)
+        mode = self.defaults.telemetry
         session = current_run()
         owns_session = False
         if session is None and mode != "off":

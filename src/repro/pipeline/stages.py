@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, ClassVar, List
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from repro.bitops.packing import pack_bits
 from repro.core.approaches._kernels import naive_permutation_tables
 from repro.core.contingency import validate_tables
-from repro.core.detector import EpistasisDetector
+from repro.core.detector import DetectorConfig, EpistasisDetector
 from repro.core.result import DetectionResult, Interaction
 from repro.core.scoring import ObjectiveFunction
 from repro.datasets.binarization import BinarizedDataset
@@ -51,7 +51,6 @@ from repro.perfmodel.staged import estimate_stage_seconds
 from repro.pipeline.result import StageReport
 
 __all__ = [
-    "PipelineDefaults",
     "StageContext",
     "PipelineStage",
     "ScreenStage",
@@ -62,28 +61,6 @@ __all__ = [
 
 #: Pipeline-level progress callback: ``progress(stage_name, done, total)``.
 PipelineProgress = Callable[[str, int, int], None]
-
-
-@dataclass
-class PipelineDefaults:
-    """Pipeline-wide execution configuration stages inherit from.
-
-    Every field can be overridden per stage; ``None`` stage overrides fall
-    back to these values.
-    """
-
-    approach: str = "cpu-v4"
-    objective: str | ObjectiveFunction = "k2"
-    devices: str | None = None
-    schedule: str | SchedulingPolicy = "dynamic"
-    n_workers: int = 1
-    chunk_size: int | str | None = None
-    top_k: int = 10
-    validate: bool = False
-    word_layout: str | None = None
-    backend: str | None = None
-    fused: str | None = None
-    telemetry: str | None = None
 
 
 @dataclass
@@ -103,7 +80,7 @@ class StageContext:
     """
 
     dataset: GenotypeDataset
-    defaults: PipelineDefaults
+    defaults: DetectorConfig
     retained: np.ndarray | None = None
     top: List[Interaction] = field(default_factory=list)
     p_values: List[float] | None = None
@@ -159,9 +136,12 @@ class PipelineStage(ABC):
 
     The execution fields (``approach``, ``objective``, ``devices``,
     ``schedule``, ``n_workers``, ``chunk_size``, ``top_k``, ``validate``)
-    override the pipeline defaults when set, so e.g. a screen can run on a
-    GPU lane with a guided schedule while the expand runs cpu+gpu under the
-    CARM splitter.
+    override the pipeline's :class:`~repro.core.detector.DetectorConfig`
+    when they are not ``None``, so e.g. a screen can run on a GPU lane with
+    a guided schedule while the expand runs cpu+gpu under the CARM
+    splitter.  A stage naming another approach does not inherit the
+    pipeline's approach params (they are that approach's constructor
+    arguments).
     """
 
     name: ClassVar[str] = "abstract"
@@ -174,40 +154,29 @@ class PipelineStage(ABC):
     chunk_size: int | str | None = None
     top_k: int | None = None
     validate: bool | None = None
-    word_layout: str | None = None
-    backend: str | None = None
-    fused: str | None = None
-    telemetry: str | None = None
 
     @abstractmethod
     def run(self, ctx: StageContext) -> StageReport:
         """Execute the stage, updating ``ctx`` and returning its report."""
 
     # -- shared helpers --------------------------------------------------------
+    def config(self, defaults: DetectorConfig, **overrides) -> DetectorConfig:
+        """``defaults`` with this stage's overrides, then ``overrides``, applied."""
+        stage = {
+            f.name: getattr(self, f.name)
+            for f in fields(PipelineStage)
+            if getattr(self, f.name) is not None
+        }
+        if stage.get("approach", defaults.approach) != defaults.approach:
+            stage["approach_params"] = {}
+        return replace(defaults, **{**stage, **overrides})
+
     def _detector(
-        self,
-        ctx: StageContext,
-        order: int,
-        *,
-        objective: str | ObjectiveFunction | None = None,
-        top_k: int | None = None,
+        self, ctx: StageContext, order: int, **overrides
     ) -> EpistasisDetector:
-        """A detector resolving this stage's overrides against the defaults."""
-        d = ctx.defaults
+        """A detector of order ``order`` running this stage's config."""
         return EpistasisDetector(
-            approach=self.approach or d.approach,
-            objective=objective or self.objective or d.objective,
-            order=order,
-            n_workers=self.n_workers or d.n_workers,
-            chunk_size=self.chunk_size or d.chunk_size,
-            top_k=top_k if top_k is not None else (self.top_k or d.top_k),
-            validate=self.validate if self.validate is not None else d.validate,
-            devices=self.devices if self.devices is not None else d.devices,
-            schedule=self.schedule or d.schedule,
-            word_layout=self.word_layout or d.word_layout,
-            backend=self.backend or d.backend,
-            fused=self.fused or d.fused,
-            telemetry=self.telemetry or d.telemetry,
+            config=self.config(ctx.defaults, order=order, **overrides)
         )
 
     @staticmethod

@@ -25,8 +25,6 @@ from repro.engine import (
     list_policies,
     parse_devices,
 )
-from repro.engine.mapreduce import parallel_map_reduce
-from repro.engine.scheduling import DynamicScheduler
 from tests.conftest import PLANTED_TRIPLET
 
 
@@ -458,35 +456,3 @@ class TestDetectorOnEngine:
         cancel.cancel()
         with pytest.raises(RuntimeError, match="cancelled"):
             EpistasisDetector(approach="cpu-v2").detect(small_dataset, cancel=cancel)
-
-
-class TestLegacyExecutorFixes:
-    """Satellite fixes of the deprecated parallel.executor shim."""
-
-    def test_payload_populated(self):
-        scheduler = DynamicScheduler(100, chunk_size=30)
-        total, stats = parallel_map_reduce(
-            scheduler, lambda wid, start, stop: stop - start, sum, n_workers=1
-        )
-        assert total == 100
-        assert stats[0].payload == [30, 30, 30, 10]
-
-    def test_payload_populated_threaded(self):
-        scheduler = DynamicScheduler(100, chunk_size=9)
-        _, stats = parallel_map_reduce(
-            scheduler, lambda wid, start, stop: stop - start, sum, n_workers=4
-        )
-        flat = [n for s in stats for n in s.payload]
-        assert sum(flat) == 100
-        assert all(len(s.payload) == s.chunks_processed for s in stats)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_exception_carries_worker_id(self, workers):
-        def bad_worker(worker_id, start, stop):
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError, match="boom") as excinfo:
-            parallel_map_reduce(
-                DynamicScheduler(100, chunk_size=10), bad_worker, sum, n_workers=workers
-            )
-        assert getattr(excinfo.value, "worker_id") in range(workers)

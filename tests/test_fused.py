@@ -84,10 +84,11 @@ class TestFusedMode:
             DetectorConfig(fused="on", validate=True)
 
     def test_env_on_rejects_validate_at_run(self, small_dataset, monkeypatch):
+        # The spec resolves REPRO_FUSED when it is built, so the detector
+        # is refused before any search runs.
         monkeypatch.setenv(FUSED_ENV, "on")
-        detector = EpistasisDetector(order=2, validate=True)
         with pytest.raises(ValueError, match="incompatible with validate"):
-            detector.detect(small_dataset)
+            EpistasisDetector(order=2, validate=True)
 
     def test_auto_with_validate_falls_back(self, small_dataset):
         # validate=True needs materialized tables: auto silently unfuses.

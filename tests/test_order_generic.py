@@ -5,8 +5,6 @@ for every interaction order it supports,
 
 * tables identical to the :func:`~repro.core.contingency.contingency_oracle_many`
   reference for every approach (the kernels share no code with the oracle);
-* order-2 results identical to the legacy
-  :class:`~repro.core.pairwise.PairwiseEpistasisDetector` shim;
 * top-k rankings identical to the oracle + objective reference, for CPU and
   GPU approaches, under single-device and heterogeneous ``cpu+gpu`` engine
   plans (the ISSUE acceptance criterion).
@@ -17,12 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import BruteForceReference
 from repro.core import EpistasisDetector
 from repro.core.approaches import get_approach, list_approaches
 from repro.core.combinations import combination_count, generate_combinations
 from repro.core.contingency import contingency_oracle_many
-from repro.core.pairwise import PairwiseEpistasisDetector
 from repro.core.scoring import K2Score
 from repro.datasets import generate_null_dataset
 
@@ -72,28 +68,6 @@ class TestApproachesMatchOracleAcrossOrders:
                 odd_sample_dataset.genotypes, odd_sample_dataset.phenotypes, combos
             )
             assert np.array_equal(tables, oracle)
-
-
-class TestUnifiedDetectorMatchesLegacyPairwise:
-    def test_order_2_matches_shim(self, small_dataset):
-        unified = EpistasisDetector(approach="cpu-v2", order=2, top_k=6).detect(
-            small_dataset
-        )
-        with pytest.deprecated_call():
-            shim = PairwiseEpistasisDetector(top_k=6)
-        legacy = shim.detect(small_dataset)
-        assert unified.best_snps == legacy.best_snps
-        assert unified.best_score == pytest.approx(legacy.best_score)
-        assert [i.snps for i in unified.top] == [i.snps for i in legacy.top]
-        assert legacy.stats.extra["order"] == 2
-
-    def test_order_2_matches_brute_force(self, small_dataset):
-        unified = EpistasisDetector(approach="cpu-v4", order=2, top_k=5).detect(
-            small_dataset
-        )
-        reference = BruteForceReference(order=2, top_k=5).detect(small_dataset)
-        assert unified.best_snps == reference.best_snps
-        assert [i.snps for i in unified.top] == [i.snps for i in reference.top]
 
 
 def _reference_topk(dataset, order: int, top_k: int):

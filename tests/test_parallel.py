@@ -1,22 +1,18 @@
-"""Tests of the host schedulers, map/reduce and the rank accounting.
+"""Tests of the host schedulers and the rank accounting.
 
-The implementations live in :mod:`repro.engine` (schedulers, map/reduce)
-and :mod:`repro.distributed` (rank accounting).  The retired
-:mod:`repro.parallel` shim package is gone; importing it must fail with a
-message naming the current homes, which is verified explicitly here.
+The implementations live in :mod:`repro.engine` (schedulers) and
+:mod:`repro.distributed` (rank accounting).
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.cluster import RankAccounting, SimulatedCluster
-from repro.engine.mapreduce import parallel_map_reduce
+from repro.distributed.cluster import RankAccounting
 from repro.engine.scheduling import DynamicScheduler, static_partition
 
 
@@ -113,36 +109,6 @@ class TestStaticPartition:
         assert max(sizes) - min(sizes) <= 1
 
 
-class TestParallelMapReduce:
-    def _sum_worker(self, worker_id, start, stop):
-        return sum(range(start, stop))
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sum_reduction(self, workers):
-        scheduler = DynamicScheduler(1000, chunk_size=17)
-        total, stats = parallel_map_reduce(
-            scheduler, self._sum_worker, sum, n_workers=workers
-        )
-        assert total == sum(range(1000))
-        assert len(stats) == workers
-        assert sum(s.chunks_processed for s in stats) == (1000 + 16) // 17
-
-    def test_single_worker_runs_inline(self):
-        scheduler = DynamicScheduler(10, chunk_size=10)
-        thread_ids = []
-
-        def worker(worker_id, start, stop):
-            thread_ids.append(threading.get_ident())
-            return 0
-
-        parallel_map_reduce(scheduler, worker, sum, n_workers=1)
-        assert thread_ids == [threading.get_ident()]
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            parallel_map_reduce(DynamicScheduler(1), self._sum_worker, sum, n_workers=0)
-
-
 class TestRankAccounting:
     def test_scatter_and_traffic(self):
         accounting = RankAccounting(4)
@@ -169,39 +135,3 @@ class TestRankAccounting:
     def test_invalid_rank_count(self):
         with pytest.raises(ValueError):
             RankAccounting(0)
-
-
-class TestSimulatedCluster:
-    def test_scatter_and_run(self):
-        cluster = SimulatedCluster(4)
-        ranks = cluster.scatter_work(103)
-        assert len(ranks) == 4
-        cluster.broadcast_dataset(1000)
-        assert all(r.bytes_received == 1000 for r in ranks)
-
-        def rank_fn(rank):
-            rank.items_processed = rank.work_items
-            return rank.work_items
-
-        results = cluster.run(rank_fn)
-        assert sum(results) == 103
-        gathered = cluster.gather(results, bytes_per_partial=64)
-        assert gathered == results
-        assert cluster.ranks[0].bytes_received == 1000 + 64 * 3
-
-    def test_requires_scatter_first(self):
-        cluster = SimulatedCluster(2)
-        with pytest.raises(RuntimeError):
-            cluster.run(lambda r: None)
-        with pytest.raises(RuntimeError):
-            cluster.gather([])
-
-
-class TestRemovedParallelPackage:
-    """repro.parallel is removed; importing it must point at the new homes."""
-
-    def test_import_fails_with_pointer(self):
-        for name in [m for m in sys.modules if m.startswith("repro.parallel")]:
-            del sys.modules[name]
-        with pytest.raises(ImportError, match="repro.engine"):
-            __import__("repro.parallel", fromlist=["_"])

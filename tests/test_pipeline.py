@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bitops.packing import pack_bits
-from repro.core import EpistasisDetector
+from repro.core import DetectorConfig, EpistasisDetector
 from repro.core.approaches import _kernels
 from repro.core.combinations import combination_count
 from repro.core.result import Interaction
@@ -23,7 +23,7 @@ from repro.pipeline import (
     SearchPipeline,
 )
 from repro.pipeline import stages
-from repro.pipeline.stages import PipelineDefaults, StageContext
+from repro.pipeline.stages import StageContext
 from tests.conftest import PLANTED_TRIPLET
 
 
@@ -304,7 +304,7 @@ class TestBatchedPermutationNull:
         scores = detector.score_combinations(dataset, self.FINALISTS)
         ctx = StageContext(
             dataset=dataset,
-            defaults=PipelineDefaults(approach=approach, objective=objective),
+            defaults=DetectorConfig(approach=approach, objective=objective),
             top=[
                 Interaction(snps=tuple(int(s) for s in row), score=float(score))
                 for row, score in zip(self.FINALISTS, scores)

@@ -1,0 +1,281 @@
+"""Tests of the execution spec, :class:`~repro.core.detector.DetectorConfig`.
+
+One frozen spec runs a search everywhere: the detector, every pipeline
+stage (which replaces the order and its own overrides) and every
+distributed worker (which receives the coordinator's spec and takes the
+order from its candidate source).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+
+from repro.core import DetectorConfig, EpistasisDetector
+from repro.datasets import SyntheticConfig, generate_dataset
+from repro.distributed import coordinator, get_fleet, run_distributed
+from repro.distributed.runner import ProcessRunner, _WorkerContext
+from repro.engine import DenseRangeSource
+from repro.pipeline import ExpandStage, ScreenStage, SearchPipeline
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    """12 SNPs x 256 samples: 220 triplets, 66 pairs."""
+    return generate_dataset(SyntheticConfig(n_snps=12, n_samples=256, seed=2020))
+
+
+def _rows(result):
+    return [(inter.snps, inter.score) for inter in result.top]
+
+
+def _hydrated_config(payload):
+    """Worker-side probe: the detector config a payload hydrates to."""
+    from repro.distributed.runner import _context_for
+
+    return _context_for(payload).detector.config
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """Every worker payload the coordinator builds while the test runs."""
+    seen = []
+
+    class RecordingRunner(ProcessRunner):
+        def __init__(self, workers, payload, **kwargs):
+            seen.append(payload)
+            super().__init__(workers, payload, **kwargs)
+
+    monkeypatch.setattr(coordinator, "ProcessRunner", RecordingRunner)
+    return seen
+
+
+class TestSpecValue:
+    def test_assignment_raises(self):
+        config = DetectorConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.top_k = 3
+
+    def test_approach_params_are_a_sorted_copy(self):
+        params = {"isa": "avx-128", "block_snps": 4}
+        config = DetectorConfig(approach_params=params)
+        params["isa"] = "avx2-256"
+        assert list(config.approach_params.items()) == [
+            ("block_snps", 4),
+            ("isa", "avx-128"),
+        ]
+        assert config.context_key() == DetectorConfig(
+            approach_params={"isa": "avx-128", "block_snps": 4}
+        ).context_key()
+
+    def test_context_key_ignores_telemetry_only(self):
+        base = DetectorConfig(telemetry="off")
+        traced = DetectorConfig(telemetry="full")
+        assert base.context_key("ds") == traced.context_key("ds")
+        for change in ({"word_layout": "u32"}, {"fused": "off"}, {"n_workers": 2}):
+            assert base.context_key("ds") != dataclasses.replace(
+                base, **change
+            ).context_key("ds")
+        assert base.context_key("ds") != base.context_key("other")
+
+    def test_ledger_search_document(self):
+        config = DetectorConfig(
+            approach="cpu-v4",
+            objective="k2",
+            top_k=7,
+            n_workers=2,
+            chunk_size=64,
+            word_layout="u32",
+            backend="numpy",
+            fused="off",
+        )
+        assert config.ledger_key(True) == {
+            "approach": "cpu-v4",
+            "objective": "k2",
+            "top_k": 7,
+            "collect_snp_minima": True,
+        }
+
+    def test_environment_is_read_at_construction(
+        self, dataset, monkeypatch, tmp_path
+    ):
+        from repro.telemetry import last_run
+
+        for name in ("REPRO_BACKEND", "REPRO_TELEMETRY", "REPRO_FUSED"):
+            monkeypatch.delenv(name, raising=False)
+        pairs = EpistasisDetector(order=2, top_k=5)
+        triplets = EpistasisDetector(order=3, top_k=5)
+        baseline = pairs.detect(dataset)
+        staged_baseline = triplets.detect_staged(dataset, keep_snps=6)
+        # Values that would raise, or start a trace, if a run read them.
+        monkeypatch.setenv("REPRO_BACKEND", "warp9")
+        monkeypatch.setenv("REPRO_TELEMETRY", "full")
+        traced_before = last_run()
+        runs = [
+            pairs.detect(dataset),
+            pairs.detect(dataset, checkpoint=str(tmp_path / "ledger.json")),
+        ]
+        for result in runs:
+            assert _rows(result) == _rows(baseline)
+            assert result.stats.extra["backend"] == baseline.stats.extra["backend"]
+            assert "telemetry" not in result.stats.extra
+        staged = triplets.detect_staged(dataset, keep_snps=6)
+        assert _rows(staged) == _rows(staged_baseline)
+        assert last_run() is traced_before
+        # Stages derive their specs with replace(): it keeps what the
+        # pipeline's spec resolved.  A new spec reads the environment.
+        derived = dataclasses.replace(triplets.config, order=2)
+        assert (derived.backend, derived.telemetry) == ("auto", "off")
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
+            EpistasisDetector(order=2)
+
+
+class TestStagedSearchKeepsApproachParams:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_expand_charges_like_detect(self, dataset, workers):
+        detector = EpistasisDetector(approach="cpu-v4", isa="avx-128", top_k=5)
+        dense = detector.detect(dataset)
+        staged = detector.detect_staged(
+            dataset, keep_snps=dataset.n_snps, workers=workers
+        )
+        expand = staged.stages[1]
+        assert expand.stage == "expand"
+        assert expand.device_stats["cpu"]["op_counts"] == (
+            dense.stats.extra["devices"]["cpu"]["op_counts"]
+        )
+        assert _rows(staged) == _rows(dense)
+
+    def test_stage_naming_another_approach_drops_them(self, dataset):
+        pipeline = SearchPipeline(
+            [ScreenStage(order=2, keep=6, approach="gpu-v4"), ExpandStage(order=3)],
+            approach="cpu-v4",
+            approach_params={"isa": "avx-128"},
+        )
+        [screen, expand] = pipeline.run(dataset).stages
+        assert screen.approach == "gpu-v4"
+        assert expand.approach == "cpu-v4"
+
+
+class TestPipelineRejectsInvalidConfig:
+    @pytest.mark.parametrize("field", ["n_workers", "chunk_size", "top_k"])
+    def test_stage_override(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            SearchPipeline([ScreenStage(order=2, keep=6), ExpandStage(**{field: 0})])
+
+    def test_pipeline_spec(self):
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            SearchPipeline([ExpandStage(order=3)], chunk_size=0)
+
+    def test_detect_staged_stage_list(self, dataset):
+        with pytest.raises(ValueError, match="top_k must be positive"):
+            EpistasisDetector().detect_staged(
+                dataset, stages=[ExpandStage(order=3, top_k=0)]
+            )
+
+
+class TestWorkersRunTheCoordinatorsSpec:
+    CONFIG = DetectorConfig(
+        approach="cpu-v4",
+        order=3,
+        top_k=5,
+        word_layout="u32",
+        backend="numpy",
+        telemetry="off",
+        approach_params={"isa": "avx-128"},
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_config_equals_coordinators(self, dataset, payloads, workers):
+        source = DenseRangeSource(dataset.n_snps, 2)
+        run_distributed(
+            dataset, source, config=self.CONFIG, workers=workers, pool="keep"
+        )
+        [payload] = payloads
+        assert payload.config == self.CONFIG
+        expected = dataclasses.replace(self.CONFIG, order=2)
+        if workers == 1:
+            hydrated = _WorkerContext(payload).detector
+            assert hydrated.approach.isa.name == "avx-128"
+            assert hydrated.approach.word_layout.name == "u32"
+            assert hydrated.config == expected
+        else:
+            probe = get_fleet(2).submit(_hydrated_config, payload)
+            assert probe.result(timeout=120) == expected
+
+    def test_traced_and_untraced_share_warm_context(self, dataset):
+        source = DenseRangeSource(dataset.n_snps, 2)
+
+        def run(config):
+            return run_distributed(
+                dataset, source, config=config, workers=2, pool="keep", shm="on"
+            )
+
+        # Two untraced runs: the second starts with both workers idle, so
+        # each of them takes a batch and holds the context afterwards.
+        run(self.CONFIG)
+        reference = run(self.CONFIG)
+        traced = run(dataclasses.replace(self.CONFIG, telemetry="minimal"))
+        assert _rows(traced.result) == _rows(reference.result)
+        assert "telemetry" in traced.result.stats.extra
+        assert traced.data_plane.get("worker_context_reused", 0) >= 1
+        assert traced.data_plane.get("worker_context_built", 0) == 0
+
+
+class TestLedgerResume:
+    def test_search_document_on_disk(self, dataset, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        run_distributed(
+            dataset,
+            DenseRangeSource(dataset.n_snps, 2),
+            config=DetectorConfig(approach="cpu-v4", order=2, top_k=6),
+            checkpoint=str(ledger),
+        )
+        assert json.loads(ledger.read_text())["fingerprint"]["search"] == {
+            "approach": "cpu-v4",
+            "objective": "k2",
+            "top_k": 6,
+            "collect_snp_minima": False,
+        }
+
+    def test_resume_under_other_execution(self, dataset, tmp_path):
+        source = DenseRangeSource(dataset.n_snps, 3)
+        config = DetectorConfig(approach="cpu-v4", top_k=5)
+        ledger = str(tmp_path / "ledger.json")
+        partial = run_distributed(
+            dataset, source, config=config, checkpoint=ledger, shard_budget=3
+        )
+        assert not partial.completed
+        resumed = run_distributed(
+            dataset,
+            source,
+            config=dataclasses.replace(
+                config, n_workers=2, chunk_size=64, word_layout="u32"
+            ),
+            checkpoint=ledger,
+            resume=True,
+        )
+        assert resumed.completed
+        assert resumed.shards_restored == 3
+        whole = run_distributed(dataset, source, config=config)
+        assert _rows(resumed.result) == _rows(whole.result)
+
+    @pytest.mark.parametrize(
+        "change", [{"objective": "gini"}, {"top_k": 4}], ids=["objective", "top_k"]
+    )
+    def test_resume_refused_on_search_change(self, dataset, tmp_path, change):
+        source = DenseRangeSource(dataset.n_snps, 3)
+        config = DetectorConfig(approach="cpu-v4", top_k=5)
+        ledger = str(tmp_path / "ledger.json")
+        run_distributed(
+            dataset, source, config=config, checkpoint=ledger, shard_budget=3
+        )
+        with pytest.raises(ValueError, match="cannot resume"):
+            run_distributed(
+                dataset,
+                source,
+                config=dataclasses.replace(config, **change),
+                checkpoint=ledger,
+                resume=True,
+            )
