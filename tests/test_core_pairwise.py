@@ -1,4 +1,10 @@
-"""Tests of the second-order (pairwise) epistasis support."""
+"""Tests of the second-order (pairwise) search on the order-generic core.
+
+Pairs have no dedicated stack: :func:`~repro.core.combinations.generate_combinations`
+unranks them in closed form, the phenotype-split kernel builds their 9x2
+tables, and ``EpistasisDetector(order=2)`` runs the pair screen through the
+same engine lanes and schedules as the third-order search.
+"""
 
 from __future__ import annotations
 
@@ -10,31 +16,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.contingency import contingency_oracle
-from repro.core.pairwise import (
-    PairwiseEpistasisDetector,
-    pairwise_combinations,
-    pairwise_split_tables,
-)
-from repro.core.scoring import K2Score
 from repro.baselines import BruteForceReference
+from repro.core import EpistasisDetector
+from repro.core.combinations import generate_combinations
+from repro.core.contingency import contingency_oracle
+from repro.core.scoring import K2Score
 from repro.datasets import PlantedInteraction, SyntheticConfig, generate_dataset
-from repro.datasets.binarization import PhenotypeSplitDataset
+
+
+def _pairs(n_snps, start_rank=0, count=None):
+    return generate_combinations(n_snps, 2, start_rank, count)
+
+
+def _pair_detector(**kwargs):
+    return EpistasisDetector(approach="cpu-v2", order=2, **kwargs)
 
 
 class TestPairwiseCombinations:
     def test_matches_itertools(self):
         expected = np.array(list(itertools_combinations(range(9), 2)))
-        assert np.array_equal(pairwise_combinations(9), expected)
+        assert np.array_equal(_pairs(9), expected)
 
     def test_windows(self):
-        full = pairwise_combinations(15)
-        assert np.array_equal(pairwise_combinations(15, 20, 30), full[20:50])
-        assert pairwise_combinations(15, 5, 0).shape == (0, 2)
+        full = _pairs(15)
+        assert np.array_equal(_pairs(15, 20, 30), full[20:50])
+        assert _pairs(15, 5, 0).shape == (0, 2)
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            pairwise_combinations(6, 0, comb(6, 2) + 1)
+            _pairs(6, 0, comb(6, 2) + 1)
 
     @given(n=st.integers(min_value=2, max_value=40), data=st.data())
     @settings(max_examples=30)
@@ -42,9 +52,9 @@ class TestPairwiseCombinations:
         total = comb(n, 2)
         start = data.draw(st.integers(0, total - 1))
         count = data.draw(st.integers(1, min(32, total - start)))
-        window = pairwise_combinations(n, start, count)
+        window = _pairs(n, start, count)
         assert (window[:, 0] < window[:, 1]).all()
-        full = pairwise_combinations(n)
+        full = _pairs(n)
         assert np.array_equal(window, full[start : start + count])
 
     @given(n=st.integers(min_value=2, max_value=64), data=st.data())
@@ -55,16 +65,15 @@ class TestPairwiseCombinations:
         total = comb(n, 2)
         start = data.draw(st.integers(0, total))
         count = data.draw(st.integers(0, total - start))
-        window = pairwise_combinations(n, start, count)
+        window = _pairs(n, start, count)
         assert window.dtype == np.int64
         assert np.array_equal(window, expected[start : start + count])
 
 
 class TestPairwiseTables:
     def test_matches_oracle(self, small_dataset):
-        split = PhenotypeSplitDataset.from_dataset(small_dataset)
-        pairs = pairwise_combinations(small_dataset.n_snps)[::5]
-        tables = pairwise_split_tables(split, pairs)
+        pairs = _pairs(small_dataset.n_snps)[::5]
+        tables = _pair_detector().build_tables(small_dataset, pairs)
         assert tables.shape == (pairs.shape[0], 9, 2)
         for i, pair in enumerate(pairs):
             oracle = contingency_oracle(
@@ -73,9 +82,8 @@ class TestPairwiseTables:
             assert np.array_equal(tables[i], oracle)
 
     def test_matches_oracle_odd_samples(self, odd_sample_dataset):
-        split = PhenotypeSplitDataset.from_dataset(odd_sample_dataset)
-        pairs = pairwise_combinations(odd_sample_dataset.n_snps)
-        tables = pairwise_split_tables(split, pairs)
+        pairs = _pairs(odd_sample_dataset.n_snps)
+        tables = _pair_detector().build_tables(odd_sample_dataset, pairs)
         for i in (0, 17, len(pairs) - 1):
             oracle = contingency_oracle(
                 odd_sample_dataset.genotypes, odd_sample_dataset.phenotypes, pairs[i]
@@ -83,18 +91,18 @@ class TestPairwiseTables:
             assert np.array_equal(tables[i], oracle)
 
     def test_validation(self, small_dataset):
-        split = PhenotypeSplitDataset.from_dataset(small_dataset)
+        detector = _pair_detector()
         with pytest.raises(ValueError):
-            pairwise_split_tables(split, np.array([[3, 1]]))
+            detector.build_tables(small_dataset, np.array([[3, 1]]))
         with pytest.raises(ValueError):
-            pairwise_split_tables(split, np.array([[0, 1, 2]]))
+            detector.build_tables(small_dataset, np.array([0, 1]))
         with pytest.raises(IndexError):
-            pairwise_split_tables(split, np.array([[0, 99]]))
+            detector.build_tables(small_dataset, np.array([[0, 99]]))
 
 
 class TestPairwiseDetector:
     def test_agrees_with_brute_force(self, small_dataset):
-        fast = PairwiseEpistasisDetector(top_k=5).detect(small_dataset)
+        fast = _pair_detector(top_k=5).detect(small_dataset)
         reference = BruteForceReference(order=2, top_k=5).detect(small_dataset)
         assert fast.best_snps == reference.best_snps
         assert fast.best_score == pytest.approx(reference.best_score)
@@ -111,19 +119,19 @@ class TestPairwiseDetector:
                 seed=13,
             )
         )
-        result = PairwiseEpistasisDetector(top_k=3).detect(dataset)
+        result = _pair_detector(top_k=3).detect(dataset)
         assert result.contains((4, 21))
 
     def test_chunking_invariance(self, small_dataset):
-        a = PairwiseEpistasisDetector(chunk_size=7).detect(small_dataset)
-        b = PairwiseEpistasisDetector(chunk_size=100000).detect(small_dataset)
+        a = _pair_detector(chunk_size=7).detect(small_dataset)
+        b = _pair_detector(chunk_size=100000).detect(small_dataset)
         assert a.best_snps == b.best_snps
         assert a.best_score == pytest.approx(b.best_score)
 
     @pytest.mark.parametrize("schedule", ["dynamic", "static", "guided"])
     def test_multi_worker_agreement(self, small_dataset, schedule):
-        single = PairwiseEpistasisDetector(top_k=5).detect(small_dataset)
-        multi = PairwiseEpistasisDetector(
+        single = _pair_detector(top_k=5).detect(small_dataset)
+        multi = _pair_detector(
             top_k=5, n_workers=3, chunk_size=17, schedule=schedule
         ).detect(small_dataset)
         assert [i.snps for i in multi.top] == [i.snps for i in single.top]
@@ -133,9 +141,8 @@ class TestPairwiseDetector:
         assert multi.stats.n_workers == 3
 
     def test_score_pairs_entry_point(self, small_dataset):
-        detector = PairwiseEpistasisDetector()
         pairs = np.array([[0, 1], [2, 5]])
-        scores = detector.score_pairs(small_dataset, pairs)
+        scores = _pair_detector().score_combinations(small_dataset, pairs)
         expected = K2Score().score(
             np.stack(
                 [
@@ -147,15 +154,15 @@ class TestPairwiseDetector:
         assert np.allclose(scores, expected)
 
     def test_stats(self, small_dataset):
-        result = PairwiseEpistasisDetector().detect(small_dataset)
+        result = _pair_detector().detect(small_dataset)
         assert result.stats.n_combinations == comb(small_dataset.n_snps, 2)
         assert result.stats.extra["order"] == 2
         assert len(result.best_snps) == 2
 
     def test_validation(self, tiny_dataset):
         with pytest.raises(ValueError):
-            PairwiseEpistasisDetector(chunk_size=0)
+            _pair_detector(chunk_size=0)
         with pytest.raises(ValueError):
-            PairwiseEpistasisDetector(top_k=0)
-        with pytest.raises(ValueError):
-            PairwiseEpistasisDetector().detect(tiny_dataset.subset_snps([0]))
+            _pair_detector(top_k=0)
+        with pytest.raises(ValueError, match="at least 2 are required"):
+            _pair_detector().detect(tiny_dataset.subset_snps([0]))

@@ -5,6 +5,8 @@ for every interaction order it supports,
 
 * tables identical to the :func:`~repro.core.contingency.contingency_oracle_many`
   reference for every approach (the kernels share no code with the oracle);
+* order-2 rankings identical to the brute-force
+  :class:`~repro.baselines.BruteForceReference` pair search;
 * top-k rankings identical to the oracle + objective reference, for CPU and
   GPU approaches, under single-device and heterogeneous ``cpu+gpu`` engine
   plans (the ISSUE acceptance criterion).
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import BruteForceReference
 from repro.core import EpistasisDetector
 from repro.core.approaches import get_approach, list_approaches
 from repro.core.combinations import combination_count, generate_combinations
@@ -68,6 +71,18 @@ class TestApproachesMatchOracleAcrossOrders:
                 odd_sample_dataset.genotypes, odd_sample_dataset.phenotypes, combos
             )
             assert np.array_equal(tables, oracle)
+
+
+class TestUnifiedDetectorMatchesLegacyPairwise:
+    """Order 2 on the unified detector ranks like the brute-force pair search."""
+
+    def test_order_2_matches_brute_force(self, small_dataset):
+        unified = EpistasisDetector(approach="cpu-v4", order=2, top_k=5).detect(
+            small_dataset
+        )
+        reference = BruteForceReference(order=2, top_k=5).detect(small_dataset)
+        assert unified.best_snps == reference.best_snps
+        assert [i.snps for i in unified.top] == [i.snps for i in reference.top]
 
 
 def _reference_topk(dataset, order: int, top_k: int):
