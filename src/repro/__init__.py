@@ -49,7 +49,7 @@ Quickstart
 (3, 11, 17)
 """
 
-from repro.core.detector import DetectorConfig, EpistasisDetector
+from repro.core.detector import DetectorConfig, EpistasisDetector, RunSpec
 from repro.core.result import ApproachStats, DetectionResult, Interaction
 from repro.core.scoring import K2Score, get_objective
 from repro.datasets.dataset import GenotypeDataset
@@ -89,6 +89,7 @@ __all__ = [
     "__version__",
     "EpistasisDetector",
     "DetectorConfig",
+    "RunSpec",
     "DetectionResult",
     "Interaction",
     "ApproachStats",

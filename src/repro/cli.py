@@ -614,21 +614,25 @@ def _telemetry_mode(args: argparse.Namespace) -> "str | None":
     return None
 
 
-def _retry_policy(args: argparse.Namespace):
-    """A :class:`RetryPolicy` from ``--shard-retries``/``--shard-deadline``
-    (``None`` when neither was given, deferring to the default policy)."""
-    if args.shard_retries is None and args.shard_deadline is None:
-        return None
-    from repro.distributed.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
+def _run_spec(args: argparse.Namespace):
+    """The :class:`RunSpec` of ``--workers``/``--checkpoint``/``--resume``/
+    ``--pool``/``--shm``/``--fault-plan``; ``--shard-retries`` and
+    ``--shard-deadline`` override the default retry policy."""
+    from repro.core import RunSpec
+    from repro.distributed.resilience import RetryPolicy
 
-    base = DEFAULT_RETRY_POLICY
-    return RetryPolicy(
-        max_attempts=(
-            args.shard_retries
-            if args.shard_retries is not None
-            else base.max_attempts
-        ),
-        shard_deadline_seconds=args.shard_deadline,
+    retry = None
+    if args.shard_retries is not None or args.shard_deadline is not None:
+        attempts = {} if args.shard_retries is None else {"max_attempts": args.shard_retries}
+        retry = RetryPolicy(shard_deadline_seconds=args.shard_deadline, **attempts)
+    return RunSpec(
+        workers=args.workers,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        pool=args.pool,
+        shm=args.shm,
+        retry=retry,
+        faults=args.fault_plan,
     )
 
 
@@ -686,15 +690,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     progress = _progress_printer() if args.progress else None
     try:
         result = _build_detector(args).detect(
-            dataset,
-            progress=progress,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            pool=args.pool,
-            shm=args.shm,
-            retry=_retry_policy(args),
-            faults=args.fault_plan,
+            dataset, progress=progress, run=_run_spec(args)
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -741,6 +737,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     progress = _stage_progress_printer() if args.progress else None
     try:
+        run = _run_spec(args)
         result = _build_detector(args).detect_staged(
             dataset,
             screen_order=args.screen_order,
@@ -749,24 +746,18 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             n_permutations=args.permutations,
             permutation_seed=args.permutation_seed,
             progress=progress,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            pool=args.pool,
-            shm=args.shm,
-            retry=_retry_policy(args),
-            faults=args.fault_plan,
+            run=run,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.summary())
-    if args.workers > 1 or args.checkpoint:
+    if run.sharded:
         resumed = sum(1 for s in result.stages if s.extra.get("resumed"))
         note = f", {resumed} stage(s) restored from checkpoint" if resumed else ""
         print(
-            f"distributed : {args.workers} worker(s) per sweep stage"
-            + (f", checkpoint {args.checkpoint}" if args.checkpoint else "")
+            f"distributed : {run.workers} worker(s) per sweep stage"
+            + (f", checkpoint {run.checkpoint}" if run.checkpoint else "")
             + note
         )
     for stage in result.stages:

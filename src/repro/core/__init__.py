@@ -50,7 +50,7 @@ from repro.core.scoring import (
     get_objective,
 )
 from repro.core.result import ApproachStats, DetectionResult, Interaction
-from repro.core.detector import DetectorConfig, EpistasisDetector
+from repro.core.detector import DetectorConfig, EpistasisDetector, RunSpec
 from repro.core.approaches import get_approach, list_approaches
 
 __all__ = [
@@ -79,6 +79,7 @@ __all__ = [
     "DetectionResult",
     "EpistasisDetector",
     "DetectorConfig",
+    "RunSpec",
     "get_approach",
     "list_approaches",
 ]

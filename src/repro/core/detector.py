@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Mapping
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping
 
 import numpy as np
 
@@ -74,7 +74,11 @@ from repro.engine import (
     parse_devices,
 )
 
-__all__ = ["DetectorConfig", "EpistasisDetector"]
+if TYPE_CHECKING:
+    from repro.distributed.resilience import RetryPolicy
+    from repro.faults import FaultPlan
+
+__all__ = ["DetectorConfig", "EpistasisDetector", "RunSpec"]
 
 #: Claims every thread of a multi-threaded plan gets at least when the
 #: detector sizes them, so dynamic scheduling can still even the threads out.
@@ -277,6 +281,111 @@ class DetectorConfig:
             "top_k": int(self.top_k),
             "collect_snp_minima": bool(collect_snp_minima),
         }
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Where a search runs: one frozen, validated value beside the search spec.
+
+    ``detect``, ``detect_candidates``, ``detect_staged``, ``SearchPipeline``
+    and :func:`repro.distributed.run_distributed` take one as ``run=``; their
+    keywords of the same names are applied on top of it (:meth:`of`).  It
+    changes where and how the work runs, never what a search returns, so it
+    is in neither :meth:`DetectorConfig.context_key` nor
+    :meth:`DetectorConfig.ledger_key`: a ledger resumes under any worker
+    count, pool or data plane, and warm worker contexts are shared.
+
+    Attributes
+    ----------
+    workers:
+        Worker processes (:mod:`repro.distributed`).  ``1`` runs in-process
+        with the search spec's ``n_workers`` host threads; ``N > 1`` cuts
+        the candidate space into shards run across ``N`` spawn-started
+        processes and merged deterministically (the top-k is bit-identical
+        for any count).  ``n_workers`` stays the per-process thread count.
+    checkpoint:
+        Atomic ledger written after every completed shard; it forces the
+        sharded path even for one worker.  A file for ``detect`` and
+        ``run_distributed``; a directory for ``detect_staged`` and
+        ``SearchPipeline``, which write ``pipeline.json`` plus one ledger
+        per sweep stage and the permutation stage's RNG-state ledger.
+    resume:
+        Restore completed shards (and stages) from ``checkpoint`` instead
+        of re-running them; fingerprints are checked, and a missing ledger
+        starts fresh.  Needs a ``checkpoint``.
+    pool:
+        ``"keep"`` runs on the process-wide warm fleet of ``workers``
+        processes, which outlives the call (later runs and stages skip the
+        spawn and reuse hydrated workers); ``"fresh"`` spawns a pool for
+        the call and tears it down afterwards.
+    shm:
+        The shared-memory data plane: ``"on"``/``True`` publishes the
+        dataset and the prototype lane's encoding for workers to attach,
+        ``"off"``/``False`` pickles the dataset into every batch, and
+        ``None``/``"auto"`` enables it whenever ``workers > 1``.  Stored as
+        the resolved bool, which is ``False`` whenever ``workers == 1``;
+        pass ``shm`` again when deriving a spec with another ``workers``.
+    retry:
+        The :class:`~repro.distributed.resilience.RetryPolicy` of sharded
+        runs: per-shard attempts with backoff, the heartbeat-watchdog
+        deadline and the pool-break budget of the degradation ladder
+        (respawn, fresh pool, inline).  ``None`` becomes
+        :data:`~repro.distributed.resilience.DEFAULT_RETRY_POLICY`.
+    faults:
+        Deterministic fault injection for chaos runs: a
+        :class:`~repro.faults.FaultPlan`, a compact spec string such as
+        ``"shard.run:crash"`` or a JSON document.  ``None`` takes the
+        ``REPRO_FAULTS`` environment variable; no plan is stored as an
+        empty ``FaultPlan()``.  The plan stays unarmed: every sharded sweep
+        arms its own copy, so each has its own firing budget.
+
+    The ``REPRO_FAULTS`` default is read here, once, at construction, as
+    :class:`DetectorConfig` reads its environment defaults.
+    """
+
+    workers: int = 1
+    checkpoint: str | None = None
+    resume: bool = False
+    pool: str = "keep"
+    shm: bool | str | None = None
+    retry: RetryPolicy | None = None
+    faults: FaultPlan | str | None = None
+
+    def __post_init__(self) -> None:
+        from repro.distributed.resilience import DEFAULT_RETRY_POLICY
+        from repro.faults import FaultPlan, resolve_fault_plan
+
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
+        if self.pool not in ("keep", "fresh"):
+            raise ValueError(f"pool must be 'keep' or 'fresh', got {self.pool!r}")
+        if self.resume and self.checkpoint is None:
+            raise ValueError("resume=True needs a checkpoint to restore from")
+        shm = self.shm
+        if isinstance(shm, str):
+            modes = {"on": True, "off": False, "auto": None}
+            if shm.lower() not in modes:
+                raise ValueError(f"shm must be 'on', 'off' or 'auto', got {shm!r}")
+            shm = modes[shm.lower()]
+        resolved = {
+            "shm": self.workers > 1 and (shm is None or bool(shm)),
+            "retry": self.retry if self.retry is not None else DEFAULT_RETRY_POLICY,
+            "faults": resolve_fault_plan(self.faults) or FaultPlan(),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, run: RunSpec | None = None, **fields) -> RunSpec:
+        """``run`` with ``fields`` applied on top (a new spec without ``run``)."""
+        if run is None:
+            return cls(**fields)
+        return replace(run, **fields) if fields else run
+
+    @property
+    def sharded(self) -> bool:
+        """Whether searches take the sharded path of :mod:`repro.distributed`."""
+        return self.workers > 1 or self.checkpoint is not None
 
 
 class EpistasisDetector:
@@ -512,13 +621,8 @@ class EpistasisDetector:
         *,
         cancel: CancellationToken | None = None,
         progress: Callable[[int, int], None] | None = None,
-        workers: int | None = None,
-        checkpoint: str | None = None,
-        resume: bool = False,
-        pool: str = "keep",
-        shm: object = None,
-        retry: object = None,
-        faults: object = None,
+        run: RunSpec | None = None,
+        **run_fields,
     ) -> DetectionResult:
         """Exhaustively evaluate every SNP combination of the dataset.
 
@@ -533,40 +637,10 @@ class EpistasisDetector:
         progress:
             Optional callback invoked after every chunk with
             ``(combinations_done, combinations_total)``.
-        workers:
-            Number of sharded OS worker *processes* (``repro.distributed``):
-            ``None``/``1`` runs in-process with ``config.n_workers`` host
-            threads; ``N > 1`` cuts the combination space into shards
-            executed across ``N`` spawn-safe processes, each running this
-            detector's full device/schedule configuration, with a
-            deterministic merge (the top-k is bit-identical for any worker
-            count).
-        checkpoint:
-            Optional path of an atomic shard ledger written after every
-            completed shard (crash-safe; forces the sharded execution path
-            even for one worker).
-        resume:
-            Restore completed shards from an existing ``checkpoint`` ledger
-            instead of re-evaluating them.
-        pool:
-            ``"keep"`` (default) reuses the process-wide warm worker fleet
-            across calls; ``"fresh"`` spawns (and tears down) a dedicated
-            pool for this call.
-        shm:
-            Shared-memory data plane: ``"on"``/``True`` publishes the
-            dataset and encodings for workers to attach, ``"off"``/``False``
-            pickles them, ``None``/``"auto"`` enables it whenever worker
-            processes exist.
-        retry:
-            Fault-tolerance policy of the sharded path — a
-            :class:`~repro.distributed.resilience.RetryPolicy` bounding
-            per-shard retries, the heartbeat-watchdog deadline and the
-            pool-break budget (``None`` uses the defaults).
-        faults:
-            Deterministic fault injection (chaos testing): a
-            :class:`~repro.faults.FaultPlan`, a compact spec string such as
-            ``"shard.run:crash"``, or ``None`` (the ``REPRO_FAULTS``
-            environment variable still applies).
+        run / **run_fields:
+            Where the search runs: a :class:`RunSpec` and its fields
+            (``workers=``, ``checkpoint=``, ...) applied on top of it.  A
+            sharded spec runs :func:`repro.distributed.run_distributed`.
 
         Returns
         -------
@@ -575,6 +649,7 @@ class EpistasisDetector:
             (throughput in the paper's combinations x samples unit, dynamic
             instruction counts, memory traffic, per-device utilization).
         """
+        run = RunSpec.of(run, **run_fields)
         cfg = self.config
         n_snps = dataset.n_snps
         if n_snps < cfg.order:
@@ -586,13 +661,7 @@ class EpistasisDetector:
             DenseRangeSource(n_snps, cfg.order),
             cancel=cancel,
             progress=progress,
-            workers=workers,
-            checkpoint=checkpoint,
-            resume=resume,
-            pool=pool,
-            shm=shm,
-            retry=retry,
-            faults=faults,
+            run=run,
         )
 
     def detect_candidates(
@@ -603,13 +672,8 @@ class EpistasisDetector:
         cancel: CancellationToken | None = None,
         progress: Callable[[int, int], None] | None = None,
         observe: Callable[[DeviceWorker, np.ndarray, np.ndarray], None] | None = None,
-        workers: int | None = None,
-        checkpoint: str | None = None,
-        resume: bool = False,
-        pool: str = "keep",
-        shm: object = None,
-        retry: object = None,
-        faults: object = None,
+        run: RunSpec | None = None,
+        **run_fields,
     ) -> DetectionResult:
         """Evaluate an arbitrary candidate stream on the execution engine.
 
@@ -629,16 +693,14 @@ class EpistasisDetector:
         source:
             Candidate k-tuples to evaluate
             (:class:`~repro.engine.CandidateSource`).
-        cancel / progress:
+        cancel / progress / run:
             As in :meth:`detect`.
         observe:
             Optional per-chunk tap ``observe(worker, combos, scores)``
             invoked after scoring, before the top-k fold.  Used by the
             screening stage to aggregate per-SNP statistics without keeping
             the full score stream; called concurrently from worker threads.
-        workers / checkpoint / resume:
-            Sharded multi-process execution as in :meth:`detect`; ``observe``
-            is not supported on that path (per-chunk taps cannot cross the
+            Not supported on a sharded run (per-chunk taps cannot cross the
             process boundary — the distributed screening stage uses
             :func:`repro.distributed.run_distributed` directly).
 
@@ -650,176 +712,112 @@ class EpistasisDetector:
             and ``stats.extra["distributed"]`` the shard bookkeeping of a
             multi-process run.
         """
-        from repro.telemetry import (
-            current_run,
-            finish_run,
-            new_run_id,
-            span_or_null,
-            start_run,
-        )
+        from repro.telemetry import join_run, span_or_null
 
+        run = RunSpec.of(run, **run_fields)
         cfg = self.config
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be positive")
+        if run.sharded and observe is not None:
+            raise ValueError(
+                "observe= is not supported with multi-process execution; "
+                "use repro.distributed.run_distributed(collect_snp_minima=...)"
+            )
         # Join the ambient telemetry run (pipeline stage, distributed
         # worker) when one is active; otherwise this call owns the run.
-        session = current_run()
-        owns_session = False
-        if session is None and cfg.telemetry != "off":
-            session = start_run(cfg.telemetry)
-            owns_session = True
-        run_id = session.run_id if session is not None else new_run_id()
-        try:
-            with span_or_null(
-                "detect",
-                order=source.order,
-                total=source.total,
-                approach=str(cfg.approach),
-            ):
-                result = self._detect_candidates(
+        with join_run(cfg.telemetry) as (session, run_id), span_or_null(
+            "detect", order=source.order, total=source.total, approach=str(cfg.approach)
+        ):
+            if run.sharded:
+                from repro.distributed import run_distributed
+
+                outcome = run_distributed(
                     dataset,
                     source,
-                    cancel=cancel,
+                    config=cfg,
+                    run=run,
                     progress=progress,
-                    observe=observe,
-                    workers=workers,
-                    checkpoint=checkpoint,
-                    resume=resume,
-                    pool=pool,
-                    shm=shm,
-                    retry=retry,
-                    faults=faults,
-                    session=session,
+                    cancel=cancel,
                     run_id=run_id,
                 )
-        finally:
-            if owns_session:
-                finish_run(session)
-        return result
-
-    def _detect_candidates(
-        self,
-        dataset: GenotypeDataset,
-        source: CandidateSource,
-        *,
-        cancel,
-        progress,
-        observe,
-        workers,
-        checkpoint,
-        resume,
-        pool,
-        shm,
-        retry,
-        faults,
-        session,
-        run_id,
-    ) -> DetectionResult:
-        from repro.telemetry import span_or_null
-
-        cfg = self.config
-        if (workers is not None and workers > 1) or checkpoint is not None:
-            if observe is not None:
-                raise ValueError(
-                    "observe= is not supported with multi-process execution; "
-                    "use repro.distributed.run_distributed(collect_snp_minima=...)"
+                if outcome.cancelled or not outcome.completed:
+                    raise RuntimeError(
+                        f"detection cancelled after "
+                        f"{outcome.items_restored + outcome.items_evaluated} of "
+                        f"{source.total} combinations"
+                    )
+                return outcome.result
+            # Statistics count this call only: drop what earlier calls
+            # charged to the prototype (every other lane gets a fresh
+            # approach).
+            self._prototype.reset_counter()
+            total = source.total
+            with span_or_null("plan", total=total):
+                self._prepare_objective(dataset)
+                devices = self.engine_devices(source)
+                policy = self._build_policy(dataset, source)
+                plan = ExecutionPlan(
+                    source=source, devices=devices, policy=policy, top_k=cfg.top_k
                 )
-            from repro.distributed import run_distributed
 
-            outcome = run_distributed(
-                dataset,
-                source,
-                config=cfg,
-                workers=workers or 1,
-                checkpoint=checkpoint,
-                resume=resume,
-                progress=progress,
-                cancel=cancel,
-                pool=pool,
-                shm=shm,
-                run_id=run_id,
-                retry=retry,
-                faults=faults,
+            # Encode the dataset once per device lane (CPU and GPU approaches
+            # consume different layouts); workers of a lane share the
+            # read-only encoding but own their approach instance.  The first
+            # worker whose lane matches the prototype's kind reuses the
+            # prototype so single-lane runs keep a single counter to inspect.
+            encodings: Dict[str, object] = {}
+            prototype_assigned = False
+
+            def worker_factory(device: EngineDevice, worker_id: int) -> _WorkerState:
+                nonlocal prototype_assigned
+                if device.kind == self._prototype.device and not prototype_assigned:
+                    prototype_assigned = True
+                    approach = self._prototype
+                else:
+                    approach = self._worker_approach(device.kind)
+                if device.kind not in encodings:
+                    encodings[device.kind] = self._prepare_cached(approach, dataset)
+                return _WorkerState(approach=approach, encoded=encodings[device.kind])
+
+            snp_names = list(dataset.snp_names)
+            n_cases, n_controls = dataset.n_cases, dataset.n_controls
+            fused_active = cfg.fused != "off" and not cfg.validate
+
+            def scorer(worker: DeviceWorker, combos: np.ndarray) -> np.ndarray:
+                state: _WorkerState = worker.state
+                if fused_active:
+                    scores = state.approach.score_combinations(
+                        state.encoded, combos, self.objective
+                    )
+                    if scores is not None:
+                        if observe is not None:
+                            observe(worker, combos, scores)
+                        return scores
+                tables = state.approach.build_tables(state.encoded, combos)
+                if cfg.validate:
+                    validate_tables(tables, n_controls, n_cases)
+                scores = self.objective.score(tables)
+                if observe is not None:
+                    observe(worker, combos, scores)
+                return scores
+
+            executor = HeterogeneousExecutor(plan, cancel=cancel)
+            swept = executor.run(
+                worker_factory, scorer=scorer, snp_names=snp_names, progress=progress
             )
-            if outcome.cancelled or not outcome.completed:
+            if swept.cancelled:
                 raise RuntimeError(
-                    f"detection cancelled after "
-                    f"{outcome.items_restored + outcome.items_evaluated} of "
-                    f"{source.total} combinations"
+                    f"detection cancelled after {swept.n_items} of {total} combinations"
                 )
-            return outcome.result
-        # Statistics count this call only: drop what earlier calls charged
-        # to the prototype (every other lane gets a fresh approach).
-        self._prototype.reset_counter()
-        total = source.total
-        with span_or_null("plan", total=total):
-            self._prepare_objective(dataset)
-            devices = self.engine_devices(source)
-            policy = self._build_policy(dataset, source)
-            plan = ExecutionPlan(
-                source=source, devices=devices, policy=policy, top_k=cfg.top_k
-            )
+            if not swept.top:
+                raise RuntimeError("exhaustive search produced no interactions")
 
-        # Encode the dataset once per device lane (CPU and GPU approaches
-        # consume different layouts); workers of a lane share the read-only
-        # encoding but own their approach instance.  The first worker whose
-        # lane matches the prototype's kind reuses the prototype so
-        # single-lane runs keep a single counter to inspect.
-        encodings: Dict[str, object] = {}
-        prototype_assigned = False
+            stats = self._build_stats(swept, plan, total, dataset, policy, source)
+            stats.extra["run_id"] = run_id
+            if session is not None:
+                from repro.telemetry import absorb_stats
 
-        def worker_factory(device: EngineDevice, worker_id: int) -> _WorkerState:
-            nonlocal prototype_assigned
-            if device.kind == self._prototype.device and not prototype_assigned:
-                prototype_assigned = True
-                approach = self._prototype
-            else:
-                approach = self._worker_approach(device.kind)
-            if device.kind not in encodings:
-                encodings[device.kind] = self._prepare_cached(approach, dataset)
-            return _WorkerState(approach=approach, encoded=encodings[device.kind])
-
-        snp_names = list(dataset.snp_names)
-        n_cases, n_controls = dataset.n_cases, dataset.n_controls
-        fused_active = cfg.fused != "off" and not cfg.validate
-
-        def scorer(worker: DeviceWorker, combos: np.ndarray) -> np.ndarray:
-            state: _WorkerState = worker.state
-            if fused_active:
-                scores = state.approach.score_combinations(
-                    state.encoded, combos, self.objective
-                )
-                if scores is not None:
-                    if observe is not None:
-                        observe(worker, combos, scores)
-                    return scores
-            tables = state.approach.build_tables(state.encoded, combos)
-            if cfg.validate:
-                validate_tables(tables, n_controls, n_cases)
-            scores = self.objective.score(tables)
-            if observe is not None:
-                observe(worker, combos, scores)
-            return scores
-
-        executor = HeterogeneousExecutor(plan, cancel=cancel)
-        run = executor.run(
-            worker_factory, scorer=scorer, snp_names=snp_names, progress=progress
-        )
-        if run.cancelled:
-            raise RuntimeError(
-                f"detection cancelled after {run.n_items} of {total} combinations"
-            )
-        if not run.top:
-            raise RuntimeError("exhaustive search produced no interactions")
-
-        stats = self._build_stats(run, plan, total, dataset, policy, source)
-        stats.extra["run_id"] = run_id
-        if session is not None:
-            from repro.telemetry import absorb_stats
-
-            absorb_stats(session, stats)
-            stats.extra["telemetry"] = session.summary()
-        return DetectionResult(best=run.top[0], top=list(run.top), stats=stats)
+                absorb_stats(session, stats)
+                stats.extra["telemetry"] = session.summary()
+            return DetectionResult(best=swept.top[0], top=list(swept.top), stats=stats)
 
     # -- staged search --------------------------------------------------------------
     def detect_staged(
@@ -834,13 +832,8 @@ class EpistasisDetector:
         stages: List | None = None,
         cancel: CancellationToken | None = None,
         progress: Callable[[str, int, int], None] | None = None,
-        workers: int | None = None,
-        checkpoint: str | None = None,
-        resume: bool = False,
-        pool: str = "keep",
-        shm: object = None,
-        retry: object = None,
-        faults: object = None,
+        run: RunSpec | None = None,
+        **run_fields,
     ):
         """Run a staged screen-then-expand search instead of the dense sweep.
 
@@ -878,13 +871,9 @@ class EpistasisDetector:
         cancel / progress:
             Cooperative cancellation token and per-stage progress callback
             ``progress(stage_name, done, total)``.
-        workers / checkpoint / resume:
-            Sharded multi-process execution of the sweep stages
-            (:mod:`repro.distributed`): each screen/expand stage shards its
-            candidate space across ``workers`` OS processes; ``checkpoint``
-            names a *directory* holding one atomic ledger per stage plus
-            the pipeline-level stage-output ledger, and ``resume`` restores
-            completed stages and shards after a kill.
+        run / **run_fields:
+            Where the sweep stages run, as in :meth:`detect`; here
+            ``checkpoint`` names a directory (see :class:`RunSpec`).
 
         Returns
         -------
@@ -914,6 +903,7 @@ class EpistasisDetector:
             SearchPipeline,
         )
 
+        run = RunSpec.of(run, **run_fields)
         cfg = self.config
         if stages is None:
             if keep_snps is None:
@@ -939,17 +929,7 @@ class EpistasisDetector:
                         objective=refine_objective,
                     )
                 )
-        pipeline = SearchPipeline(
-            stages,
-            config=cfg,
-            workers=workers or 1,
-            checkpoint=checkpoint,
-            resume=resume,
-            pool=pool,
-            shm=shm,
-            retry=retry,
-            faults=faults,
-        )
+        pipeline = SearchPipeline(stages, config=cfg, run=run)
         return pipeline.run(dataset, cancel=cancel, progress=progress)
 
     def _build_stats(self, run, plan, total, dataset, policy, source) -> ApproachStats:

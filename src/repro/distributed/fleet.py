@@ -7,7 +7,7 @@ interpreter start plus imports, ~300 ms per worker) for every sweep; a warm
 fleet pays it once per process lifetime, which is what makes multi-process
 execution profitable for the short stage sweeps the staged pipeline issues.
 
-Fleets are registered per ``(workers, mp_context)`` in a process-wide pool
+Fleets are registered per worker count in a process-wide pool
 (:func:`get_fleet`) torn down by ``atexit``; the fleet also owns the
 long-lived :class:`~repro.distributed.shm.StoreSession` that keeps
 published shared-memory segments alive between runs, so a second
@@ -26,9 +26,13 @@ import atexit
 import multiprocessing
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, Tuple
+from typing import Dict
 
 __all__ = ["WorkerFleet", "get_fleet", "shutdown_fleets"]
+
+#: Start method of every worker pool: safe with threads in the parent and
+#: identical across platforms.
+START_METHOD = "spawn"
 
 
 class WorkerFleet:
@@ -39,17 +43,12 @@ class WorkerFleet:
     workers:
         Worker process count (fixed for the fleet's lifetime; different
         counts get different fleets).
-    mp_context:
-        ``multiprocessing`` start method; ``"spawn"`` is the default
-        everywhere in :mod:`repro.distributed` (safe with threads in the
-        parent, identical across platforms).
     """
 
-    def __init__(self, workers: int, mp_context: str = "spawn") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
         self.workers = int(workers)
-        self.mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._session = None
         self._lock = threading.Lock()
@@ -65,8 +64,7 @@ class WorkerFleet:
                 from repro.distributed.shm import note_event
 
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context(self.mp_context),
+                    self.workers, multiprocessing.get_context(START_METHOD)
                 )
                 self.generation += 1
                 note_event("pool_spawns")
@@ -159,24 +157,24 @@ class WorkerFleet:
             session.close()
 
 
-_FLEETS: Dict[Tuple[int, str], WorkerFleet] = {}
+_FLEETS: Dict[int, WorkerFleet] = {}
 _FLEETS_LOCK = threading.Lock()
 _ATEXIT_REGISTERED = False
 
 
-def get_fleet(workers: int, mp_context: str = "spawn") -> WorkerFleet:
-    """The process-wide warm fleet for ``(workers, mp_context)``.
+def get_fleet(workers: int) -> WorkerFleet:
+    """The process-wide warm fleet of ``workers`` processes.
 
     Created on first request and kept until :func:`shutdown_fleets` (or
     process exit); every ``--pool keep`` run with the same worker count
     reuses it.
     """
     global _ATEXIT_REGISTERED
-    key = (int(workers), mp_context)
+    key = int(workers)
     with _FLEETS_LOCK:
         fleet = _FLEETS.get(key)
         if fleet is None:
-            fleet = WorkerFleet(workers, mp_context)
+            fleet = WorkerFleet(key)
             _FLEETS[key] = fleet
             if not _ATEXIT_REGISTERED:
                 atexit.register(shutdown_fleets)

@@ -45,18 +45,14 @@ from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
 
 from repro.distributed.merge import (
     interaction_to_row,
     minima_to_payload,
     snp_minima_accumulator,
 )
-from repro.distributed.resilience import (
-    DEFAULT_RETRY_POLICY,
-    ResilienceLog,
-    RetryPolicy,
-)
+from repro.distributed.resilience import ResilienceLog
 from repro.distributed.shards import Shard, ShardView
 from repro.distributed.shm import (
     DatasetHandle,
@@ -67,6 +63,9 @@ from repro.distributed.shm import (
     note_event,
 )
 from repro.faults import fire, install_plan
+
+if TYPE_CHECKING:
+    from repro.core.detector import RunSpec
 
 __all__ = ["WorkerPayload", "ShardOutcome", "ProcessRunner"]
 
@@ -300,26 +299,17 @@ class ProcessRunner:
 
     Parameters
     ----------
-    workers:
-        Worker process count.  ``1`` runs every shard inline in the calling
-        process through the identical code path (no pool, no pickling
-        overhead) — useful for checkpointed single-process runs and tests.
+    run:
+        The run's :class:`~repro.core.detector.RunSpec`: ``workers``
+        processes (``1`` runs every shard inline in the calling process
+        through the identical code path — no pool, no pickling), the
+        ``pool`` they run on (``"keep"``: the process-wide warm fleet of
+        :func:`repro.distributed.fleet.get_fleet`, which survives this run;
+        ``"fresh"``: a dedicated pool torn down afterwards) and the
+        ``retry`` policy of :meth:`map_shards`.
     payload:
         The per-process hydration spec (shipped with every batch; tiny
         when the dataset rides shared memory).
-    mp_context:
-        ``multiprocessing`` start method (default ``"spawn"``: safe with
-        threads in the parent and identical across platforms).
-    pool:
-        ``"keep"`` executes on the process-wide warm fleet
-        (:func:`repro.distributed.fleet.get_fleet`), which survives this
-        run; ``"fresh"`` spawns a dedicated pool torn down afterwards.
-    batch_size:
-        Shards per future (default: enough batches for ~4 rounds per
-        worker, at least one shard each).
-    retry:
-        The run's :class:`~repro.distributed.resilience.RetryPolicy`
-        (``None`` = :data:`DEFAULT_RETRY_POLICY`).
     resilience:
         The :class:`~repro.distributed.resilience.ResilienceLog` to record
         into — pass one pre-seeded from the checkpoint ledger so retry
@@ -329,24 +319,14 @@ class ProcessRunner:
 
     def __init__(
         self,
-        workers: int,
+        run: RunSpec,
         payload: WorkerPayload,
-        mp_context: str = "spawn",
-        pool: str = "keep",
-        batch_size: int | None = None,
-        retry: RetryPolicy | None = None,
         resilience: ResilienceLog | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        if pool not in ("keep", "fresh"):
-            raise ValueError(f"pool must be 'keep' or 'fresh', got {pool!r}")
-        self.workers = workers
+        self.workers = run.workers
         self.payload = payload
-        self.mp_context = mp_context
-        self.pool = pool
-        self.batch_size = batch_size
-        self.retry = retry or DEFAULT_RETRY_POLICY
+        self.pool = run.pool
+        self.retry = run.retry
         self.resilience = resilience if resilience is not None else ResilienceLog()
         self._fleet = None
         self._fleet_info: Dict[str, object] | None = None
@@ -398,18 +378,16 @@ class ProcessRunner:
 
         if self._fleet is None:
             if self.pool == "keep":
-                self._fleet = get_fleet(self.workers, self.mp_context)
+                self._fleet = get_fleet(self.workers)
             else:
-                self._fleet = WorkerFleet(self.workers, self.mp_context)
+                self._fleet = WorkerFleet(self.workers)
                 self._dedicated = True
         return self._fleet
 
     def _batches(self, tasks: List[tuple[int, int, int]]) -> List[List[tuple]]:
-        size = self.batch_size
-        if size is None:
-            # ~4 dispatch rounds per worker keeps pull-scheduling balance
-            # while cutting futures round-trips ~4x for the default plan.
-            size = max(1, len(tasks) // (self.workers * 4))
+        # ~4 dispatch rounds per worker keeps pull-scheduling balance while
+        # cutting futures round-trips ~4x for the default plan.
+        size = max(1, len(tasks) // (self.workers * 4))
         return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
     def _escalate(self, fleet):
@@ -442,7 +420,7 @@ class ProcessRunner:
         note_event("pool_respawns")
         if self._ladder_fleet is not None:
             self._ladder_fleet.shutdown()
-        self._ladder_fleet = WorkerFleet(self.workers, self.mp_context)
+        self._ladder_fleet = WorkerFleet(self.workers)
         return self._ladder_fleet
 
     def _run_inline(

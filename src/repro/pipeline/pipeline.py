@@ -29,11 +29,12 @@ finalists with a permutation null::
 from __future__ import annotations
 
 import time
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from math import comb
 from typing import List, Sequence
 
-from repro.core.detector import DetectorConfig
+from repro.core.detector import DetectorConfig, RunSpec
 from repro.datasets.dataset import GenotypeDataset
 from repro.engine import CancellationToken
 from repro.pipeline.result import PipelineResult, StageReport
@@ -58,40 +59,22 @@ class SearchPipeline:
         pipeline's: the pipeline owns one telemetry session, and every
         stage, engine run and distributed sweep joins it, so a single trace
         covers the whole staged search under one ``run_id``.
-    **spec_fields:
+    run:
+        Where the sweep stages run (:class:`~repro.core.detector.RunSpec`).
+        With ``workers > 1`` each screen/expand stage shards its candidates
+        across that many processes; with the default ``pool="keep"`` all of
+        them run on one warm fleet, and the permutation null runs
+        in-process.  ``checkpoint`` is a directory: the pipeline writes a
+        stage-output ledger (``pipeline.json``) plus one shard ledger per
+        sweep stage and the permutation stage's RNG-state ledger, so a
+        killed run resumes mid-stage.
+    **fields:
         :class:`~repro.core.detector.DetectorConfig` fields
-        (``approach="cpu-v4"``, ``n_workers=2``, ...), applied on top of
-        ``config`` (or of the default spec without one).  The spec and
-        every stage's overrides are validated here, before any stage runs.
-    workers:
-        Sharded multi-process execution (:mod:`repro.distributed`) of the
-        sweep stages: each screen/expand stage cuts its candidate space
-        into shards executed across this many OS worker processes, with a
-        deterministic merge (results are bit-identical for any worker
-        count).  ``n_workers`` stays the *per-process* host thread count.
-    checkpoint:
-        Optional checkpoint *directory*: the pipeline writes a stage-output
-        ledger (``pipeline.json``) plus one atomic shard ledger per sweep
-        stage (and the permutation stage's RNG-state ledger), so a killed
-        run can be resumed mid-stage.
-    resume:
-        Restore completed stages and shards from the checkpoint directory
-        instead of re-executing them (fingerprints validated; safe to pass
-        when no checkpoint exists yet).
-    pool / shm:
-        Worker-fleet and data-plane knobs of the distributed sweep stages:
-        ``pool="keep"`` (default) runs every sweep stage on one
-        process-wide warm worker fleet — the pipeline spawns processes
-        once, and screen and expand stages all reuse them (the permutation
-        null runs in-process); ``pool="fresh"`` spawns per stage.  ``shm`` controls the shared-memory data plane
-        (``"on"``/``"off"``/``"auto"``; see
-        :func:`repro.distributed.run_distributed`).
-    retry / faults:
-        Fault tolerance of the distributed sweep stages: ``retry`` is a
-        :class:`~repro.distributed.resilience.RetryPolicy` (per-shard
-        retry budget, heartbeat-watchdog deadline, pool-break ladder) and
-        ``faults`` a deterministic :class:`~repro.faults.FaultPlan` (or
-        compact spec string) injected for chaos testing.
+        (``approach="cpu-v4"``, ``n_workers=2``, ...) and
+        :class:`~repro.core.detector.RunSpec` fields (``workers=2``, ...),
+        applied on top of ``config`` and ``run`` (or of the defaults
+        without them).  Both specs and every stage's overrides are
+        validated here, before any stage runs.
     """
 
     def __init__(
@@ -99,20 +82,15 @@ class SearchPipeline:
         stages: Sequence[PipelineStage],
         *,
         config: DetectorConfig | None = None,
-        workers: int = 1,
-        checkpoint: str | None = None,
-        resume: bool = False,
-        pool: str = "keep",
-        shm: object = None,
-        retry: object = None,
-        faults: object = None,
-        **spec_fields,
+        run: RunSpec | None = None,
+        **fields,
     ) -> None:
         stages = list(stages)
         if not stages:
             raise ValueError("a search pipeline needs at least one stage")
-        if workers < 1:
-            raise ValueError("workers must be positive")
+        run_names = {f.name for f in dataclass_fields(RunSpec)}
+        run = RunSpec.of(run, **{k: v for k, v in fields.items() if k in run_names})
+        spec_fields = {k: v for k, v in fields.items() if k not in run_names}
         if config is None:
             config = DetectorConfig(**spec_fields)
         elif spec_fields:
@@ -122,13 +100,7 @@ class SearchPipeline:
             stage.config(config)
         self.stages = stages
         self.defaults = config
-        self.workers = workers
-        self.checkpoint = checkpoint
-        self.resume = resume
-        self.pool = pool
-        self.shm = shm
-        self.retry = retry
-        self.faults = faults
+        self.run_spec = run
 
     def run(
         self,
@@ -150,98 +122,56 @@ class SearchPipeline:
             Optional callback ``progress(stage_name, done, total)`` invoked
             after every chunk of every stage.
         """
-        from repro.telemetry import (
-            current_run,
-            finish_run,
-            new_run_id,
-            span_or_null,
-            start_run,
-        )
+        from repro.telemetry import join_run, span_or_null
 
-        mode = self.defaults.telemetry
-        session = current_run()
-        owns_session = False
-        if session is None and mode != "off":
-            session = start_run(mode)
-            owns_session = True
-        run_id = session.run_id if session is not None else new_run_id()
-        try:
-            with span_or_null(
-                "pipeline", stages=len(self.stages), n_snps=dataset.n_snps
-            ):
-                return self._run(
-                    dataset,
-                    cancel=cancel,
-                    progress=progress,
-                    run_id=run_id,
-                )
-        finally:
-            if owns_session:
-                finish_run(session)
-
-    def _run(
-        self,
-        dataset: GenotypeDataset,
-        *,
-        cancel: CancellationToken | None,
-        progress: PipelineProgress | None,
-        run_id: str,
-    ) -> PipelineResult:
-        from repro.telemetry import span_or_null
-
-        ctx = StageContext(
-            dataset=dataset,
-            defaults=self.defaults,
-            cancel=cancel,
-            progress=progress,
-            workers=self.workers,
-            checkpoint_dir=self.checkpoint,
-            resume=self.resume,
-            pool=self.pool,
-            shm=self.shm,
-            retry=self.retry,
-            faults=self.faults,
-        )
-        ledger = self._open_ledger(dataset)
-        if ledger is not None:
-            ledger.note_run(run_id)
-        reports: List[StageReport] = []
-        started = time.perf_counter()
-        for index, stage in enumerate(self.stages):
-            ctx.stage_index = index
-            restored = self._restore_stage(ledger, index, ctx)
-            if restored is not None:
-                reports.append(restored)
-                continue
-            with span_or_null(
-                "pipeline.stage", stage=stage.name, index=index
-            ):
-                report = stage.run(ctx)
-            reports.append(report)
-            self._record_stage(ledger, index, ctx, report)
-        elapsed = time.perf_counter() - started
-
-        if not ctx.top:
-            raise RuntimeError(
-                "pipeline produced no finalists; include an expand stage "
-                f"(ran: {[stage.name for stage in self.stages]})"
+        with join_run(self.defaults.telemetry) as (_, run_id), span_or_null(
+            "pipeline", stages=len(self.stages), n_snps=dataset.n_snps
+        ):
+            ctx = StageContext(
+                dataset=dataset,
+                defaults=self.defaults,
+                cancel=cancel,
+                progress=progress,
+                run=self.run_spec,
             )
-        final_order = len(ctx.top[0].snps)
-        return PipelineResult(
-            best=ctx.top[0],
-            top=list(ctx.top),
-            stages=reports,
-            elapsed_seconds=elapsed,
-            n_snps=dataset.n_snps,
-            n_samples=dataset.n_samples,
-            final_order=final_order,
-            exhaustive_combinations=comb(dataset.n_snps, final_order),
-            retained_snps=(
-                [int(s) for s in ctx.retained] if ctx.retained is not None else None
-            ),
-            p_values=ctx.p_values,
-            run_id=run_id,
-        )
+            ledger = self._open_ledger(dataset)
+            if ledger is not None:
+                ledger.note_run(run_id)
+            reports: List[StageReport] = []
+            started = time.perf_counter()
+            for index, stage in enumerate(self.stages):
+                ctx.stage_index = index
+                restored = self._restore_stage(ledger, index, ctx)
+                if restored is not None:
+                    reports.append(restored)
+                    continue
+                with span_or_null("pipeline.stage", stage=stage.name, index=index):
+                    report = stage.run(ctx)
+                reports.append(report)
+                self._record_stage(ledger, index, ctx, report)
+            elapsed = time.perf_counter() - started
+
+            if not ctx.top:
+                raise RuntimeError(
+                    "pipeline produced no finalists; include an expand stage "
+                    f"(ran: {[stage.name for stage in self.stages]})"
+                )
+            final_order = len(ctx.top[0].snps)
+            return PipelineResult(
+                best=ctx.top[0],
+                top=list(ctx.top),
+                stages=reports,
+                elapsed_seconds=elapsed,
+                n_snps=dataset.n_snps,
+                n_samples=dataset.n_samples,
+                final_order=final_order,
+                exhaustive_combinations=comb(dataset.n_snps, final_order),
+                retained_snps=(
+                    [int(s) for s in ctx.retained] if ctx.retained is not None else None
+                ),
+                p_values=ctx.p_values,
+                run_id=run_id,
+            )
 
     # -- pipeline-level checkpointing -------------------------------------------
     def _fingerprint(self, dataset: GenotypeDataset) -> dict:
@@ -261,16 +191,16 @@ class SearchPipeline:
         re-enters the first incomplete stage, whose own shard ledger then
         resumes mid-sweep.
         """
-        if self.checkpoint is None:
+        if self.run_spec.checkpoint is None:
             return None
         from pathlib import Path
 
         from repro.distributed.checkpoint import JsonLedger
 
-        ledger = JsonLedger(Path(self.checkpoint) / "pipeline.json")
+        ledger = JsonLedger(Path(self.run_spec.checkpoint) / "pipeline.json")
         if ledger.begin(
             self._fingerprint(dataset),
-            resume=self.resume,
+            resume=self.run_spec.resume,
             label="pipeline checkpoint",
         ):
             return ledger
@@ -280,7 +210,7 @@ class SearchPipeline:
 
     def _restore_stage(self, ledger, index: int, ctx: StageContext):
         """Replay a completed stage from the ledger (``None`` = execute it)."""
-        if ledger is None or not self.resume:
+        if ledger is None or not self.run_spec.resume:
             return None
         record = ledger.doc.get("stages", {}).get(str(index))
         if record is None:

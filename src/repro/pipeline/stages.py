@@ -33,7 +33,7 @@ import numpy as np
 from repro.bitops.packing import pack_bits
 from repro.core.approaches._kernels import naive_permutation_tables
 from repro.core.contingency import validate_tables
-from repro.core.detector import DetectorConfig, EpistasisDetector
+from repro.core.detector import DetectorConfig, EpistasisDetector, RunSpec
 from repro.core.result import DetectionResult, Interaction
 from repro.core.scoring import ObjectiveFunction
 from repro.datasets.binarization import BinarizedDataset
@@ -72,11 +72,11 @@ class StageContext:
     current finalist list — set by expand, re-ranked by refine, annotated
     with ``p_values`` by the permutation stage.
 
-    ``workers`` / ``checkpoint_dir`` / ``resume`` configure sharded
-    multi-process execution (:mod:`repro.distributed`) of the sweep stages:
-    each stage writes its own shard ledger under ``checkpoint_dir`` (named
-    by ``stage_index`` and stage name, maintained by the pipeline run
-    loop), so a killed pipeline resumes mid-stage.
+    ``run`` is where the sweep stages run
+    (:class:`~repro.core.detector.RunSpec`); its ``checkpoint`` is a
+    directory holding one ledger per stage, named by ``stage_index`` (kept
+    by the pipeline run loop) and the stage name, so a killed pipeline
+    resumes mid-stage.
     """
 
     dataset: GenotypeDataset
@@ -86,35 +86,17 @@ class StageContext:
     p_values: List[float] | None = None
     cancel: CancellationToken | None = None
     progress: PipelineProgress | None = None
-    workers: int = 1
-    checkpoint_dir: str | None = None
-    resume: bool = False
+    run: RunSpec = field(default_factory=RunSpec)
     stage_index: int = 0
-    #: Warm-fleet / data-plane knobs threaded into every distributed stage
-    #: sweep (see :func:`repro.distributed.run_distributed`): with the
-    #: default ``pool="keep"`` all sweep stages reuse one process-wide
-    #: worker fleet and the shared-memory segments it keeps alive.
-    pool: str = "keep"
-    shm: object = None
-    #: Fault-tolerance policy (:class:`~repro.distributed.resilience
-    #: .RetryPolicy` or ``None``) and deterministic fault-injection plan
-    #: threaded into every distributed stage sweep.
-    retry: object = None
-    faults: object = None
-
-    @property
-    def distributed(self) -> bool:
-        """Whether sweep stages run on the sharded multi-process path."""
-        return self.workers > 1 or self.checkpoint_dir is not None
 
     def stage_ledger_path(self, stage_name: str) -> str | None:
-        """This stage's shard-ledger path under the checkpoint directory."""
-        if self.checkpoint_dir is None:
+        """This stage's ledger path under the checkpoint directory."""
+        if self.run.checkpoint is None:
             return None
         from pathlib import Path
 
         return str(
-            Path(self.checkpoint_dir)
+            Path(self.run.checkpoint)
             / f"stage{self.stage_index:02d}_{stage_name}.ckpt.json"
         )
 
@@ -202,23 +184,17 @@ class PipelineStage(ABC):
         the distributed path shards the same candidate source and merges
         under the engine's ``(score, combination-rank)`` total order.
         """
-        if ctx.distributed:
+        if ctx.run.sharded:
             from repro.distributed import run_distributed
 
             outcome = run_distributed(
                 ctx.dataset,
                 source,
                 config=detector.config,
-                workers=ctx.workers,
-                checkpoint=ctx.stage_ledger_path(self.name),
-                resume=ctx.resume,
+                run=replace(ctx.run, checkpoint=ctx.stage_ledger_path(self.name)),
                 collect_snp_minima=collect_minima,
                 progress=ctx.stage_progress(self.name),
                 cancel=ctx.cancel,
-                pool=ctx.pool,
-                shm=ctx.shm,
-                retry=ctx.retry,
-                faults=ctx.faults,
             )
             if outcome.cancelled or not outcome.completed:
                 raise RuntimeError(
@@ -525,7 +501,7 @@ class PermutationStage(PipelineStage):
         # so a resumed run continues the same permutation stream mid-loop.
         ledger = None
         start_perm = 0
-        if ctx.checkpoint_dir is not None:
+        if ctx.run.checkpoint is not None:
             from repro.distributed.checkpoint import JsonLedger, dataset_fingerprint
 
             fingerprint = {
@@ -537,7 +513,7 @@ class PermutationStage(PipelineStage):
             }
             ledger = JsonLedger(ctx.stage_ledger_path(self.name))
             if ledger.begin(
-                fingerprint, resume=ctx.resume, label="permutation checkpoint"
+                fingerprint, resume=ctx.run.resume, label="permutation checkpoint"
             ):
                 start_perm = int(ledger.doc.get("perm_done", 0))
                 exceed = np.asarray(ledger.doc["exceed"], dtype=np.int64)

@@ -36,6 +36,7 @@ from .session import (
     absorb_stats,
     current_run,
     finish_run,
+    join_run,
     last_run,
     metric_inc,
     span_or_null,
@@ -69,6 +70,7 @@ __all__ = [
     "default_telemetry_mode",
     "finish_run",
     "host_metadata",
+    "join_run",
     "last_run",
     "load_trace",
     "metric_inc",

@@ -14,17 +14,19 @@ Exactly one layer *starts* a run and every nested layer *joins* it:
 
 Joining is implicit: any layer calls :func:`current_run` and records
 into it when one is active, regardless of its own config — the run
-owner decides whether telemetry is on.  When nothing is active the
-helpers (:func:`span_or_null`, :func:`metric_inc`) are near-free no-ops,
-which is what keeps ``telemetry="off"`` off the hot path.
+owner decides whether telemetry is on.  The first three owners enter
+:func:`join_run`, which joins the active run or starts one.  When
+nothing is active the helpers (:func:`span_or_null`,
+:func:`metric_inc`) are near-free no-ops, which is what keeps
+``telemetry="off"`` off the hot path.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
-from typing import Optional
+from contextlib import contextmanager, nullcontext
+from typing import Iterator, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .tracer import TraceContext, Tracer, new_run_id
@@ -34,6 +36,7 @@ __all__ = [
     "absorb_stats",
     "current_run",
     "finish_run",
+    "join_run",
     "last_run",
     "metric_inc",
     "span_or_null",
@@ -155,6 +158,29 @@ def finish_run(run: RunTelemetry) -> None:
         run.finished_at = time.time()
         _ACTIVE = None
         _LAST = run
+
+
+@contextmanager
+def join_run(
+    mode: str, run_id: "str | None" = None
+) -> Iterator[Tuple[Optional[RunTelemetry], str]]:
+    """Join the active run, or start one in ``mode`` and finish it on exit.
+
+    Yields ``(session, run_id)``.  ``session`` is ``None`` when no run is
+    active and ``mode`` is ``"off"``; ``run_id`` is then ``run_id`` or a
+    fresh id, and otherwise the session's.
+    """
+    session = current_run()
+    owns = session is None and mode != "off"
+    if owns:
+        session = start_run(mode)
+    if session is not None:
+        run_id = session.run_id
+    try:
+        yield session, run_id or new_run_id()
+    finally:
+        if owns:
+            finish_run(session)
 
 
 def last_run() -> Optional[RunTelemetry]:

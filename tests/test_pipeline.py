@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bitops.packing import pack_bits
-from repro.core import DetectorConfig, EpistasisDetector
+from repro.core import DetectorConfig, EpistasisDetector, RunSpec
 from repro.core.approaches import _kernels
 from repro.core.combinations import combination_count
 from repro.core.result import Interaction
@@ -299,7 +299,7 @@ class TestBatchedPermutationNull:
             batched.view(np.uint64), expected.view(np.uint64)
         )
 
-    def _stage_p_values(self, dataset, approach, objective, **context):
+    def _stage_p_values(self, dataset, approach, objective, **run_fields):
         detector = EpistasisDetector(approach=approach, objective=objective)
         scores = detector.score_combinations(dataset, self.FINALISTS)
         ctx = StageContext(
@@ -309,7 +309,7 @@ class TestBatchedPermutationNull:
                 Interaction(snps=tuple(int(s) for s in row), score=float(score))
                 for row, score in zip(self.FINALISTS, scores)
             ],
-            **context,
+            run=RunSpec(**run_fields),
         )
         PermutationStage(
             n_permutations=self.N_PERMUTATIONS, seed=5, checkpoint_every=8
@@ -335,7 +335,7 @@ class TestBatchedPermutationNull:
         assert all(floor < p < 1.0 for p in reference), reference
         assert self._stage_p_values(small_dataset, approach, objective) == reference
         checkpointed = self._stage_p_values(
-            small_dataset, approach, objective, checkpoint_dir=str(tmp_path)
+            small_dataset, approach, objective, checkpoint=str(tmp_path)
         )
         assert checkpointed == reference
 
@@ -354,7 +354,7 @@ class TestBatchedPermutationNull:
 
         monkeypatch.setattr(JsonLedger, "write", counting_write)
         fresh = self._stage_p_values(
-            small_dataset, "cpu-v4", "k2", checkpoint_dir=str(tmp_path)
+            small_dataset, "cpu-v4", "k2", checkpoint=str(tmp_path)
         )
         windows = list(range(8, self.N_PERMUTATIONS, 8)) + [self.N_PERMUTATIONS]
         assert written == [0] + windows
@@ -366,7 +366,7 @@ class TestBatchedPermutationNull:
 
         monkeypatch.setattr(PermutationStage, "null_scores", no_null)
         resumed = self._stage_p_values(
-            small_dataset, "cpu-v4", "k2", checkpoint_dir=str(tmp_path), resume=True
+            small_dataset, "cpu-v4", "k2", checkpoint=str(tmp_path), resume=True
         )
         assert resumed == fresh
         assert written == []

@@ -1,23 +1,35 @@
-"""Tests of the execution spec, :class:`~repro.core.detector.DetectorConfig`.
+"""Tests of the two specs of a search in :mod:`repro.core.detector`.
 
-One frozen spec runs a search everywhere: the detector, every pipeline
-stage (which replaces the order and its own overrides) and every
-distributed worker (which receives the coordinator's spec and takes the
-order from its candidate source).
+One frozen :class:`~repro.core.detector.DetectorConfig` runs a search
+everywhere: the detector, every pipeline stage (which replaces the order
+and its own overrides) and every distributed worker (which receives the
+coordinator's spec and takes the order from its candidate source).  One
+frozen :class:`~repro.core.detector.RunSpec` says where it runs, and is
+checked before anything else happens.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
+import os
+import tempfile
 
 import pytest
 
-from repro.core import DetectorConfig, EpistasisDetector
+from repro.core import DetectorConfig, EpistasisDetector, RunSpec
 from repro.datasets import SyntheticConfig, generate_dataset
-from repro.distributed import coordinator, get_fleet, run_distributed
+from repro.distributed import (
+    DEFAULT_RETRY_POLICY,
+    RetryPolicy,
+    coordinator,
+    get_fleet,
+    run_distributed,
+)
 from repro.distributed.runner import ProcessRunner, _WorkerContext
 from repro.engine import DenseRangeSource
+from repro.faults import FAULTS_ENV, FaultPlan, current_plan, install_plan
 from repro.pipeline import ExpandStage, ScreenStage, SearchPipeline
 
 
@@ -44,9 +56,9 @@ def payloads(monkeypatch):
     seen = []
 
     class RecordingRunner(ProcessRunner):
-        def __init__(self, workers, payload, **kwargs):
+        def __init__(self, run, payload, **kwargs):
             seen.append(payload)
-            super().__init__(workers, payload, **kwargs)
+            super().__init__(run, payload, **kwargs)
 
     monkeypatch.setattr(coordinator, "ProcessRunner", RecordingRunner)
     return seen
@@ -260,6 +272,22 @@ class TestLedgerResume:
         assert resumed.shards_restored == 3
         whole = run_distributed(dataset, source, config=config)
         assert _rows(resumed.result) == _rows(whole.result)
+        # The run spec is in no key either: a one-worker partial resumes on
+        # a fresh two-process pool without the shared-memory data plane.
+        ledger = str(tmp_path / "placement.json")
+        run_distributed(
+            dataset, source, config=config, checkpoint=ledger, shard_budget=3
+        )
+        moved = run_distributed(
+            dataset,
+            source,
+            config=config,
+            run=RunSpec(
+                workers=2, checkpoint=ledger, resume=True, pool="fresh", shm="off"
+            ),
+        )
+        assert moved.shards_restored == 3
+        assert _rows(moved.result) == _rows(whole.result)
 
     @pytest.mark.parametrize(
         "change", [{"objective": "gini"}, {"top_k": 4}], ids=["objective", "top_k"]
@@ -279,3 +307,235 @@ class TestLedgerResume:
                 checkpoint=ledger,
                 resume=True,
             )
+
+
+def _head_resolve_shm(shm, workers):
+    """The data-plane switch as ``coordinator.resolve_shm`` computed it."""
+    if isinstance(shm, str):
+        lowered = shm.lower()
+        if lowered == "on":
+            shm = True
+        elif lowered == "off":
+            shm = False
+        elif lowered == "auto":
+            shm = None
+        else:
+            raise ValueError(f"shm must be 'on', 'off' or 'auto', got {shm!r}")
+    if shm is None:
+        return workers > 1
+    return bool(shm) and workers > 1
+
+
+def _claim_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-faults-*")))
+
+
+def _placement(result):
+    """``extra["distributed"]`` without what depends on the warm fleet's
+    history (which worker took which batch, how often it was spawned)."""
+    distributed = dict(result.stats.extra["distributed"])
+    del distributed["fleet"], distributed["data_plane"]
+    return distributed
+
+
+class TestRunSpecValue:
+    def test_assignment_raises(self):
+        run = RunSpec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.workers = 2
+
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        run = RunSpec()
+        assert (run.workers, run.checkpoint, run.resume, run.pool) == (
+            1,
+            None,
+            False,
+            "keep",
+        )
+        assert run.shm is False
+        assert run.retry is DEFAULT_RETRY_POLICY
+        assert run.faults == FaultPlan()
+        assert not run.sharded
+        assert RunSpec(workers=2).sharded
+        assert RunSpec(checkpoint="ledger.json").sharded
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "shm", [None, "auto", "AUTO", "on", "On", "off", "OFF", True, False, 0, 1]
+    )
+    def test_shm_normalises_as_before(self, shm, workers):
+        assert RunSpec(workers=workers, shm=shm).shm is _head_resolve_shm(
+            shm, workers
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bogus_shm_refused_as_before(self, workers):
+        with pytest.raises(ValueError) as expected:
+            _head_resolve_shm("bogus", workers)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            RunSpec(workers=workers, shm="bogus")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"workers": 0}, "workers must be positive"),
+            ({"pool": "bogus"}, "pool must be 'keep' or 'fresh'"),
+            ({"resume": True}, "resume=True needs a checkpoint"),
+            ({"faults": "shard.nowhere:crash"}, "unknown fault site"),
+        ],
+        ids=["workers", "pool", "resume", "faults"],
+    )
+    def test_invalid_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RunSpec(**fields)
+
+    def test_of_applies_fields_on_top(self):
+        retry = RetryPolicy(max_attempts=2)
+        base = RunSpec(workers=2, retry=retry)
+        assert RunSpec.of(base) is base
+        assert RunSpec.of(base, pool="fresh") == RunSpec(
+            workers=2, retry=retry, pool="fresh"
+        )
+        assert RunSpec.of(None, workers=2) == RunSpec(workers=2)
+
+
+class TestFaultsEnvironment:
+    """``REPRO_FAULTS`` is read once, when the run spec is built."""
+
+    def test_set_after_the_spec_injects_nothing(self, dataset, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        detector = EpistasisDetector(top_k=5)
+        run = RunSpec(workers=2)
+        baseline = detector.detect(dataset)
+        monkeypatch.setenv(FAULTS_ENV, "shard.run:crash")
+        derived = dataclasses.replace(run, shm="off")
+        assert run.faults == derived.faults == FaultPlan()
+        for spec in (run, derived):
+            result = detector.detect(dataset, run=spec)
+            resilience = result.stats.extra["distributed"]["resilience"]
+            assert resilience["retries"] == resilience["pool_breaks"] == 0
+            assert _rows(result) == _rows(baseline)
+
+    def test_set_before_the_spec_injects(self, dataset, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        detector = EpistasisDetector(top_k=5)
+        baseline = detector.detect(dataset)
+        monkeypatch.setenv(FAULTS_ENV, "shard.run:error")
+        run = RunSpec(workers=2, pool="fresh")
+        assert run.faults == FaultPlan.parse("shard.run:error")
+        result = detector.detect(dataset, run=run)
+        assert result.stats.extra["distributed"]["resilience"]["retries"] >= 1
+        assert _rows(result) == _rows(baseline)
+
+
+class TestRunSpecEqualsKeywords:
+    FIELDS = {"workers": 2, "pool": "keep", "shm": "on"}
+
+    def test_detect(self, dataset, tmp_path):
+        detector = EpistasisDetector(top_k=5)
+        fields = dict(self.FIELDS, checkpoint=str(tmp_path / "ledger.json"))
+        detector.detect(dataset, **fields)
+        by_keywords = detector.detect(dataset, **fields)
+        by_spec = detector.detect(dataset, run=RunSpec(**fields))
+        assert _rows(by_spec) == _rows(by_keywords)
+        assert _placement(by_spec) == _placement(by_keywords)
+
+    def test_detect_staged(self, dataset, tmp_path):
+        detector = EpistasisDetector(top_k=5)
+        fields = dict(self.FIELDS, checkpoint=str(tmp_path))
+        options = {"keep_snps": 8, "n_permutations": 16}
+        by_keywords = detector.detect_staged(dataset, **options, **fields)
+        by_spec = detector.detect_staged(dataset, **options, run=RunSpec(**fields))
+        assert _rows(by_spec) == _rows(by_keywords)
+        assert by_spec.p_values == by_keywords.p_values
+        assert sorted(os.listdir(tmp_path)) == [
+            "pipeline.json",
+            "stage00_screen.ckpt.json",
+            "stage00_screen.ckpt.json.minima",
+            "stage01_expand.ckpt.json",
+            "stage02_permutation.ckpt.json",
+        ]
+
+    def test_run_distributed(self, dataset):
+        source = DenseRangeSource(dataset.n_snps, 3)
+        config = DetectorConfig(top_k=5)
+        run_distributed(dataset, source, config=config, **self.FIELDS)
+        by_keywords = run_distributed(dataset, source, config=config, **self.FIELDS)
+        by_spec = run_distributed(
+            dataset, source, config=config, run=RunSpec(**self.FIELDS)
+        )
+        assert _rows(by_spec.result) == _rows(by_keywords.result)
+        assert _placement(by_spec.result) == _placement(by_keywords.result)
+
+
+class TestPlacementRefusedUpFront:
+    """Each bad value is refused with the spec's message before any ledger,
+    fleet or fault plan exists."""
+
+    def test_staged_zero_workers(self, dataset, payloads):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            EpistasisDetector().detect_staged(dataset, workers=0, keep_snps=8)
+        assert payloads == []
+
+    def test_bogus_pool_and_shm(self, dataset, payloads):
+        with pytest.raises(ValueError, match="pool must be 'keep' or 'fresh'"):
+            EpistasisDetector().detect(dataset, pool="bogus", shm="bogus")
+        assert payloads == []
+
+    def test_bogus_shm_before_the_ledger(self, dataset, payloads, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        with pytest.raises(ValueError, match="shm must be"):
+            EpistasisDetector().detect(
+                dataset, workers=2, checkpoint=str(ledger), shm="bogus"
+            )
+        assert not ledger.exists()
+        assert payloads == []
+
+    def test_resume_without_checkpoint(self, dataset, payloads):
+        with pytest.raises(ValueError, match="resume=True needs a checkpoint"):
+            EpistasisDetector().detect(dataset, resume=True)
+        assert payloads == []
+
+
+class TestCoordinatorReleasesTheFaultPlan:
+    def test_failure_after_arming(self, dataset, monkeypatch):
+        closed = []
+
+        class ClosingRunner(ProcessRunner):
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        def failing_publish(*args):
+            raise RuntimeError("publish failed")
+
+        monkeypatch.setattr(coordinator, "ProcessRunner", ClosingRunner)
+        monkeypatch.setattr(coordinator, "_publish_data_plane", failing_publish)
+        callers_plan = FaultPlan.parse("shard.run:slow:delay=0")
+        install_plan(callers_plan)
+        dirs = _claim_dirs()
+        try:
+            with pytest.raises(RuntimeError, match="publish failed"):
+                run_distributed(
+                    dataset,
+                    DenseRangeSource(dataset.n_snps, 2),
+                    config=DetectorConfig(order=2),
+                    workers=2,
+                    pool="fresh",
+                    shm="on",
+                    faults="shard.run:crash",
+                )
+            assert current_plan() is callers_plan
+        finally:
+            install_plan(None)
+        assert len(closed) == 1
+        assert _claim_dirs() == dirs
+
+    def test_crash_run_leaves_no_claim_directory(self, dataset):
+        dirs = _claim_dirs()
+        result = EpistasisDetector(top_k=5).detect(
+            dataset, workers=2, pool="fresh", faults="shard.run:crash"
+        )
+        assert result.stats.extra["distributed"]["resilience"]["retries"] >= 1
+        assert _claim_dirs() == dirs
