@@ -63,8 +63,7 @@ def main() -> None:
     print(f"2-process best  : {sharded.best}")
     print(f"top-5 bit-identical: {identical}")
     dist = sharded.stats.extra["distributed"]
-    print(f"shards: {dist['n_shards']} ({dist['strategy']} plan), "
-          f"workers: {dist['workers']}\n")
+    print(f"shards: {dist['n_shards']}, workers: {dist['workers']}\n")
 
     # -- 2. simulated kill mid-run -------------------------------------------
     print("== 2. kill mid-run (shard budget) ==")

@@ -24,9 +24,9 @@ The package is organised as:
   refine → permutation): every stage is an engine run with per-stage
   configuration, turning the ``nCr(M, k)`` wall into a retention-budget
   knob.
-* :mod:`repro.distributed` — sharded multi-process execution: shard
-  planning (static or CARM-throughput-weighted), spawn-safe worker
-  processes, atomic checkpoint/resume ledgers and a deterministic
+* :mod:`repro.distributed` — sharded multi-process execution: near-equal
+  shard planning, spawn-safe worker processes with a bounded recovery
+  ladder, atomic checkpoint/resume ledgers and a deterministic
   ``(score, combination-rank)`` merge — ``detect(..., workers=N,
   checkpoint=...)`` survives kills and reports bit-identical top-k for any
   worker count.

@@ -180,7 +180,7 @@ class Mpi3snpBaseline:
             DenseRangeSource(dataset.n_snps, self.order),
             config=config,
             workers=self.n_ranks,
-            planner=ShardPlanner(n_shards=self.n_ranks, strategy="static"),
+            planner=ShardPlanner(n_shards=self.n_ranks),
         )
         # The planner's n_ranks-way static cut produces exactly the rank
         # spans of RankAccounting.scatter_work, so shard id == rank id.

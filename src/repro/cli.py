@@ -549,11 +549,10 @@ def _print_distributed_summary(distributed: dict | None) -> None:
     if not distributed:
         return
     restored = distributed.get("shards_restored", 0)
-    note = f", {restored} restored from checkpoint" if restored else ""
+    note = f" ({restored} restored from checkpoint)" if restored else ""
     print(
         f"distributed : {distributed.get('workers')} worker(s), "
-        f"{distributed.get('n_shards')} shards "
-        f"({distributed.get('strategy')} plan{note})"
+        f"{distributed.get('n_shards')} shards{note}"
     )
     if distributed.get("shm"):
         plane = distributed.get("data_plane") or {}

@@ -327,9 +327,10 @@ class RunSpec:
         pass ``shm`` again when deriving a spec with another ``workers``.
     retry:
         The :class:`~repro.distributed.resilience.RetryPolicy` of sharded
-        runs: per-shard attempts with backoff, the heartbeat-watchdog
-        deadline and the pool-break budget of the degradation ladder
-        (respawn, fresh pool, inline).  ``None`` becomes
+        runs: per-shard attempts, the first backoff delay and the
+        heartbeat-watchdog deadline.  Pool breaks respawn the pool, and the
+        run finishes inline after the third (see
+        :mod:`repro.distributed.runner`).  ``None`` becomes
         :data:`~repro.distributed.resilience.DEFAULT_RETRY_POLICY`.
     faults:
         Deterministic fault injection for chaos runs: a

@@ -9,7 +9,8 @@ merged under an explicit ``(score, combination-rank)`` total order so the
 reported top-k is bit-identical for any worker count.
 
 * :mod:`repro.distributed.shards` — :class:`Shard`, :class:`ShardView` and
-  the :class:`ShardPlanner` (static or CARM-throughput-weighted cuts);
+  the :class:`ShardPlanner` (near-equal cuts, independent of the worker
+  count);
 * :mod:`repro.distributed.runner` — spawn-safe :class:`ProcessRunner`
   worker pool streaming per-shard partial top-k results back;
 * :mod:`repro.distributed.checkpoint` — the atomic
@@ -22,9 +23,10 @@ reported top-k is bit-identical for any worker count.
   (:class:`WorkerFleet`) surviving across ``detect()`` calls and pipeline
   stages;
 * :mod:`repro.distributed.resilience` — fault-tolerance policy
-  (:class:`RetryPolicy`: bounded retries with backoff, heartbeat-watchdog
-  deadlines, the degradation ladder and poison-shard quarantine) and the
-  per-run :class:`ResilienceLog`;
+  (:class:`RetryPolicy`: bounded retries with backoff and a
+  heartbeat-watchdog deadline; the warm → respawned → inline degradation
+  ladder and poison-shard quarantine) and the per-run
+  :class:`ResilienceLog`, the one record of every recovery;
 * :mod:`repro.distributed.merge` — deterministic partial-result folding;
 * :mod:`repro.distributed.coordinator` — :func:`run_distributed`, the
   orchestration loop behind ``detect(..., workers=N, checkpoint=...)``;

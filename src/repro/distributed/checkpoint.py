@@ -261,8 +261,8 @@ class CheckpointStore(JsonLedger):
                 elif len(planned) != len(boundaries):
                     detail = (
                         f"the ledger planned {len(planned)} shards, this run "
-                        f"plans {len(boundaries)} (different worker count, "
-                        "shard strategy or candidate total)"
+                        f"plans {len(boundaries)} (different shard count "
+                        "or candidate total)"
                     )
                 else:
                     diverged = next(

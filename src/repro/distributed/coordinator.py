@@ -209,7 +209,7 @@ def run_distributed(
         registry name (worker processes build their own instances).
         ``n_workers`` is the *per-process* host thread count.
     planner:
-        Shard planner override (default: static
+        Shard planner override (default: a
         :data:`~repro.distributed.shards.DEFAULT_SHARD_COUNT`-way cut).
     shard_budget:
         Evaluate at most this many shards in this invocation and return a
@@ -256,14 +256,7 @@ def run_distributed(
     with join_run(config.telemetry, run_id) as (session, run_id):
         total = source.total
         started = time.perf_counter()
-        planner = planner or ShardPlanner()
-        shards = planner.plan(
-            total,
-            run.workers,
-            n_snps=source.effective_snps or dataset.n_snps,
-            n_samples=dataset.n_samples,
-            order=source.order,
-        )
+        shards = (planner or ShardPlanner()).plan(total)
         store: CheckpointStore | None = None
         restored: Dict[int, Dict[str, object]] = {}
         if run.checkpoint is not None:
@@ -464,7 +457,6 @@ def run_distributed(
                 "distributed": {
                     "workers": run.workers,
                     "n_shards": len(shards),
-                    "strategy": planner.strategy,
                     "shards_restored": len(restored),
                     "items_restored": items_restored,
                     "items_evaluated": items_evaluated,

@@ -17,10 +17,10 @@ This module turns those seeds into a real policy layer:
   same retry accounting as a crash.
 * **poison-shard quarantine** — a shard whose failures exhaust the retry
   budget is quarantined and executed *inline in the coordinator*, the last
-  rung of the degradation ladder (warm fleet → respawned fleet → fresh
-  dedicated pool → inline), so a run always completes and — because the
-  merge order is a total order — always bit-identically.
-* :class:`ResilienceLog` — the per-run record of retries, watchdog kills,
+  rung of the degradation ladder (warm pool → respawned pool → inline), so
+  a run always completes and — because the merge order is a total order —
+  always bit-identically.
+* :class:`ResilienceLog` — the one record of retries, watchdog kills,
   pool breaks, ladder position and quarantined shards; it feeds the
   telemetry metrics (``resilience.*``), the run statistics
   (``stats.extra["distributed"]["resilience"]``) and the checkpoint
@@ -40,12 +40,26 @@ __all__ = [
     "ResilienceLog",
     "merge_history",
     "LADDER_RUNGS",
+    "BACKOFF_FACTOR",
+    "MAX_BACKOFF_SECONDS",
+    "POLL_SECONDS",
+    "MAX_POOL_BREAKS",
 ]
 
 #: The degradation ladder, in escalation order.  ``warm`` is the configured
-#: pool; each pool break climbs one rung: respawn the same fleet, then a
-#: fresh dedicated pool, then inline execution in the coordinator.
-LADDER_RUNGS = ("warm", "respawned", "fresh", "inline")
+#: pool; a pool break respawns it in place, and the run finishes in the
+#: coordinator once the pool-break budget is spent or a shard is quarantined.
+LADDER_RUNGS = ("warm", "respawned", "inline")
+
+#: Growth factor and cap of the backoff before a failed shard re-runs:
+#: ``backoff(n) = backoff_seconds * BACKOFF_FACTOR**(n-1)``, at most
+#: ``MAX_BACKOFF_SECONDS``.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_SECONDS = 2.0
+#: Watchdog heartbeat-check interval (bounded by the deadline).
+POLL_SECONDS = 0.25
+#: Pool breaks after which every remaining shard finishes inline.
+MAX_POOL_BREAKS = 3
 
 
 @dataclass(frozen=True)
@@ -58,46 +72,32 @@ class RetryPolicy:
         Total execution attempts per shard (first run included) before the
         shard is quarantined and finished inline.  Attempt counts persist
         in the checkpoint ledger, so the budget spans resumes.
-    backoff_seconds / backoff_factor / max_backoff_seconds:
-        Exponential backoff before re-dispatching failed shards:
-        ``backoff(n) = backoff_seconds * backoff_factor**(n-1)`` capped at
-        ``max_backoff_seconds`` (``n`` = how often the shard has failed).
-        Pure pacing — results never depend on it.
+    backoff_seconds:
+        First delay of the exponential backoff before a failed shard is
+        re-dispatched (see :data:`BACKOFF_FACTOR`).  Pure pacing — results
+        never depend on it.
     shard_deadline_seconds:
         Heartbeat watchdog deadline: with shards in flight, this long
         without *any* shard completing declares the pool hung (workers are
-        killed and in-flight shards re-dispatched).  ``None`` disables the
-        watchdog (a hung worker then blocks forever, as before).
-    poll_seconds:
-        Watchdog heartbeat-check interval (bounded by the deadline).
-    max_pool_breaks:
-        Pool breaks tolerated before abandoning process pools entirely and
-        finishing every remaining shard inline (the ladder's last rung).
+        killed and in-flight shards re-dispatched).  It must exceed the
+        time a respawned pool takes to spawn, hydrate and finish its first
+        shard, or the watchdog kills healthy replacement pools too.
+        ``None`` disables the watchdog (a hung worker then blocks forever).
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_seconds: float = 2.0
     shard_deadline_seconds: float | None = None
-    poll_seconds: float = 0.25
-    max_pool_breaks: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
         if self.backoff_seconds < 0:
             raise ValueError("backoff_seconds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.shard_deadline_seconds is not None and (
             self.shard_deadline_seconds <= 0
         ):
             raise ValueError("shard_deadline_seconds must be positive")
-        if self.poll_seconds <= 0:
-            raise ValueError("poll_seconds must be positive")
-        if self.max_pool_breaks < 1:
-            raise ValueError("max_pool_breaks must be positive")
 
     def backoff(self, failures: int) -> float:
         """Deterministic backoff before re-dispatching a shard.
@@ -107,8 +107,8 @@ class RetryPolicy:
         """
         if failures < 1:
             return 0.0
-        delay = self.backoff_seconds * self.backoff_factor ** (failures - 1)
-        return min(delay, self.max_backoff_seconds)
+        delay = self.backoff_seconds * BACKOFF_FACTOR ** (failures - 1)
+        return min(delay, MAX_BACKOFF_SECONDS)
 
     def exhausted(self, attempts: int) -> bool:
         """Whether ``attempts`` executions used up this shard's budget."""
@@ -118,7 +118,7 @@ class RetryPolicy:
         """The pool-wait timeout implementing the watchdog poll."""
         if self.shard_deadline_seconds is None:
             return None
-        return min(self.poll_seconds, self.shard_deadline_seconds)
+        return min(POLL_SECONDS, self.shard_deadline_seconds)
 
 
 #: The policy distributed runs use when the caller passes none.

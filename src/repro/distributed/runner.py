@@ -27,9 +27,9 @@ Fault tolerance: a worker dying mid-shard breaks the whole
 ``ProcessPoolExecutor``.  :meth:`ProcessRunner.map_shards` recovers under
 the run's :class:`~repro.distributed.resilience.RetryPolicy`: failed or
 hung (heartbeat-watchdog-detected) shards are re-dispatched with bounded
-exponential backoff, repeated pool breaks climb the degradation ladder
-(respawned fleet → fresh dedicated pool → inline), and a shard that
-exhausts its retry budget is quarantined and finished inline in the
+exponential backoff, each pool break respawns the fleet in place until
+the pool-break budget runs out and the rest finishes inline, and a shard
+that exhausts its retry budget is quarantined and finished inline in the
 coordinator — a run always completes, bit-identically, without manual
 intervention.  Deterministic faults for the chaos suite are injected
 through :mod:`repro.faults` (the plan rides the payload, so even warm
@@ -52,7 +52,7 @@ from repro.distributed.merge import (
     minima_to_payload,
     snp_minima_accumulator,
 )
-from repro.distributed.resilience import ResilienceLog
+from repro.distributed.resilience import MAX_POOL_BREAKS, ResilienceLog
 from repro.distributed.shards import Shard, ShardView
 from repro.distributed.shm import (
     DatasetHandle,
@@ -331,7 +331,6 @@ class ProcessRunner:
         self._fleet = None
         self._fleet_info: Dict[str, object] | None = None
         self._dedicated = False
-        self._ladder_fleet = None
         self._session = None
 
     # -- data-plane session ------------------------------------------------------
@@ -360,9 +359,6 @@ class ProcessRunner:
 
     def close(self) -> None:
         """Release run-scoped resources (dedicated pools, fresh session)."""
-        if self._ladder_fleet is not None:
-            self._ladder_fleet.shutdown()
-            self._ladder_fleet = None
         if self._dedicated and self._fleet is not None:
             self._fleet_info = self._fleet.describe()
             self._fleet.shutdown()
@@ -390,38 +386,23 @@ class ProcessRunner:
         size = max(1, len(tasks) // (self.workers * 4))
         return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
-    def _escalate(self, fleet):
-        """Climb one rung of the degradation ladder after a pool break.
+    def _escalate(self) -> bool:
+        """Climb the degradation ladder after a pool break.
 
-        Returns the fleet to continue on, or ``None`` once the policy's
-        pool-break budget is spent and the run falls back to inline
-        execution in the coordinator (the ladder's last rung — a run
-        always completes).
+        Respawns the fleet in place (warm-fleet sessions and registry
+        membership are preserved) and returns ``True``; returns ``False``
+        once :data:`~repro.distributed.resilience.MAX_POOL_BREAKS` breaks
+        are spent and the run falls back to inline execution in the
+        coordinator (the ladder's last rung — a run always completes).
         """
         log = self.resilience
         log.pool_breaks += 1
-        note_event("pool_breaks")
-        if log.pool_breaks >= self.retry.max_pool_breaks:
+        if log.pool_breaks >= MAX_POOL_BREAKS:
             log.ladder = "inline"
-            return None
-        if log.pool_breaks == 1:
-            # First break: respawn the same fleet in place (warm-fleet
-            # sessions and registry membership are preserved).
-            log.ladder = "respawned"
-            note_event("pool_respawns")
-            fleet.respawn()
-            return fleet
-        # Second break: abandon the fleet for a dedicated fresh pool owned
-        # (and torn down) by this runner.  The shared warm fleet is left
-        # alone — other runs may hold it.
-        from repro.distributed.fleet import WorkerFleet
-
-        log.ladder = "fresh"
-        note_event("pool_respawns")
-        if self._ladder_fleet is not None:
-            self._ladder_fleet.shutdown()
-        self._ladder_fleet = WorkerFleet(self.workers)
-        return self._ladder_fleet
+            return False
+        log.ladder = "respawned"
+        self._fleet.respawn()
+        return True
 
     def _run_inline(
         self, tasks: Sequence[tuple[int, int, int]], quarantine: bool
@@ -438,7 +419,6 @@ class ProcessRunner:
         log = self.resilience
         context = _WorkerContext(self.payload)
         for task in tasks:
-            before = data_plane_snapshot()
             fire("shard.run", shard=task[0])
             span = "shard.quarantine" if quarantine else "shard.run"
             # Inline shards join the coordinator's ambient run directly
@@ -451,7 +431,6 @@ class ProcessRunner:
                 attempt=log.attempts.get(task[0], 0) + 1,
             ):
                 outcome = context.run_shard(task)
-            outcome.data_plane = data_plane_delta(before)
             fire("outcome.ship", shard=task[0])
             yield outcome
 
@@ -462,10 +441,11 @@ class ProcessRunner:
         iterator early (cancellation) abandons unclaimed batches (and
         tears down run-scoped pools).  Failures are handled under
         :attr:`retry`: failed or watchdog-killed shards are re-dispatched
-        in isolation with bounded backoff, repeated pool breaks climb the
-        degradation ladder (respawn → fresh dedicated pool → inline), and
-        shards that exhaust their budget are quarantined and finished
-        inline — every path ends with all shards completed exactly once.
+        in isolation with bounded backoff, each pool break respawns the
+        fleet until the pool-break budget runs out (then the rest runs
+        inline), and shards that exhaust their budget are quarantined and
+        finished inline — every path ends with all shards completed exactly
+        once.
         """
         tasks = [(s.shard_id, s.start, s.stop) for s in shards]
         if not tasks:
@@ -533,11 +513,9 @@ class ProcessRunner:
                     failures = log.record_failure(sid)
                     if policy.exhausted(failures):
                         log.record_quarantine(sid)
-                        note_event("shards_quarantined")
                         quarantined.append(task)
                     else:
                         log.retries += 1
-                        note_event("shard_retries")
                         with span_or_null(
                             "shard.retry",
                             shard_id=sid,
@@ -555,81 +533,70 @@ class ProcessRunner:
             return delay
 
         try:
-            while True:
+            on_pool = True
+            while on_pool:
+                broken = False
+                failed: List[List[tuple]] = []
                 try:
                     fill_window()
                 except BrokenProcessPool:
-                    # The pool broke before a submit: everything in flight
-                    # on it is doomed too — same recovery as a mid-wait
-                    # break.
-                    failed = [pending.pop(f) for f in list(pending)]
-                    fleet = self._escalate(fleet)
-                    last_progress = time.monotonic()
-                    isolate = True
-                    delay = account_failures(failed)
-                    if fleet is None:
-                        break  # ladder exhausted — finish inline below
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                if not pending:
-                    break
-                done, _ = wait(
-                    set(pending),
-                    timeout=policy.wait_timeout(),
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    # Heartbeat watchdog: shards in flight but none have
-                    # completed for a whole deadline — declare the pool
-                    # hung and kill it; the broken-pool path below turns
-                    # the in-flight shards into ordinary retries.
-                    stalled = (
-                        policy.shard_deadline_seconds is not None
-                        and time.monotonic() - last_progress
-                        >= policy.shard_deadline_seconds
+                    # The pool broke before a submit: same recovery as a
+                    # break seen while waiting.
+                    broken = True
+                else:
+                    if not pending:
+                        break
+                    done, _ = wait(
+                        set(pending),
+                        timeout=policy.wait_timeout(),
+                        return_when=FIRST_COMPLETED,
                     )
-                    if stalled:
-                        log.watchdog_kills += 1
-                        note_event("watchdog_kills")
-                        fleet.kill_workers()
-                        last_progress = time.monotonic()
-                    continue
-                broken: BaseException | None = None
-                failed: List[List[tuple]] = []
-                for future in done:
-                    batch = pending.pop(future)
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = broken or exc
-                        failed.append(batch)
+                    if not done:
+                        # Heartbeat watchdog: shards in flight but none have
+                        # completed for a whole deadline — declare the pool
+                        # hung and kill it; the broken-pool path turns the
+                        # in-flight shards into ordinary retries.
+                        stalled = (
+                            policy.shard_deadline_seconds is not None
+                            and time.monotonic() - last_progress
+                            >= policy.shard_deadline_seconds
+                        )
+                        if stalled:
+                            log.watchdog_kills += 1
+                            fleet.kill_workers()
+                            last_progress = time.monotonic()
                         continue
-                    except Exception:
-                        # A worker-raised failure (injected error, pickling
-                        # trouble): the pool survives, the batch retries.
-                        failed.append(batch)
-                        continue
-                    for outcome in outcomes:
-                        if outcome.shard_id in completed:
+                    for future in done:
+                        batch = pending.pop(future)
+                        try:
+                            outcomes = future.result()
+                        except BrokenProcessPool:
+                            broken = True
+                            failed.append(batch)
                             continue
-                        completed.add(outcome.shard_id)
-                        last_progress = time.monotonic()
-                        yield outcome
-                if broken is not None:
+                        except Exception:
+                            # A worker-raised failure (injected error,
+                            # pickling trouble): the pool survives, the
+                            # batch retries.
+                            failed.append(batch)
+                            continue
+                        for outcome in outcomes:
+                            if outcome.shard_id in completed:
+                                continue
+                            completed.add(outcome.shard_id)
+                            last_progress = time.monotonic()
+                            yield outcome
+                if broken:
                     # Everything in flight on a broken pool is doomed.
-                    for future in list(pending):
-                        failed.append(pending.pop(future))
-                    fleet = self._escalate(fleet)
+                    failed.extend(pending.pop(f) for f in list(pending))
+                    on_pool = self._escalate()
                     # A replacement pool pays spawn + hydration before its
                     # first heartbeat; give it a fresh deadline window.
                     last_progress = time.monotonic()
-                if failed:
+                if broken or failed:
                     isolate = True
                     delay = account_failures(failed)
-                    if fleet is None:
-                        break  # ladder exhausted — finish inline below
-                    if delay > 0.0:
+                    if on_pool and delay > 0.0:
                         time.sleep(delay)
 
             # The ladder's last rung: quarantined shards — and any
@@ -647,6 +614,7 @@ class ProcessRunner:
                 remaining = [t for t in group if t[0] not in completed]
                 if not remaining:
                     continue
+                log.ladder = "inline"
                 note_event("inline_fallbacks", len(remaining))
                 for outcome in self._run_inline(remaining, quarantine=quarantine):
                     completed.add(outcome.shard_id)
@@ -654,5 +622,5 @@ class ProcessRunner:
         finally:
             for future in pending:
                 future.cancel()
-            if self._dedicated or self._ladder_fleet is not None:
+            if self._dedicated:
                 self.close()

@@ -9,34 +9,25 @@ chunks it further across the process's device lanes) and reports one
 partial top-k back, so the coordinator's ledger stays small no matter how
 large the combination space is.
 
-Two planning strategies:
-
-* ``static`` — the space is cut into near-equal shards
-  (:func:`repro.engine.scheduling.static_partition`).  The shard count is
-  independent of the worker count by default, so a checkpoint written with
-  one worker fleet can be resumed with another.
-* ``weighted`` — per-process shares are sized proportionally to each
-  process's modelled device throughput
-  (:func:`repro.perfmodel.efficiency.device_throughput`, the same CARM
-  estimate behind the heterogeneous engine split), then each share is cut
-  into ``shards_per_worker`` pieces.  Use this when the worker fleet is
-  heterogeneous (e.g. one GPU node and three CPU nodes).
+The planner cuts the space into near-equal shards
+(:func:`repro.engine.scheduling.static_partition`).  The shard count is
+independent of the worker count, so a checkpoint written with one worker
+fleet can be resumed with another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.engine.candidates import CandidateSource
-from repro.engine.plan import EngineDevice
 from repro.engine.scheduling import static_partition
 
 __all__ = ["Shard", "ShardView", "ShardPlanner", "DEFAULT_SHARD_COUNT"]
 
-#: Default shard count of the static strategy.  Chosen independent of the
+#: Default shard count of the planner.  Chosen independent of the
 #: worker count so resuming a checkpoint with a different ``--workers`` value
 #: still matches the recorded shard boundaries, while oversubscribing typical
 #: fleets (2-8 processes) enough for pull-based load balance.
@@ -113,139 +104,28 @@ class ShardView(CandidateSource):
 
 
 class ShardPlanner:
-    """Cuts a candidate space ``[0, total)`` into rank-addressable shards.
+    """Cuts a candidate space ``[0, total)`` into near-equal shards.
 
     Parameters
     ----------
     n_shards:
-        Explicit shard count of the static strategy (default
-        :data:`DEFAULT_SHARD_COUNT`).  The weighted strategy derives its
-        count from ``workers * shards_per_worker`` instead, so combining it
-        with ``n_shards`` is rejected rather than silently ignored.
-    strategy:
-        ``"static"`` (near-equal shards) or ``"weighted"`` (per-process
-        shares sized by modelled device throughput).
-    shards_per_worker:
-        Oversubscription factor of the weighted strategy: each process
-        share is cut into this many shards so pull-based scheduling can
-        still rebalance within a share.
-    worker_devices:
-        Per-process engine device lanes for the weighted strategy (one
-        entry per worker process).  Defaults to one default CPU lane per
-        process — which makes every weight equal and the plan identical to
-        a static cut of ``workers * shards_per_worker`` shards.
+        Shard count (default :data:`DEFAULT_SHARD_COUNT`), capped at the
+        number of candidates so no shard is empty.
     """
 
-    STRATEGIES = ("static", "weighted")
-
-    def __init__(
-        self,
-        n_shards: int | None = None,
-        strategy: str = "static",
-        shards_per_worker: int = 4,
-        worker_devices: Sequence[Sequence[EngineDevice]] | None = None,
-    ) -> None:
-        if strategy not in self.STRATEGIES:
-            raise ValueError(
-                f"unknown shard strategy {strategy!r}; expected one of "
-                f"{self.STRATEGIES}"
-            )
+    def __init__(self, n_shards: int | None = None) -> None:
         if n_shards is not None and n_shards < 1:
             raise ValueError("n_shards must be positive")
-        if n_shards is not None and strategy == "weighted":
-            raise ValueError(
-                "n_shards applies to the static strategy; the weighted "
-                "strategy sizes its cut from workers * shards_per_worker"
-            )
-        if shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be positive")
         self.n_shards = n_shards
-        self.strategy = strategy
-        self.shards_per_worker = shards_per_worker
-        self.worker_devices = (
-            [list(lanes) for lanes in worker_devices]
-            if worker_devices is not None
-            else None
-        )
 
-    def plan(
-        self,
-        total: int,
-        workers: int = 1,
-        *,
-        n_snps: int | None = None,
-        n_samples: int | None = None,
-        order: int = 3,
-    ) -> List[Shard]:
-        """Shards covering ``[0, total)`` exactly once (empty shards dropped).
-
-        ``n_snps`` / ``n_samples`` / ``order`` feed the analytic throughput
-        models of the weighted strategy; the static strategy ignores them.
-        """
+    def plan(self, total: int) -> List[Shard]:
+        """Shards covering ``[0, total)`` exactly once, in rank order."""
         if total < 0:
             raise ValueError("total must be non-negative")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         if total == 0:
             return []
-        if self.strategy == "static":
-            count = min(total, self.n_shards or DEFAULT_SHARD_COUNT)
-            spans = static_partition(total, count)
-        else:
-            spans = self._weighted_spans(
-                total, workers, n_snps=n_snps, n_samples=n_samples, order=order
-            )
-        shards = []
-        for start, stop in spans:
-            if stop > start:
-                shards.append(Shard(shard_id=len(shards), start=start, stop=stop))
-        return shards
-
-    def _weighted_spans(
-        self,
-        total: int,
-        workers: int,
-        *,
-        n_snps: int | None,
-        n_samples: int | None,
-        order: int,
-    ) -> List[tuple[int, int]]:
-        from repro.perfmodel.efficiency import device_throughput
-
-        lanes_per_worker = self.worker_devices or [
-            [EngineDevice()] for _ in range(workers)
+        count = min(total, self.n_shards or DEFAULT_SHARD_COUNT)
+        return [
+            Shard(shard_id=shard_id, start=start, stop=stop)
+            for shard_id, (start, stop) in enumerate(static_partition(total, count))
         ]
-        if len(lanes_per_worker) != workers:
-            raise ValueError(
-                f"{len(lanes_per_worker)} worker device sets for {workers} workers"
-            )
-        kwargs = {"order": order}
-        if n_snps is not None:
-            kwargs["n_snps"] = n_snps
-        if n_samples is not None:
-            kwargs["n_samples"] = n_samples
-        weights = [
-            sum(device_throughput(lane.spec(), **kwargs) for lane in lanes)
-            for lanes in lanes_per_worker
-        ]
-        scale = sum(weights)
-        if scale <= 0:
-            raise ValueError("worker throughput weights must sum to > 0")
-        # Largest-remainder apportionment of the total across processes
-        # (mirrors CarmRatioPolicy.shares), then a near-equal cut of each
-        # process share into shards_per_worker pieces.
-        raw = [total * w / scale for w in weights]
-        base = [int(r) for r in raw]
-        leftover = total - sum(base)
-        by_fraction = sorted(
-            range(workers), key=lambda i: raw[i] - base[i], reverse=True
-        )
-        for i in by_fraction[:leftover]:
-            base[i] += 1
-        spans: List[tuple[int, int]] = []
-        cursor = 0
-        for share in base:
-            for start, stop in static_partition(share, self.shards_per_worker):
-                spans.append((cursor + start, cursor + stop))
-            cursor += share
-        return spans

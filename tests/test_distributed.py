@@ -27,6 +27,7 @@ from repro.core.detector import DetectorConfig
 from repro.datasets import PlantedInteraction, SyntheticConfig, generate_dataset
 from repro.datasets.dataset import GenotypeDataset
 from repro.distributed import (
+    DEFAULT_SHARD_COUNT,
     CheckpointStore,
     Shard,
     ShardPlanner,
@@ -40,7 +41,6 @@ from repro.distributed import (
 from repro.engine import (
     CancellationToken,
     DenseRangeSource,
-    EngineDevice,
     SubsetSource,
     TopKHeap,
 )
@@ -88,7 +88,7 @@ def top_items(result):
 
 class TestShardPlanner:
     def test_static_covers_space(self):
-        shards = ShardPlanner(n_shards=7).plan(100, workers=3)
+        shards = ShardPlanner(n_shards=7).plan(100)
         assert [s.shard_id for s in shards] == list(range(7))
         assert shards[0].start == 0 and shards[-1].stop == 100
         assert sum(s.items for s in shards) == 100
@@ -96,44 +96,28 @@ class TestShardPlanner:
             assert a.stop == b.start
 
     def test_static_default_independent_of_workers(self):
-        one = ShardPlanner().plan(10_000, workers=1)
-        four = ShardPlanner().plan(10_000, workers=4)
-        assert [(s.start, s.stop) for s in one] == [(s.start, s.stop) for s in four]
+        # The default cut depends on the candidate total alone, and its
+        # boundaries are pinned: ledgers record them, and a resume under
+        # any fleet must keep matching them.
+        shards = ShardPlanner().plan(10_000)
+        assert len(shards) == DEFAULT_SHARD_COUNT == 32
+        assert [(s.start, s.stop) for s in shards[:2]] == [(0, 313), (313, 626)]
+        assert (shards[16].start, shards[16].stop) == (5008, 5320)
+        assert (shards[-1].start, shards[-1].stop) == (9688, 10_000)
 
     def test_small_totals_drop_empty_shards(self):
-        shards = ShardPlanner(n_shards=8).plan(3, workers=2)
+        shards = ShardPlanner(n_shards=8).plan(3)
         assert len(shards) == 3
         assert all(s.items == 1 for s in shards)
 
     def test_zero_total(self):
         assert ShardPlanner().plan(0) == []
 
-    def test_weighted_heterogeneous_shares(self):
-        planner = ShardPlanner(
-            strategy="weighted",
-            shards_per_worker=2,
-            worker_devices=[[EngineDevice(kind="cpu")], [EngineDevice(kind="gpu")]],
-        )
-        shards = planner.plan(10_000, workers=2, n_snps=256, n_samples=512, order=3)
-        assert sum(s.items for s in shards) == 10_000
-        cpu_items = sum(s.items for s in shards[:2])
-        gpu_items = sum(s.items for s in shards[2:])
-        # The catalogued GPU out-throughputs the catalogued CPU.
-        assert gpu_items > cpu_items
-
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(strategy="nope")
         with pytest.raises(ValueError):
             ShardPlanner(n_shards=0)
         with pytest.raises(ValueError):
             ShardPlanner().plan(-1)
-        with pytest.raises(ValueError):
-            ShardPlanner().plan(10, workers=0)
-        # Explicit n_shards is a static-strategy knob; silently ignoring it
-        # under "weighted" would hand back a surprise checkpoint geometry.
-        with pytest.raises(ValueError, match="static strategy"):
-            ShardPlanner(n_shards=8, strategy="weighted")
 
 
 class TestShardView:

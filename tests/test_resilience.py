@@ -42,7 +42,11 @@ from repro.datasets import PlantedInteraction, SyntheticConfig, generate_dataset
 from repro.distributed import run_distributed
 from repro.distributed.checkpoint import JsonLedger, fingerprint_divergence
 from repro.distributed.resilience import (
+    BACKOFF_FACTOR,
     LADDER_RUNGS,
+    MAX_BACKOFF_SECONDS,
+    MAX_POOL_BREAKS,
+    POLL_SECONDS,
     ResilienceLog,
     RetryPolicy,
     merge_history,
@@ -112,15 +116,12 @@ def _no_leaked_plan():
 # ---------------------------------------------------------------------------
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            backoff_seconds=0.1, backoff_factor=2.0, max_backoff_seconds=0.5
-        )
+        policy = RetryPolicy(backoff_seconds=0.1)
         assert policy.backoff(0) == 0.0
         assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.4)
-        assert policy.backoff(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff(40) == pytest.approx(0.5)
+        assert policy.backoff(2) == pytest.approx(0.1 * BACKOFF_FACTOR)
+        assert policy.backoff(3) == pytest.approx(0.1 * BACKOFF_FACTOR**2)
+        assert policy.backoff(40) == pytest.approx(MAX_BACKOFF_SECONDS)  # capped
 
     def test_backoff_is_deterministic(self):
         # The same failure count always maps to the same delay: pacing is
@@ -138,20 +139,16 @@ class TestRetryPolicy:
 
     def test_wait_timeout_implements_watchdog_poll(self):
         assert RetryPolicy().wait_timeout() is None
-        policy = RetryPolicy(shard_deadline_seconds=10.0, poll_seconds=0.25)
-        assert policy.wait_timeout() == 0.25
-        tight = RetryPolicy(shard_deadline_seconds=0.1, poll_seconds=0.25)
-        assert tight.wait_timeout() == pytest.approx(0.1)
+        policy = RetryPolicy(shard_deadline_seconds=10.0)
+        assert policy.wait_timeout() == POLL_SECONDS
+        tight = RetryPolicy(shard_deadline_seconds=POLL_SECONDS / 2)
+        assert tight.wait_timeout() == pytest.approx(POLL_SECONDS / 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy(shard_deadline_seconds=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pool_breaks=0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ class TestResilienceLog:
         assert history["runs"] == []
 
     def test_ladder_rungs(self):
-        assert LADDER_RUNGS == ("warm", "respawned", "fresh", "inline")
+        assert LADDER_RUNGS == ("warm", "respawned", "inline")
         assert ResilienceLog().ladder == "warm"
 
 
@@ -440,17 +437,20 @@ class TestOrphanReaper:
 # ---------------------------------------------------------------------------
 class TestChaosMatrix:
     @pytest.mark.parametrize(
-        "spec",
+        "spec, rung, breaks",
         [
-            "shard.run:crash",
-            "shard.claim:exit",
-            "outcome.ship:error",
-            "shard.run:slow:delay=0.1",
+            ("shard.run:crash", "respawned", 1),
+            # Each break respawns the pool in place, so a shard that crashes
+            # it twice completes on its third attempt, not inline.
+            ("shard.run:crash:shard=3:count=2", "respawned", 2),
+            ("shard.claim:exit", "respawned", 1),
+            ("outcome.ship:error", "warm", 0),
+            ("shard.run:slow:delay=0.1", "warm", 0),
         ],
-        ids=["crash", "exit", "error", "slow"],
+        ids=["crash", "crash-twice", "exit", "error", "slow"],
     )
     def test_single_fault_completes_bit_identically(
-        self, dataset, baseline, spec
+        self, dataset, baseline, spec, rung, breaks
     ):
         source = DenseRangeSource(dataset.n_snps, 2)
         outcome = run_distributed(
@@ -459,16 +459,14 @@ class TestChaosMatrix:
         )
         assert outcome.completed
         assert _rows(outcome) == baseline
+        res = outcome.resilience
+        assert (res["ladder"], res["pool_breaks"]) == (rung, breaks)
+        assert res["quarantined"] == []
         kind = spec.split(":")[1]
-        if kind in ("crash", "exit"):
-            # The worker died: the pool broke and the victims retried.
-            assert outcome.resilience["pool_breaks"] >= 1
-            assert outcome.resilience["retries"] >= 1
-        elif kind == "error":
-            # An in-worker exception fails the batch without breaking the
-            # pool — the cheapest rung of the ladder.
-            assert outcome.resilience["pool_breaks"] == 0
-            assert outcome.resilience["retries"] >= 1
+        if kind in ("crash", "exit", "error"):
+            # A dead worker breaks the pool; an in-worker exception fails
+            # the batch without breaking it.  Either way the victims retry.
+            assert res["retries"] >= 1
 
     def test_torn_publish_is_detected_and_replaced(self, baseline):
         # A fresh dataset (new content digest) forces a fresh publish for
@@ -524,7 +522,26 @@ class TestChaosMatrix:
         # Every pool rung broke on the poison shard; the run finished on
         # the ladder's last rung, inline in the coordinator.
         assert res["ladder"] == "inline"
-        assert res["pool_breaks"] == FAST.max_pool_breaks
+        assert res["pool_breaks"] == MAX_POOL_BREAKS
+
+    def test_quarantine_before_the_break_budget_ends_inline(
+        self, dataset, baseline
+    ):
+        # Two attempts break the pool twice, below the pool-break budget,
+        # but the quarantined shard still finishes in the coordinator: the
+        # recorded rung says so.
+        source = DenseRangeSource(dataset.n_snps, 2)
+        outcome = run_distributed(
+            dataset, source, config=_config(), workers=2, pool="fresh",
+            faults="shard.run:crash:shard=3:count=99",
+            retry=RetryPolicy(max_attempts=2, backoff_seconds=0.01),
+        )
+        assert outcome.completed
+        assert _rows(outcome) == baseline
+        res = outcome.resilience
+        assert res["quarantined"] == [3]
+        assert res["pool_breaks"] == 2
+        assert res["ladder"] == "inline"
 
     def test_watchdog_kills_hung_workers(self, dataset, baseline):
         source = DenseRangeSource(dataset.n_snps, 2)
