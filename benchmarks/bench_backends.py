@@ -11,14 +11,11 @@ numbers into ``BENCH_backends.json``:
 * ``end_to_end`` — full ``detect()`` throughput at the paper's ``k = 3``
   per available CPU backend, unfused and with the fused build+score path,
   with the numba-vs-numpy speedup the acceptance gate reads;
-* ``carm_split`` — the heterogeneous CARM cpu+gpu share computed twice,
-  from the measured calibration records and from the analytical models,
-  so the artifact shows what calibration changes about the split.
+* ``carm_split`` — the heterogeneous CARM cpu+gpu shares of 100 000
+  combinations, priced by the analytical model on both lanes (the split
+  ``--schedule carm`` runs), next to the measured probes above.
 
-All calibration in this benchmark runs against a **temporary store**
-(the process's ``REPRO_CALIBRATION_PATH`` is pointed at a scratch file
-and restored afterwards), so benchmarking never pollutes the per-host
-store that real runs consult.
+The probes are timed in memory; the benchmark writes no calibration store.
 
 ``--check`` is the regression gate: on a host with numba the JIT backend
 must reach ``REPRO_BENCH_NUMBA_FLOOR`` (default 2.0) times the numpy
@@ -35,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -148,62 +144,33 @@ def _end_to_end(quick: bool, repeats: int) -> dict:
     }
 
 
-def _carm_split(store_path: str, quick: bool, repeats: int) -> dict:
-    """cpu+gpu CARM shares: measured calibration records vs the models."""
-    from repro.backends import CalibrationStore, calibrate, resolve_backend_name
-    from repro.bitops.packing import get_layout
+def _carm_split(quick: bool) -> dict:
+    """cpu+gpu CARM shares of 100 000 combinations, priced by the model."""
     from repro.engine import parse_devices
     from repro.engine.policies import CarmRatioPolicy
 
-    layout = get_layout(None)
-    calibrate(
-        families=("split",),
-        orders=(3,),
-        layout=layout,
-        store=CalibrationStore(store_path),
-        repeats=repeats,
-    )
-    devices = parse_devices("cpu+gpu")
-    backend = resolve_backend_name()
+    n_snps, n_samples = (32, 1024) if quick else (48, 4096)
+    policy = CarmRatioPolicy()
+    policy.configure(n_snps=n_snps, n_samples=n_samples, order=3)
     total = 100_000
-    shares = {}
-    for label, use_measured in (("measured", None), ("modelled", False)):
-        policy = CarmRatioPolicy(use_measured=use_measured)
-        policy.configure(
-            n_snps=48 if not quick else 32,
-            n_samples=4096 if not quick else 1024,
-            order=3,
-        )
-        policy.configure_execution(backend=backend, word_layout=layout.name)
-        shares[label] = policy.shares(total, devices)
-        shares[f"{label}_sources"] = list(policy.weight_sources)
     return {
         "devices": "cpu+gpu",
-        "cpu_backend": backend,
-        "layout": layout.name,
+        "n_snps": n_snps,
+        "n_samples": n_samples,
+        "order": 3,
         "total": total,
-        **shares,
+        "shares": policy.shares(total, parse_devices("cpu+gpu")),
     }
 
 
 def run_benchmark(quick: bool = False, repeats: int = 3) -> dict:
-    with tempfile.TemporaryDirectory(prefix="repro-bench-calib-") as tmp:
-        store_path = os.path.join(tmp, "calibration.json")
-        saved = os.environ.get("REPRO_CALIBRATION_PATH")
-        os.environ["REPRO_CALIBRATION_PATH"] = store_path
-        try:
-            return {
-                "quick": bool(quick),
-                "available": _available_backends(),
-                "probes": _probe_matrix(quick, repeats),
-                "end_to_end": _end_to_end(quick, repeats),
-                "carm_split": _carm_split(store_path, quick, repeats),
-            }
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CALIBRATION_PATH", None)
-            else:
-                os.environ["REPRO_CALIBRATION_PATH"] = saved
+    return {
+        "quick": bool(quick),
+        "available": _available_backends(),
+        "probes": _probe_matrix(quick, repeats),
+        "end_to_end": _end_to_end(quick, repeats),
+        "carm_split": _carm_split(quick),
+    }
 
 
 def run_artifact(repeats: int = 3) -> dict:
@@ -257,19 +224,16 @@ def emit(doc: dict, path: Path = ARTIFACT) -> None:
                 f"({e2e[f'speedup_fused_{name}']:.2f}x)"
             )
     split = doc["full"]["carm_split"]
-    print(
-        f"carm cpu+gpu split of {split['total']}: measured {split['measured']} "
-        f"({'/'.join(split['measured_sources'])}), "
-        f"modelled {split['modelled']}"
-    )
+    print(f"carm cpu+gpu split of {split['total']}: {split['shares']}")
 
 
 def test_backends_benchmark_smoke():
     """Pytest entry point: quick run satisfies the gate and the artifact shape."""
     doc = run_benchmark(quick=True, repeats=1)
     assert check_gate(doc) == 0
-    assert doc["carm_split"]["measured_sources"][0] == "measured"
-    assert doc["carm_split"]["modelled_sources"] == ["model", "model"]
+    split = doc["carm_split"]
+    assert sum(split["shares"]) == split["total"]
+    assert all(share > 0 for share in split["shares"])
 
 
 def main(argv=None) -> int:

@@ -255,7 +255,9 @@ def measure_fault_recovery(quick: bool = False) -> dict:
 
     reference = [(list(i.snps), float(i.score)) for i in clean.result.top]
     shard_seconds = clean.elapsed_seconds / max(1, clean.n_shards) * 2
-    modelled = estimate_recovery_seconds(1, shard_seconds, 2)
+    modelled = estimate_recovery_seconds(
+        1, shard_seconds, 2, backoff_seconds=retry.backoff_seconds
+    )
     return {
         "workers": 2,
         "pool": "fresh",

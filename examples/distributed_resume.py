@@ -67,39 +67,38 @@ def main() -> None:
 
     # -- 2. simulated kill mid-run -------------------------------------------
     print("== 2. kill mid-run (shard budget) ==")
-    workdir = Path(tempfile.mkdtemp(prefix="repro-distributed-"))
-    ledger_path = workdir / "sweep.ckpt.json"
     config = DetectorConfig(approach="cpu-v4", top_k=5)
     source = DenseRangeSource(dataset.n_snps, 3)
+    with tempfile.TemporaryDirectory(prefix="repro-distributed-") as workdir:
+        ledger_path = Path(workdir) / "sweep.ckpt.json"
+        partial = run_distributed(
+            dataset,
+            source,
+            config=config,
+            workers=1,
+            checkpoint=str(ledger_path),
+            shard_budget=10,  # ... and then the machine "dies"
+        )
+        print(f"run interrupted after {partial.shards_done}/{partial.n_shards} "
+              f"shards ({partial.items_evaluated}/{partial.items_total} tables)")
+        ledger = json.loads(ledger_path.read_text())
+        print(f"ledger on disk : {ledger_path}")
+        print(f"  completed={ledger['completed']}, "
+              f"shards recorded={sorted(map(int, ledger['shards']))}\n")
 
-    partial = run_distributed(
-        dataset,
-        source,
-        config=config,
-        workers=1,
-        checkpoint=str(ledger_path),
-        shard_budget=10,  # ... and then the machine "dies"
-    )
-    print(f"run interrupted after {partial.shards_done}/{partial.n_shards} "
-          f"shards ({partial.items_evaluated}/{partial.items_total} tables)")
-    ledger = json.loads(ledger_path.read_text())
-    print(f"ledger on disk : {ledger_path}")
-    print(f"  completed={ledger['completed']}, "
-          f"shards recorded={sorted(map(int, ledger['shards']))}\n")
-
-    # -- 3. resume -----------------------------------------------------------
-    print("== 3. resume ==")
-    resumed = run_distributed(
-        dataset,
-        source,
-        config=config,
-        workers=1,
-        checkpoint=str(ledger_path),
-        resume=True,
-    )
-    print(f"restored {resumed.shards_restored} shards "
-          f"({resumed.items_restored} tables) from the ledger; "
-          f"evaluated only {resumed.items_evaluated} new tables")
+        # -- 3. resume -------------------------------------------------------
+        print("== 3. resume ==")
+        resumed = run_distributed(
+            dataset,
+            source,
+            config=config,
+            workers=1,
+            checkpoint=str(ledger_path),
+            resume=True,
+        )
+        print(f"restored {resumed.shards_restored} shards "
+              f"({resumed.items_restored} tables) from the ledger; "
+              f"evaluated only {resumed.items_evaluated} new tables")
     same = [(i.snps, i.score) for i in resumed.result.top] == [
         (i.snps, i.score) for i in single.top
     ]

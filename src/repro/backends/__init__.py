@@ -39,7 +39,6 @@ from repro.backends.calibrate import (
     CalibrationStore,
     calibrate,
     calibration_fingerprint,
-    measured_throughput,
     run_probe,
 )
 from repro.backends.cupy_backend import CupyBackend
@@ -64,7 +63,6 @@ __all__ = [
     "CalibrationStore",
     "calibrate",
     "calibration_fingerprint",
-    "measured_throughput",
     "run_probe",
 ]
 

@@ -1,17 +1,17 @@
-"""Micro-calibration: measured per-backend throughput for the CARM split.
+"""Micro-calibration: measured per-backend throughput of this host.
 
-The CARM-ratio policy sizes the CPU/GPU share of a heterogeneous plan by
-device throughput.  The analytical models price the paper's catalogued
-hardware; this module measures the *actual* host instead: a small probe
-dataset is encoded, the backend's kernel is timed over a combination
-batch, and the resulting combos/s (and the paper's combinations x samples
-elements/s) are persisted to a per-host JSON store.
+The analytical models price the paper's catalogued hardware (and the
+CARM-ratio split of a heterogeneous plan); this module measures the
+*actual* host next to them: a small probe dataset is encoded, the
+backend's kernel is timed over a combination batch, and the resulting
+combos/s (and the paper's combinations x samples elements/s) are
+persisted to a per-host JSON store that ``repro backends`` reports.
 
 Records are keyed by a **fingerprint** — host identity, backend name and
 version, kernel family, interaction order and word layout — so any change
 that could shift throughput (a numba upgrade, a different word width,
-another order) misses the store and falls back to the analytical model
-until re-calibrated.  The store location defaults to
+another order) misses the store and reports "not calibrated" until
+re-calibrated.  The store location defaults to
 ``~/.cache/repro-epistasis/calibration.json`` and is overridden by the
 ``REPRO_CALIBRATION_PATH`` environment variable (tests point it at a
 temporary file so calibration never leaks between runs).
@@ -41,7 +41,6 @@ __all__ = [
     "host_identity",
     "run_probe",
     "calibrate",
-    "measured_throughput",
 ]
 
 #: Environment variable overriding the calibration-store path.
@@ -370,40 +369,3 @@ def calibrate(
                 records.append(record)
     store.save()
     return records
-
-
-def measured_throughput(
-    kind: str = "cpu",
-    backend: str | None = None,
-    *,
-    family: str = "split",
-    order: int = 3,
-    layout: WordLayout | str | None = None,
-    store: CalibrationStore | None = None,
-) -> float | None:
-    """Measured elements/s for a device lane, or ``None`` without a record.
-
-    A ``"cpu"`` lane resolves ``backend`` (default: the backend the
-    registry would pick) and looks up its record; a ``"gpu"`` lane looks up
-    the ``cupy`` record (gpusim is modelled, never measured).  The lookup
-    is fingerprint-checked, so records from other hosts, library versions,
-    layouts or orders never match.
-    """
-    from repro.backends import BACKENDS, resolve_backend_name
-
-    if kind == "gpu":
-        name = backend or "cupy"
-    else:
-        name = resolve_backend_name(backend)
-    cls = BACKENDS.get(name)
-    if cls is None:
-        return None
-    version = cls.version() or "unknown"
-    if store is None:  # NOT `store or ...`: an empty store is falsy (len 0)
-        store = CalibrationStore()
-    record = store.lookup(
-        name, version, family, int(order), get_layout(layout).name
-    )
-    if record is None:
-        return None
-    return record.elements_per_second

@@ -39,7 +39,7 @@ from typing import Union
 
 from repro.core.approaches._kernels import check_order
 from repro.core.approaches.cpu_nophen import CpuNoPhenotypeApproach
-from repro.core.combinations import combination_count, generate_combinations
+from repro.core.combinations import combination_count
 from repro.core.result import ApproachStats, DetectionResult
 from repro.core.scoring import ObjectiveFunction, get_objective
 from repro.datasets.dataset import GenotypeDataset
@@ -199,7 +199,7 @@ class Mpi3snpBaseline:
         ]
 
         plan = ExecutionPlan(
-            total=total,
+            source=DenseRangeSource(dataset.n_snps, self.order),
             devices=[
                 EngineDevice(
                     kind="cpu", n_workers=self.n_ranks, chunk_size=self.chunk_size
@@ -209,16 +209,12 @@ class Mpi3snpBaseline:
             top_k=self.top_k,
         )
 
-        def evaluate(worker, start: int, stop: int):
-            combos = generate_combinations(
-                dataset.n_snps, self.order, start_rank=start, count=stop - start
-            )
-            tables = worker.state.build_tables(encoded, combos)
-            return combos, self.objective.score(tables)
+        def scorer(worker, combos):
+            return self.objective.score(worker.state.build_tables(encoded, combos))
 
         run = HeterogeneousExecutor(plan).run(
             lambda device, worker_id: approaches[worker_id],
-            evaluate,
+            scorer,
             snp_names=snp_names,
         )
 

@@ -15,7 +15,7 @@ points without writing any Python:
   every sweep stage;
 * ``backends`` — report the execution backends (availability, versions,
   calibrated throughput) and optionally run the micro-calibration probes
-  (``--calibrate``) feeding the CARM splitter's measured mode;
+  (``--calibrate``);
 * ``shm`` — inspect (``ls``) or reclaim (``clean``) the shared-memory data
   plane's segments, e.g. orphans left by a SIGKILLed run;
 * ``devices`` — print Tables I and II (the device catalog);
@@ -368,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--calibrate",
         action="store_true",
         help="run the micro-calibration probes on every available backend "
-        "and persist the measured throughput to the per-host store "
-        "(consumed by '--schedule carm' when a fingerprint-matched record "
-        "exists)",
+        "and persist the measured throughput to the per-host store",
     )
     back.add_argument(
         "--family",

@@ -71,6 +71,7 @@ from repro.engine import (
     HeterogeneousExecutor,
     SchedulingPolicy,
     get_policy,
+    list_policies,
     parse_devices,
 )
 
@@ -168,10 +169,13 @@ class DetectorConfig:
         on a single lane matching the approach's device kind; ``"cpu+gpu"``
         co-executes the search on a CPU lane and a simulated-GPU lane, each
         running its own approach variant of the same optimisation level.
+        An expression :func:`~repro.engine.plan.parse_devices` refuses is
+        refused here.
     schedule:
         Scheduling policy name (``"dynamic"``, ``"static"``, ``"guided"``,
-        ``"carm"``) or a :class:`~repro.engine.policies.SchedulingPolicy`
-        instance.
+        ``"carm"`` or an alias) or a
+        :class:`~repro.engine.policies.SchedulingPolicy` instance; an
+        unknown name is refused here.
     telemetry:
         Telemetry mode of the run (:mod:`repro.telemetry`): ``"off"``
         (zero recording, zero hot-path cost), ``"minimal"``
@@ -246,6 +250,15 @@ class DetectorConfig:
             raise ValueError("chunk_size must be positive")
         if self.top_k < 1:
             raise ValueError("top_k must be positive")
+        if not isinstance(self.schedule, SchedulingPolicy):
+            names = list_policies(include_aliases=True)
+            if not isinstance(self.schedule, str) or self.schedule.lower() not in names:
+                raise ValueError(
+                    f"schedule must be one of {names} or a SchedulingPolicy; "
+                    f"got {self.schedule!r}"
+                )
+        if self.devices is not None:
+            parse_devices(self.devices)
 
     def approach_kwargs(self) -> Dict[str, object]:
         """Constructor keyword arguments of the configured approach."""
@@ -600,18 +613,10 @@ class EpistasisDetector:
     def _build_policy(
         self, dataset: GenotypeDataset, source: CandidateSource
     ) -> SchedulingPolicy:
+        # A subset-restricted stage is priced on its retained universe.
         policy = get_policy(self.config.schedule)
-        policy.configure_source(
-            source, n_samples=dataset.n_samples, default_snps=dataset.n_snps
-        )
-        # Model-driven policies consult the per-host calibration store for
-        # *measured* throughput; tell them which backend/layout is running
-        # so the lookup fingerprints match the actual execution.
-        policy.configure_execution(
-            backend=getattr(self._prototype, "backend_name", None),
-            word_layout=self._prototype.word_layout.name
-            if hasattr(self._prototype, "word_layout")
-            else None,
+        policy.configure(
+            source.effective_snps or dataset.n_snps, dataset.n_samples, source.order
         )
         return policy
 

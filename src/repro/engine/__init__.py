@@ -9,32 +9,32 @@ of rolling its own loop:
   dense rank ranges, explicit rank/combination arrays and subset-restricted
   enumeration (the geometries of the staged search pipeline);
 * :mod:`repro.engine.plan` — :class:`EngineDevice` lanes and the
-  declarative :class:`ExecutionPlan`;
+  declarative :class:`ExecutionPlan` (a candidate source, lanes, a policy);
 * :mod:`repro.engine.policies` — the pluggable :class:`SchedulingPolicy`
   family (``dynamic``, ``static``, ``guided`` and the CARM-ratio
-  heterogeneous splitter of §V-D);
-* :mod:`repro.engine.scheduling` — the underlying thread-safe work sources
-  over the combination-rank space;
+  heterogeneous splitter of §V-D, priced by the analytical model);
+* :mod:`repro.engine.scheduling` — the one locked claim cursor,
+  :class:`SharedCursor`, and the fixed and guided claim views over it;
+* :mod:`repro.engine.autotune` — the adaptive claim view of
+  ``chunk_size="auto"`` lanes;
 * :mod:`repro.engine.worker` — per-thread :class:`DeviceWorker` with the
   bounded-memory streaming top-k reduction;
 * :mod:`repro.engine.executor` — :class:`HeterogeneousExecutor`, which runs
-  a plan with per-device statistics, progress reporting and cooperative
-  cancellation.
+  a plan with a scorer (one kernel contract), per-device statistics,
+  progress reporting and cooperative cancellation.
 """
 
 from repro.engine.autotune import (
     AUTO_CHUNK,
     AdaptiveChunkSource,
     AutotuneConfig,
-    SharedCursor,
     is_auto_chunk,
-    resolve_chunk_size,
 )
 from repro.engine.scheduling import (
-    ChunkedRange,
-    DynamicScheduler,
-    GuidedScheduler,
+    FixedChunkSource,
+    GuidedChunkSource,
     Range,
+    SharedCursor,
     WorkSource,
     static_partition,
 )
@@ -74,14 +74,12 @@ __all__ = [
     "AUTO_CHUNK",
     "AdaptiveChunkSource",
     "AutotuneConfig",
-    "SharedCursor",
     "is_auto_chunk",
-    "resolve_chunk_size",
     "Range",
     "WorkSource",
-    "DynamicScheduler",
-    "GuidedScheduler",
-    "ChunkedRange",
+    "SharedCursor",
+    "FixedChunkSource",
+    "GuidedChunkSource",
     "static_partition",
     "DEVICE_KINDS",
     "DEFAULT_CATALOG_KEYS",

@@ -17,32 +17,27 @@ duration between hard bounds:
   about the chosen size).
 
 The tuner lives entirely in the work-source layer: an
-:class:`AdaptiveChunkSource` is a per-worker
-:class:`~repro.engine.scheduling.WorkSource` view over a shared
-:class:`SharedCursor`, so any scheduling policy can opt in per device lane
-without changing workers or the executor — the worker just reports
-``feedback(n_items, seconds)`` after each chunk (see
-:meth:`repro.engine.worker.DeviceWorker.run`).
+:class:`AdaptiveChunkSource` is one worker's view over a
+:class:`~repro.engine.scheduling.SharedCursor`, so any scheduling policy
+gives it to the workers of an ``"auto"`` lane without changing workers or
+the executor — the worker just reports ``feedback(n_items, seconds)`` after
+each chunk (see :meth:`repro.engine.worker.DeviceWorker.run`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import List, Tuple
+
+from repro.engine.scheduling import Range, SharedCursor
 
 __all__ = [
     "AUTO_CHUNK",
     "AutotuneConfig",
     "CPU_AUTOTUNE",
     "GPU_AUTOTUNE",
-    "SharedCursor",
     "AdaptiveChunkSource",
-    "FixedChunkSource",
-    "adaptive_lane_sources",
     "autotune_config_for",
     "is_auto_chunk",
-    "resolve_chunk_size",
 ]
 
 #: The sentinel accepted wherever a chunk size is configured.
@@ -52,13 +47,6 @@ AUTO_CHUNK = "auto"
 def is_auto_chunk(chunk_size) -> bool:
     """Whether a configured chunk size requests autotuning."""
     return isinstance(chunk_size, str) and chunk_size.strip().lower() == AUTO_CHUNK
-
-
-def resolve_chunk_size(chunk_size, default: int = 2048) -> int:
-    """A concrete integer for contexts that cannot autotune (models, shards)."""
-    if is_auto_chunk(chunk_size):
-        return int(default)
-    return int(chunk_size)
 
 
 @dataclass(frozen=True)
@@ -110,71 +98,6 @@ def autotune_config_for(kind: str) -> AutotuneConfig:
     return GPU_AUTOTUNE if kind == "gpu" else CPU_AUTOTUNE
 
 
-class SharedCursor:
-    """Thread-safe variable-size claim cursor over ``[start, total)``.
-
-    The generalisation of :class:`~repro.engine.scheduling.DynamicScheduler`
-    to caller-chosen claim sizes: each :meth:`claim` hands out the next
-    ``size`` items.  Coverage is exact — claims partition the range — no
-    matter how sizes vary between calls or callers.
-    """
-
-    def __init__(self, total: int, start: int = 0) -> None:
-        if total < 0:
-            raise ValueError("total must be non-negative")
-        if start < 0 or start > total:
-            raise ValueError(f"start must lie in [0, {total}]")
-        self.total = int(total)
-        self.start = int(start)
-        self._cursor = self.start
-        self._lock = threading.Lock()
-
-    def claim(self, size: int) -> Tuple[int, int] | None:
-        """Claim the next ``size`` items, or ``None`` when exhausted."""
-        if size < 1:
-            raise ValueError("claim size must be positive")
-        with self._lock:
-            if self._cursor >= self.total:
-                return None
-            begin = self._cursor
-            end = min(begin + int(size), self.total)
-            self._cursor = end
-            return begin, end
-
-    @property
-    def remaining(self) -> int:
-        """Number of unclaimed work items."""
-        with self._lock:
-            return max(0, self.total - self._cursor)
-
-    def reset(self) -> None:
-        """Rewind the cursor (e.g. between benchmark repetitions)."""
-        with self._lock:
-            self._cursor = self.start
-
-
-class FixedChunkSource:
-    """A fixed-size claim view over a :class:`SharedCursor` (a ``WorkSource``).
-
-    Lets a lane with an explicit integer chunk size share a cursor with
-    autotuned lanes (the dynamic policy's pooled schedule) without its
-    pinned granularity being overridden.
-    """
-
-    def __init__(self, cursor: SharedCursor, chunk_size: int) -> None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self.cursor = cursor
-        self.chunk_size = int(chunk_size)
-
-    def next_range(self) -> Tuple[int, int] | None:
-        return self.cursor.claim(self.chunk_size)
-
-    @property
-    def remaining(self) -> int:
-        return self.cursor.remaining
-
-
 class AdaptiveChunkSource:
     """One worker's autotuning view over a shared cursor (a ``WorkSource``).
 
@@ -194,7 +117,7 @@ class AdaptiveChunkSource:
         self.min_seen = self.chunk_size
         self.max_seen = self.chunk_size
 
-    def next_range(self) -> Tuple[int, int] | None:
+    def next_range(self) -> Range | None:
         """Claim ``chunk_size`` items from the shared cursor."""
         return self.cursor.claim(self.chunk_size)
 
@@ -216,11 +139,6 @@ class AdaptiveChunkSource:
             self.min_seen = min(self.min_seen, new_size)
             self.max_seen = max(self.max_seen, new_size)
 
-    @property
-    def remaining(self) -> int:
-        """Unclaimed items of the underlying cursor."""
-        return self.cursor.remaining
-
     def describe(self) -> dict:
         """Tuner state snapshot for the per-device run statistics."""
         return {
@@ -230,23 +148,3 @@ class AdaptiveChunkSource:
             "min_chunk_seen": self.min_seen,
             "max_chunk_seen": self.max_seen,
         }
-
-
-def adaptive_lane_sources(
-    total: int,
-    n_workers: int,
-    start: int = 0,
-    config: AutotuneConfig | None = None,
-    cursor: SharedCursor | None = None,
-) -> List[AdaptiveChunkSource]:
-    """Per-worker adaptive views over one lane-shared cursor.
-
-    ``cursor`` lets several lanes share a single cursor (the dynamic policy
-    pooling all devices) while each lane's workers keep their own tuner
-    configuration; by default the lane gets a private cursor over
-    ``[start, total)`` (the CARM-ratio policy's contiguous shares, a static
-    worker span).
-    """
-    if cursor is None:
-        cursor = SharedCursor(total, start=start)
-    return [AdaptiveChunkSource(cursor, config) for _ in range(max(1, n_workers))]

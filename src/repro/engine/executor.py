@@ -1,11 +1,12 @@
 """The heterogeneous executor: one run loop for every search path.
 
 :class:`HeterogeneousExecutor` turns an :class:`~repro.engine.plan.ExecutionPlan`
-plus a chunk kernel into a complete exhaustive search: the plan's policy
-carves the rank space across the device lanes, one :class:`DeviceWorker`
-per host thread streams chunks through the kernel into its bounded top-k
-heap, and the executor merges the heaps, aggregates per-device statistics
-(chunk counts, items, busy time, utilization) and reports wall-clock time.
+plus a scorer into a complete exhaustive search: the plan's policy carves
+the source's work items across the device lanes, one :class:`DeviceWorker`
+per host thread materialises each claimed chunk through the plan's
+candidate source and streams the scores into its bounded top-k heap, and
+the executor merges the heaps, aggregates per-device statistics (chunk
+counts, items, busy time, utilization) and reports wall-clock time.
 
 The executor also provides the two control-plane features later PRs build
 on: cooperative cancellation (a :class:`CancellationToken` checked at every
@@ -106,8 +107,8 @@ class HeterogeneousExecutor:
     Parameters
     ----------
     plan:
-        The declarative run description (total items, devices, policy,
-        top_k).
+        The declarative run description (candidate source, devices,
+        policy, top_k).
     cancel:
         Optional externally owned cancellation token; one is created
         internally when omitted (workers still use it to stop siblings on
@@ -121,11 +122,9 @@ class HeterogeneousExecutor:
     def run(
         self,
         worker_factory: WorkerFactory,
-        evaluate: ChunkEvaluator | None = None,
+        scorer: ChunkScorer,
         snp_names: Sequence[str] | None = None,
         progress: ProgressCallback | None = None,
-        *,
-        scorer: ChunkScorer | None = None,
     ) -> EngineResult:
         """Execute the plan and return the merged result.
 
@@ -133,34 +132,21 @@ class HeterogeneousExecutor:
         ----------
         worker_factory:
             ``worker_factory(device, worker_id) -> state`` builds the
-            per-worker state handed to the kernel (mutable state such as
+            per-worker state handed to the scorer (mutable state such as
             operation counters must not be shared across workers).
-        evaluate:
-            ``evaluate(worker, start, stop) -> (combos, scores)`` chunk
-            kernel; must be thread-safe with respect to shared read-only
-            data.  Plans without a candidate source interpret the items as
-            dense combination ranks.
+        scorer:
+            ``scorer(worker, combos) -> scores`` kernel: the executor
+            materialises each claimed chunk through the plan's candidate
+            source and the scorer evaluates the ``(n, k)`` combinations.
+            It must be thread-safe with respect to shared read-only data.
         snp_names:
             Optional SNP names resolved into the produced interactions.
         progress:
             Optional callback invoked after every chunk with
             ``(items_done, items_total)``; calls are serialised.
-        scorer:
-            ``scorer(worker, combos) -> scores`` alternative kernel for
-            plans carrying a :class:`~repro.engine.candidates.CandidateSource`:
-            the executor materialises each claimed chunk through the plan's
-            source and the scorer only evaluates the combinations.  Exactly
-            one of ``evaluate`` and ``scorer`` must be given.
         """
         plan = self.plan
-        if (evaluate is None) == (scorer is None):
-            raise ValueError("exactly one of evaluate= and scorer= must be given")
-        if scorer is not None:
-            if plan.source is None:
-                raise ValueError(
-                    "a scorer kernel requires the plan to carry a candidate source"
-                )
-            evaluate = source_evaluator(plan.source, scorer)
+        evaluate = source_evaluator(plan.source, scorer)
         if any(d.chunk_size is None for d in plan.devices):
             raise ValueError(
                 "every device lane needs a chunk_size (an integer or 'auto'); "

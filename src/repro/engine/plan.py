@@ -1,11 +1,10 @@
 """Execution plans: which devices run a search, and how.
 
 An :class:`ExecutionPlan` is the declarative input of the
-:class:`~repro.engine.executor.HeterogeneousExecutor`: the work-item space
-(a dense combination-rank range, or any
-:class:`~repro.engine.candidates.CandidateSource`), the participating
-:class:`EngineDevice` lanes and the
-:class:`~repro.engine.policies.SchedulingPolicy` that carves the space
+:class:`~repro.engine.executor.HeterogeneousExecutor`: the
+:class:`~repro.engine.candidates.CandidateSource` whose work items the run
+covers, the participating :class:`EngineDevice` lanes and the
+:class:`~repro.engine.policies.SchedulingPolicy` that carves the items
 across them.  Every search entry point (k-way detector, staged pipeline
 stages, MPI3SNP-style baseline, CLI) builds one of these instead of rolling
 its own execution loop.
@@ -25,9 +24,9 @@ __all__ = ["DEVICE_KINDS", "DEFAULT_CATALOG_KEYS", "EngineDevice", "parse_device
 #: Device families the engine knows how to drive.
 DEVICE_KINDS = ("cpu", "gpu")
 
-#: Default Table I/II catalog entries used for CARM throughput estimates when
-#: a device lane does not name one: the Ice Lake SP Xeon and the Titan Xp —
-#: the CPU+GPU pairing of the paper's §V-D heterogeneous projection.
+#: Table I/II catalog entries used for the lanes' CARM throughput estimates:
+#: the Ice Lake SP Xeon and the Titan Xp — the CPU+GPU pairing of the
+#: paper's §V-D heterogeneous projection.
 DEFAULT_CATALOG_KEYS = {"cpu": "CI3", "gpu": "GN4"}
 
 
@@ -52,17 +51,11 @@ class EngineDevice:
         builds the plan to size: the detector sizes unset claims from the
         kernel byte budget (``EpistasisDetector.engine_devices``), and a
         plan cannot run a lane left unset.
-    catalog_key:
-        Optional Table I/II key (``"CI3"``, ``"GN4"``, ...) identifying the
-        modelled hardware; the CARM-ratio policy uses it to estimate the
-        lane's throughput.  Defaults per ``kind`` via
-        :data:`DEFAULT_CATALOG_KEYS`.
     """
 
     kind: str = "cpu"
     n_workers: int = 1
     chunk_size: int | str | None = None
-    catalog_key: str | None = None
 
     def __post_init__(self) -> None:
         from repro.engine.autotune import is_auto_chunk
@@ -88,10 +81,11 @@ class EngineDevice:
         return is_auto_chunk(self.chunk_size)
 
     def spec(self):
-        """The catalogued device spec backing this lane (for CARM estimates)."""
+        """The catalogued device spec backing this lane (for CARM estimates):
+        :data:`DEFAULT_CATALOG_KEYS` names one per ``kind``."""
         from repro.devices.catalog import device
 
-        return device(self.catalog_key or DEFAULT_CATALOG_KEYS[self.kind])
+        return device(DEFAULT_CATALOG_KEYS[self.kind])
 
 
 def parse_devices(
@@ -133,45 +127,26 @@ class ExecutionPlan:
 
     Attributes
     ----------
-    total:
-        Number of work items to cover.  May be omitted when ``source`` is
-        given (it is derived from the source); when both are given they
-        must agree.
+    source:
+        The :class:`~repro.engine.candidates.CandidateSource` mapping the
+        run's work items ``[0, source.total)`` to SNP k-tuples; the executor
+        materialises each claimed chunk through it.
     devices:
         Participating device lanes.
     policy:
-        Scheduling policy instance carving ``[0, total)`` across the lanes.
+        Scheduling policy instance carving the work items across the lanes
+        (default: :class:`~repro.engine.policies.DynamicPolicy`).
     top_k:
         Number of best-scoring interactions retained by the streaming
         reduction.
-    source:
-        Optional :class:`~repro.engine.candidates.CandidateSource` mapping
-        work items to SNP k-tuples.  A plan without a source keeps the
-        legacy dense work model, where the chunk kernel interprets the
-        claimed ranks itself; a plan with a source lets the executor
-        materialise candidates on the workers' behalf
-        (:meth:`~repro.engine.executor.HeterogeneousExecutor.run` with a
-        ``scorer``).
     """
 
-    total: int | None = None
+    source: "CandidateSource"
     devices: List[EngineDevice] = field(default_factory=lambda: [EngineDevice()])
     policy: "SchedulingPolicy | None" = None
     top_k: int = 10
-    source: "CandidateSource | None" = None
 
     def __post_init__(self) -> None:
-        if self.total is None:
-            if self.source is None:
-                raise ValueError("an execution plan needs a total or a candidate source")
-            self.total = self.source.total
-        elif self.source is not None and self.total != self.source.total:
-            raise ValueError(
-                f"plan total {self.total} disagrees with candidate source "
-                f"total {self.source.total}"
-            )
-        if self.total < 0:
-            raise ValueError("total must be non-negative")
         if not self.devices:
             raise ValueError("an execution plan needs at least one device")
         if self.top_k < 1:
@@ -180,6 +155,11 @@ class ExecutionPlan:
             from repro.engine.policies import DynamicPolicy
 
             self.policy = DynamicPolicy()
+
+    @property
+    def total(self) -> int:
+        """Number of work items to cover (the source's candidate count)."""
+        return self.source.total
 
     @property
     def total_workers(self) -> int:

@@ -1,20 +1,25 @@
 """Pluggable scheduling policies of the heterogeneous execution engine.
 
 A policy decides how the combination-rank space ``[0, total)`` is carved
-across the workers of an execution plan's device lanes.  The four concrete
-policies correspond to the host schedules discussed by the paper and its
-baselines:
+across the workers of an execution plan's device lanes.  Every policy cuts
+the space into spans, puts one :class:`~repro.engine.scheduling.SharedCursor`
+on each span and gives every worker a claim view over its span's cursor:
+an adaptive view on an ``"auto"`` lane, else a fixed view at the lane's
+own ``chunk_size`` (the guided policy shares one guided view instead).  The
+four concrete policies correspond to the host schedules discussed by the
+paper and its baselines:
 
-* :class:`DynamicPolicy` — all workers pull fixed-size chunks from one
-  shared cursor (the paper's OpenMP ``schedule(dynamic)`` CPU runtime);
-* :class:`StaticPolicy` — the space is pre-partitioned into contiguous
-  near-equal per-worker spans (the MPI3SNP-style rank decomposition);
-* :class:`GuidedPolicy` — exponentially decreasing shared chunks;
-* :class:`CarmRatioPolicy` — the heterogeneous splitter of §V-D: each
-  device lane receives a contiguous share sized proportionally to its
+* :class:`DynamicPolicy` — one span drained by every worker (the paper's
+  OpenMP ``schedule(dynamic)`` CPU runtime);
+* :class:`StaticPolicy` — one contiguous near-equal span per worker (the
+  MPI3SNP-style rank decomposition);
+* :class:`GuidedPolicy` — one span drained in exponentially decreasing
+  claims;
+* :class:`CarmRatioPolicy` — the heterogeneous splitter of §V-D: one
+  contiguous span per device lane, sized proportionally to the lane's
   CARM/performance-model throughput estimate
-  (:func:`repro.perfmodel.efficiency.device_throughput`), and the lane's
-  workers drain their share with a lane-local dynamic schedule.
+  (:func:`repro.perfmodel.efficiency.device_throughput`), drained by the
+  lane's workers.
 
 Policies are instantiated by name through :func:`get_policy` so the CLI and
 config layers can select them declaratively.
@@ -24,23 +29,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Sequence, Type
+from typing import ClassVar, Dict, List, Sequence, Type
 
+from repro.engine.autotune import AdaptiveChunkSource, autotune_config_for
 from repro.engine.plan import EngineDevice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.candidates import CandidateSource
-from repro.engine.autotune import (
-    FixedChunkSource,
-    SharedCursor,
-    adaptive_lane_sources,
-    autotune_config_for,
-    is_auto_chunk,
-)
 from repro.engine.scheduling import (
-    ChunkedRange,
-    DynamicScheduler,
-    GuidedScheduler,
+    FixedChunkSource,
+    GuidedChunkSource,
+    SharedCursor,
     WorkSource,
     static_partition,
 )
@@ -67,9 +63,8 @@ class DeviceAssignment:
     device:
         The lane the assignment belongs to.
     sources:
-        One work source per worker of the lane.  Sources may be shared
-        between workers (and between lanes) when the policy schedules from a
-        common pool.
+        One work source per worker of the lane.  Sources may share a cursor
+        (and a guided view) between workers and between lanes.
     planned_items:
         Size of the lane's pre-assigned contiguous share, or ``None`` when
         the lane competes for work from a shared pool.
@@ -78,6 +73,19 @@ class DeviceAssignment:
     device: EngineDevice
     sources: List[WorkSource]
     planned_items: int | None = None
+
+
+def _lane_sources(device: EngineDevice, cursors: Sequence[SharedCursor]) -> List[WorkSource]:
+    """One claim view per worker of ``device``, over that worker's cursor.
+
+    Workers of an ``"auto"`` lane each tune their own claim size within the
+    lane's bounds (:func:`repro.engine.autotune.autotune_config_for`); the
+    others claim the lane's ``chunk_size``.
+    """
+    if device.autotune:
+        config = autotune_config_for(device.kind)
+        return [AdaptiveChunkSource(cursor, config) for cursor in cursors]
+    return [FixedChunkSource(cursor, device.chunk_size) for cursor in cursors]
 
 
 class SchedulingPolicy(ABC):
@@ -95,45 +103,10 @@ class SchedulingPolicy(ABC):
     def configure(self, n_snps: int, n_samples: int, order: int = 3) -> None:
         """Late-bind the problem shape (used by model-driven policies).
 
-        ``order`` is the interaction order of the search; model-driven
-        policies feed it to the analytic throughput estimates so the
-        CPU/GPU split stays honest away from the paper's ``k = 3``.
-        """
-
-    def configure_source(
-        self,
-        source: "CandidateSource",
-        n_samples: int,
-        default_snps: int | None = None,
-    ) -> None:
-        """Late-bind the problem shape from a candidate source.
-
-        Staged searches run one engine pass per pipeline stage, each over a
-        different candidate geometry; the stage's *effective* SNP universe
-        (the retained subset for an expand stage, the full dataset for a
-        dense screen) and interaction order are what the analytic
-        throughput models must see, otherwise the CARM-ratio split would be
-        sized for the wrong stage shape.  ``default_snps`` is the fallback
-        universe (typically the dataset's SNP count) for sources that
-        cannot report one.
-        """
-        n_snps = source.effective_snps
-        if n_snps is None:
-            n_snps = default_snps
-        if n_snps is None:
-            raise ValueError(
-                f"{source!r} has no effective SNP universe and no default was given"
-            )
-        self.configure(n_snps=n_snps, n_samples=n_samples, order=source.order)
-
-    def configure_execution(
-        self, backend: str | None = None, word_layout: str | None = None
-    ) -> None:
-        """Late-bind the execution identity (used by measurement-driven policies).
-
-        The detector reports the backend that will actually run the CPU
-        kernels and the word layout of the encoding; the CARM-ratio policy
-        uses both to look up fingerprint-matched calibration records.
+        ``n_snps`` is the SNP universe the search draws from and ``order``
+        its interaction order; model-driven policies feed both to the
+        analytic throughput estimates so the CPU/GPU split stays honest for
+        each search's shape.
         """
 
     def __repr__(self) -> str:
@@ -141,47 +114,20 @@ class SchedulingPolicy(ABC):
 
 
 class DynamicPolicy(SchedulingPolicy):
-    """All workers share one dynamic chunk cursor (OpenMP ``dynamic``).
+    """All workers drain one shared cursor (OpenMP ``dynamic``).
 
-    With ``chunk_size="auto"`` (on the policy or any device lane) the
-    workers still drain one shared cursor, but each owns an adaptive view
-    that tunes its claim size from measured per-chunk throughput, with
-    per-lane bounds (:func:`repro.engine.autotune.autotune_config_for`).
+    Each lane claims its own ``chunk_size``; the workers of an ``"auto"``
+    lane each tune theirs from measured per-chunk throughput.
     """
 
     name = "dynamic"
 
-    def __init__(self, chunk_size: int | str | None = None) -> None:
-        self.chunk_size = chunk_size
-
     def assign(
         self, total: int, devices: Sequence[EngineDevice]
     ) -> List[DeviceAssignment]:
-        policy_auto = is_auto_chunk(self.chunk_size)
-        if policy_auto or any(d.autotune for d in devices):
-            cursor = SharedCursor(total)
-            assignments: List[DeviceAssignment] = []
-            for d in devices:
-                if policy_auto or d.autotune:
-                    sources: List[WorkSource] = adaptive_lane_sources(
-                        total,
-                        d.n_workers,
-                        config=autotune_config_for(d.kind),
-                        cursor=cursor,
-                    )
-                else:
-                    # A non-auto lane keeps a pinned granularity while
-                    # draining the shared cursor; an integer policy-level
-                    # chunk size takes precedence over the device's, as in
-                    # the all-integer path below.
-                    fixed = FixedChunkSource(cursor, self.chunk_size or d.chunk_size)
-                    sources = [fixed] * d.n_workers
-                assignments.append(DeviceAssignment(device=d, sources=sources))
-            return assignments
-        chunk = self.chunk_size or min(d.chunk_size for d in devices)
-        shared = DynamicScheduler(total, chunk_size=chunk)
+        cursor = SharedCursor(total)
         return [
-            DeviceAssignment(device=d, sources=[shared] * d.n_workers)
+            DeviceAssignment(device=d, sources=_lane_sources(d, [cursor] * d.n_workers))
             for d in devices
         ]
 
@@ -194,28 +140,15 @@ class StaticPolicy(SchedulingPolicy):
     def assign(
         self, total: int, devices: Sequence[EngineDevice]
     ) -> List[DeviceAssignment]:
-        n_workers = sum(d.n_workers for d in devices)
-        parts = static_partition(total, n_workers)
+        parts = iter(static_partition(total, sum(d.n_workers for d in devices)))
         assignments: List[DeviceAssignment] = []
-        cursor = 0
         for d in devices:
-            spans = parts[cursor : cursor + d.n_workers]
-            cursor += d.n_workers
-            if d.autotune:
-                # Each worker keeps its pre-assigned contiguous span but
-                # walks it with an adaptive claim size.
-                sources: List[WorkSource] = [
-                    adaptive_lane_sources(
-                        stop, 1, start=start, config=autotune_config_for(d.kind)
-                    )[0]
-                    for start, stop in spans
-                ]
-            else:
-                sources = [ChunkedRange(span, d.chunk_size) for span in spans]
+            spans = [next(parts) for _ in range(d.n_workers)]
+            cursors = [SharedCursor(stop, start=start) for start, stop in spans]
             assignments.append(
                 DeviceAssignment(
                     device=d,
-                    sources=sources,
+                    sources=_lane_sources(d, cursors),
                     planned_items=sum(stop - start for start, stop in spans),
                 )
             )
@@ -223,14 +156,15 @@ class StaticPolicy(SchedulingPolicy):
 
 
 class GuidedPolicy(SchedulingPolicy):
-    """Shared cursor with exponentially decreasing chunks (OpenMP ``guided``)."""
+    """Shared cursor with exponentially decreasing claims (OpenMP ``guided``).
+
+    The decay floor is the smallest integer ``chunk_size`` of the plan's
+    lanes; every worker of every lane shares one guided view.
+    """
 
     name = "guided"
 
-    def __init__(self, min_chunk: int | None = None) -> None:
-        self.min_chunk = min_chunk
-
-    #: Floor of the guided decay when the configured chunk size is "auto"
+    #: Floor of the guided decay when every lane's chunk size is "auto"
     #: (the guided schedule is already self-pacing, so "auto" only needs a
     #: sensible minimum).
     AUTO_MIN_CHUNK = 256
@@ -238,10 +172,12 @@ class GuidedPolicy(SchedulingPolicy):
     def assign(
         self, total: int, devices: Sequence[EngineDevice]
     ) -> List[DeviceAssignment]:
-        n_workers = sum(d.n_workers for d in devices)
         fixed = [d.chunk_size for d in devices if not d.autotune]
-        min_chunk = self.min_chunk or (min(fixed) if fixed else self.AUTO_MIN_CHUNK)
-        shared = GuidedScheduler(total, n_workers=n_workers, min_chunk=min_chunk)
+        shared = GuidedChunkSource(
+            SharedCursor(total),
+            n_workers=sum(d.n_workers for d in devices),
+            min_chunk=min(fixed) if fixed else self.AUTO_MIN_CHUNK,
+        )
         return [
             DeviceAssignment(device=d, sources=[shared] * d.n_workers)
             for d in devices
@@ -255,75 +191,33 @@ class CarmRatioPolicy(SchedulingPolicy):
     proportional to the analytical throughput of its catalogued hardware
     (§V-D: the optimal static split for independent combinations assigns
     work proportionally to device throughput).  Within a lane, workers drain
-    the share with a lane-local dynamic schedule, so multi-core CPU lanes
-    keep the paper's dynamic load balancing.
+    the share from one cursor, so multi-core CPU lanes keep the paper's
+    dynamic load balancing.
+
+    Every lane is priced by the same source: the analytical model at the
+    shape :meth:`configure` bound (the detector binds each search's SNP
+    universe, sample count and order; unconfigured, the paper's reference
+    third-order workload), or ``ratios``.
 
     Parameters
     ----------
-    n_snps / n_samples / order:
-        Problem shape fed to the analytical models.  Left unset, the shape
-        is late-bound by :meth:`configure` (the detector passes the actual
-        dataset shape and interaction order) and falls back to the paper's
-        reference workload (third order).
     ratios:
-        Explicit per-lane share weights overriding the model estimates
-        (useful for tests and for measured re-calibration).
-    use_measured:
-        Whether to prefer measured calibration records
-        (:mod:`repro.backends.calibrate`) over the analytical model when
-        sizing the split.  ``None`` (the default) and ``True`` consult the
-        per-host store and fall back to the model lane-by-lane when no
-        fingerprint-matched record exists; ``False`` always prices the
-        catalogued hardware analytically.  The per-lane decision taken on
-        the last :meth:`assign` is recorded in :attr:`weight_sources`.
+        Explicit per-lane share weights overriding the model estimates.
     """
 
     name = "carm"
 
     #: Reference workload of the paper's throughput figures, used when no
-    #: problem shape was provided.
+    #: problem shape was configured.
     DEFAULT_SHAPE = (8192, 16384)
 
-    def __init__(
-        self,
-        n_snps: int | None = None,
-        n_samples: int | None = None,
-        ratios: Sequence[float] | None = None,
-        order: int | None = None,
-        use_measured: bool | None = None,
-    ) -> None:
-        self.n_snps = n_snps
-        self.n_samples = n_samples
-        self.order = order if order is not None else 3
+    def __init__(self, ratios: Sequence[float] | None = None) -> None:
         self.ratios = list(ratios) if ratios is not None else None
-        self.use_measured = use_measured
-        #: Where each lane's weight came from on the last assignment:
-        #: "measured", "model" or "ratio" per device lane.
-        self.weight_sources: List[str] = []
-        self._exec_backend: str | None = None
-        self._exec_layout: str | None = None
-        # Shape values given explicitly at construction are pinned; values
-        # late-bound by configure() rebind on every call, so a reused policy
-        # instance follows each dataset's actual shape.
-        self._pinned_snps = n_snps is not None
-        self._pinned_samples = n_samples is not None
-        self._pinned_order = order is not None
+        self.n_snps, self.n_samples = self.DEFAULT_SHAPE
+        self.order = 3
 
     def configure(self, n_snps: int, n_samples: int, order: int = 3) -> None:
-        if not self._pinned_snps:
-            self.n_snps = n_snps
-        if not self._pinned_samples:
-            self.n_samples = n_samples
-        if not self._pinned_order:
-            self.order = order
-
-    def configure_execution(
-        self, backend: str | None = None, word_layout: str | None = None
-    ) -> None:
-        if backend is not None:
-            self._exec_backend = backend
-        if word_layout is not None:
-            self._exec_layout = word_layout
+        self.n_snps, self.n_samples, self.order = n_snps, n_samples, order
 
     def _weights(self, devices: Sequence[EngineDevice]) -> List[float]:
         if self.ratios is not None:
@@ -333,37 +227,15 @@ class CarmRatioPolicy(SchedulingPolicy):
                 )
             if any(r < 0 for r in self.ratios) or sum(self.ratios) <= 0:
                 raise ValueError("ratios must be non-negative and sum to > 0")
-            self.weight_sources = ["ratio"] * len(devices)
             return list(self.ratios)
-        from repro.perfmodel.efficiency import (
-            calibrated_device_throughput,
-            device_throughput,
-        )
+        from repro.perfmodel.efficiency import device_throughput
 
-        n_snps, n_samples = self.DEFAULT_SHAPE
-        n_snps = self.n_snps or n_snps
-        n_samples = self.n_samples or n_samples
-        weights: List[float] = []
-        sources: List[str] = []
-        for d in devices:
-            if self.use_measured is False:
-                weight = device_throughput(
-                    d.spec(), n_snps=n_snps, n_samples=n_samples, order=self.order
-                )
-                source = "model"
-            else:
-                weight, source = calibrated_device_throughput(
-                    d.spec(),
-                    n_snps=n_snps,
-                    n_samples=n_samples,
-                    order=self.order,
-                    backend=self._exec_backend if d.kind == "cpu" else None,
-                    layout=self._exec_layout,
-                )
-            weights.append(weight)
-            sources.append(source)
-        self.weight_sources = sources
-        return weights
+        return [
+            device_throughput(
+                d.spec(), n_snps=self.n_snps, n_samples=self.n_samples, order=self.order
+            )
+            for d in devices
+        ]
 
     def shares(self, total: int, devices: Sequence[EngineDevice]) -> List[int]:
         """Per-lane item counts (largest-remainder apportionment of ``total``)."""
@@ -382,31 +254,18 @@ class CarmRatioPolicy(SchedulingPolicy):
     def assign(
         self, total: int, devices: Sequence[EngineDevice]
     ) -> List[DeviceAssignment]:
-        shares = self.shares(total, devices)
         assignments: List[DeviceAssignment] = []
         start = 0
-        for d, share in zip(devices, shares):
-            stop = start + share
-            if d.autotune:
-                # Lane-local cursor over the contiguous share; each of the
-                # lane's workers tunes its own claim size.
-                sources: List[WorkSource] = adaptive_lane_sources(
-                    stop,
-                    d.n_workers,
-                    start=start,
-                    config=autotune_config_for(d.kind),
-                )
-            else:
-                lane = DynamicScheduler(stop, chunk_size=d.chunk_size, start=start)
-                sources = [lane] * d.n_workers
+        for d, share in zip(devices, self.shares(total, devices)):
+            cursor = SharedCursor(start + share, start=start)
             assignments.append(
                 DeviceAssignment(
                     device=d,
-                    sources=sources,
+                    sources=_lane_sources(d, [cursor] * d.n_workers),
                     planned_items=share,
                 )
             )
-            start = stop
+            start += share
         return assignments
 
 
@@ -422,7 +281,7 @@ _ALIASES: Dict[str, str] = {
 }
 
 
-def get_policy(name: "str | SchedulingPolicy", **kwargs) -> SchedulingPolicy:
+def get_policy(name: "str | SchedulingPolicy") -> SchedulingPolicy:
     """Instantiate a scheduling policy by name (pass-through for instances)."""
     if isinstance(name, SchedulingPolicy):
         return name
@@ -433,7 +292,7 @@ def get_policy(name: "str | SchedulingPolicy", **kwargs) -> SchedulingPolicy:
             f"unknown scheduling policy {name!r}; available: {sorted(POLICIES)} "
             f"(aliases: {sorted(_ALIASES)})"
         )
-    return POLICIES[key](**kwargs)
+    return POLICIES[key]()
 
 
 def list_policies(include_aliases: bool = False) -> List[str]:

@@ -5,16 +5,19 @@ combination ranks (see :mod:`repro.core.combinations`); a work source never
 touches the combinations themselves, so the same machinery drives CPU
 threads, simulated GPU launches and simulated cluster ranks.
 
-Three concrete sources implement the classic OpenMP schedules the paper's
-host runtime is modelled after:
+There is one cursor, :class:`SharedCursor`: a locked ``claim(size)`` over a
+span ``[start, total)``.  Every work source a worker drains is a view that
+decides how much to claim from one:
 
-* :class:`DynamicScheduler` — fixed-size chunks from a shared atomic cursor
-  (``schedule(dynamic)``), the paper's choice for the CPU search;
-* :class:`GuidedScheduler` — exponentially decreasing chunks
-  (``schedule(guided)``), large chunks early to amortise dispatch, small
-  chunks late to rebalance the tail;
-* :class:`ChunkedRange` — a private cursor over a pre-assigned contiguous
-  span (``schedule(static)`` and the MPI3SNP-style rank partition).
+* :class:`FixedChunkSource` — a fixed claim size (OpenMP
+  ``schedule(dynamic)`` when the cursor covers the whole space, the paper's
+  choice for the CPU search; ``schedule(static)`` when it covers one
+  worker's span);
+* :class:`GuidedChunkSource` — exponentially decreasing claims
+  (``schedule(guided)``), large early to amortise dispatch, small late to
+  rebalance the tail;
+* :class:`~repro.engine.autotune.AdaptiveChunkSource` — a claim size tuned
+  from measured chunk durations (``chunk_size="auto"``).
 
 :func:`static_partition` produces the contiguous near-equal spans consumed
 by the static schedule and the simulated cluster.
@@ -23,14 +26,14 @@ by the static schedule and the simulated cluster.
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, Protocol, Tuple
+from typing import Callable, List, Protocol, Tuple
 
 __all__ = [
     "Range",
     "WorkSource",
-    "DynamicScheduler",
-    "GuidedScheduler",
-    "ChunkedRange",
+    "SharedCursor",
+    "FixedChunkSource",
+    "GuidedChunkSource",
     "static_partition",
 ]
 
@@ -44,169 +47,80 @@ class WorkSource(Protocol):
         ...
 
 
-class DynamicScheduler:
-    """Thread-safe dynamic chunk scheduler (OpenMP ``schedule(dynamic)``).
+class SharedCursor:
+    """Thread-safe variable-size claim cursor over ``[start, total)``.
 
-    Parameters
-    ----------
-    total:
-        End of the work-item range; items are claimed from ``[start, total)``.
-    chunk_size:
-        Number of items handed out per request.
-    start:
-        First work item (default 0); non-zero starts let a policy run a
-        dynamic schedule inside a contiguous device share.
-
-    Notes
-    -----
-    The scheduler is intentionally minimal: a single atomic cursor protected
-    by a lock.  Contention is negligible because a chunk of thousands of
-    combinations amortises the lock acquisition, matching the granularity
-    the paper uses for its dynamic OpenMP schedule.
+    Each :meth:`claim` hands out the next ``size`` items.  Coverage is exact
+    — claims partition the range — no matter how sizes vary between calls
+    or callers.  Contention is negligible because a claim of thousands of
+    combinations amortises the lock acquisition.
     """
 
-    def __init__(self, total: int, chunk_size: int = 4096, start: int = 0) -> None:
+    def __init__(self, total: int, start: int = 0) -> None:
         if total < 0:
             raise ValueError("total must be non-negative")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if start < 0 or start > total:
             raise ValueError(f"start must lie in [0, {total}]")
         self.total = int(total)
-        self.chunk_size = int(chunk_size)
         self.start = int(start)
         self._cursor = self.start
         self._lock = threading.Lock()
 
-    def next_range(self) -> Range | None:
-        """Claim the next chunk, or ``None`` when the space is exhausted."""
-        with self._lock:
-            if self._cursor >= self.total:
-                return None
-            start = self._cursor
-            stop = min(start + self.chunk_size, self.total)
-            self._cursor = stop
-            return start, stop
+    def claim(self, size: int | Callable[[int], int]) -> Range | None:
+        """Claim the next ``size`` items, or ``None`` when exhausted.
 
-    def __iter__(self) -> Iterator[Range]:
-        while True:
-            r = self.next_range()
-            if r is None:
-                return
-            yield r
-
-    @property
-    def remaining(self) -> int:
-        """Number of unclaimed work items."""
-        with self._lock:
-            return max(0, self.total - self._cursor)
-
-    def reset(self) -> None:
-        """Rewind the scheduler (e.g. between benchmark repetitions)."""
-        with self._lock:
-            self._cursor = self.start
-
-
-class GuidedScheduler:
-    """Thread-safe guided chunk scheduler (OpenMP ``schedule(guided)``).
-
-    Each claim receives ``max(min_chunk, remaining // (2 * n_workers))``
-    items: early chunks are large (amortising dispatch overhead), late chunks
-    shrink towards ``min_chunk`` so stragglers can rebalance the tail.
-
-    Parameters
-    ----------
-    total:
-        End of the work-item range.
-    n_workers:
-        Number of consumers the decay is sized for.
-    min_chunk:
-        Smallest chunk handed out (and the floor of the decay).
-    start:
-        First work item (default 0).
-    """
-
-    def __init__(
-        self,
-        total: int,
-        n_workers: int = 1,
-        min_chunk: int = 256,
-        start: int = 0,
-    ) -> None:
-        if total < 0:
-            raise ValueError("total must be non-negative")
-        if n_workers < 1:
-            raise ValueError("n_workers must be positive")
-        if min_chunk < 1:
-            raise ValueError("min_chunk must be positive")
-        if start < 0 or start > total:
-            raise ValueError(f"start must lie in [0, {total}]")
-        self.total = int(total)
-        self.n_workers = int(n_workers)
-        self.min_chunk = int(min_chunk)
-        self.start = int(start)
-        self._cursor = self.start
-        self._lock = threading.Lock()
-
-    def next_range(self) -> Range | None:
+        ``size`` may also be a function of the unclaimed item count; it is
+        called under the lock, so the size fits the count it was read from.
+        """
+        if not callable(size) and size < 1:
+            raise ValueError("claim size must be positive")
         with self._lock:
             remaining = self.total - self._cursor
             if remaining <= 0:
                 return None
-            size = max(self.min_chunk, remaining // (2 * self.n_workers))
-            size = min(size, remaining)
-            start = self._cursor
-            self._cursor = start + size
-            return start, start + size
-
-    def __iter__(self) -> Iterator[Range]:
-        while True:
-            r = self.next_range()
-            if r is None:
-                return
-            yield r
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return max(0, self.total - self._cursor)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._cursor = self.start
+            if callable(size):
+                size = size(remaining)
+            begin = self._cursor
+            self._cursor = begin + min(int(size), remaining)
+            return begin, self._cursor
 
 
-class ChunkedRange:
-    """A private chunked cursor over a fixed span (one worker's static share).
+class FixedChunkSource:
+    """Fixed-size claims from a :class:`SharedCursor` (a ``WorkSource``)."""
 
-    Unlike the shared schedulers this source is owned by a single worker, but
-    claiming is still locked so misuse cannot corrupt the cursor.
-    """
-
-    def __init__(self, span: Range, chunk_size: int) -> None:
-        start, stop = span
-        if start < 0 or stop < start:
-            raise ValueError(f"invalid span {span}")
+    def __init__(self, cursor: SharedCursor, chunk_size: int) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        self.span = (int(start), int(stop))
+        self.cursor = cursor
         self.chunk_size = int(chunk_size)
-        self._cursor = int(start)
-        self._lock = threading.Lock()
 
     def next_range(self) -> Range | None:
-        with self._lock:
-            if self._cursor >= self.span[1]:
-                return None
-            start = self._cursor
-            stop = min(start + self.chunk_size, self.span[1])
-            self._cursor = stop
-            return start, stop
+        return self.cursor.claim(self.chunk_size)
 
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return max(0, self.span[1] - self._cursor)
+
+class GuidedChunkSource:
+    """Guided claims from a :class:`SharedCursor` (OpenMP ``schedule(guided)``).
+
+    Each claim receives ``max(min_chunk, remaining // (2 * n_workers))``
+    items: early claims are large (amortising dispatch overhead), late
+    claims shrink towards ``min_chunk`` so stragglers can rebalance the
+    tail.  All workers of a plan share one view.
+    """
+
+    def __init__(self, cursor: SharedCursor, n_workers: int, min_chunk: int) -> None:
+        if n_workers < 1:
+            raise ValueError("n_workers must be positive")
+        if min_chunk < 1:
+            raise ValueError("min_chunk must be positive")
+        self.cursor = cursor
+        self.n_workers = int(n_workers)
+        self.min_chunk = int(min_chunk)
+
+    def _size(self, remaining: int) -> int:
+        return max(self.min_chunk, remaining // (2 * self.n_workers))
+
+    def next_range(self) -> Range | None:
+        return self.cursor.claim(self._size)
 
 
 def static_partition(total: int, n_parts: int) -> List[Range]:

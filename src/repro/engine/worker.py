@@ -1,11 +1,10 @@
 """Device workers and the streaming top-k reduction.
 
 A :class:`DeviceWorker` is one host thread of a device lane: it repeatedly
-claims ``[start, stop)`` rank ranges from its work source, evaluates them
-through the caller-supplied kernel and folds the chunk's scores into a
-bounded :class:`TopKHeap` — so memory stays O(top_k) per worker no matter
-how large the combination space is, replacing the old list-of-lists
-reduction.
+claims ``[start, stop)`` item ranges from its work source, materialises
+and scores them through the executor's kernel and folds the chunk's scores
+into a bounded :class:`TopKHeap` — so memory stays O(top_k) per worker no
+matter how large the combination space is.
 """
 
 from __future__ import annotations
@@ -24,28 +23,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.candidates import CandidateSource
     from repro.engine.executor import CancellationToken
 
-__all__ = ["TopKHeap", "DeviceWorker", "ChunkEvaluator", "ChunkScorer", "source_evaluator"]
+__all__ = ["TopKHeap", "DeviceWorker", "ChunkScorer", "source_evaluator"]
 
-#: Kernel signature: evaluate work items ``[start, stop)`` and return the
-#: materialised combinations plus their objective scores.  Plans without a
-#: candidate source interpret the items as dense combination ranks.
-ChunkEvaluator = Callable[["DeviceWorker", int, int], Tuple[np.ndarray, np.ndarray]]
-
-#: Scorer signature for source-backed plans: score already-materialised
-#: combinations (the engine resolves work items through the plan's
+#: The kernel contract: score already-materialised ``(n, k)`` combinations
+#: (the engine resolves work items through the plan's
 #: :class:`~repro.engine.candidates.CandidateSource` first).
 ChunkScorer = Callable[["DeviceWorker", np.ndarray], np.ndarray]
+
+#: What a worker runs per claimed chunk: items ``[start, stop)`` to their
+#: combinations and scores (built by :func:`source_evaluator`).
+ChunkEvaluator = Callable[["DeviceWorker", int, int], Tuple[np.ndarray, np.ndarray]]
 
 
 def source_evaluator(source: "CandidateSource", scorer: ChunkScorer) -> ChunkEvaluator:
     """Adapt a candidate source plus a combination scorer into a chunk kernel.
 
-    This is the bridge between the engine's two work models: workers keep
-    claiming opaque item ranges ``[start, stop)`` from their scheduling
-    sources, and the returned kernel materialises the corresponding
-    k-tuples through ``source`` before handing them to ``scorer`` — so the
-    same scheduling policies, heaps and statistics drive dense, explicit
-    and subset-restricted searches.
+    The executor's internal adapter: workers claim opaque item ranges
+    ``[start, stop)`` from their scheduling sources, and the returned kernel
+    materialises the corresponding k-tuples through ``source`` before
+    handing them to ``scorer`` — so the same scheduling policies, heaps and
+    statistics drive dense, explicit and subset-restricted searches.
     """
 
     def evaluate(worker: "DeviceWorker", start: int, stop: int):

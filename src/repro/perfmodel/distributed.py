@@ -123,21 +123,24 @@ def estimate_recovery_seconds(
     n_workers: int,
     *,
     backoff_seconds: float = 0.05,
-    backoff_factor: float = 2.0,
-    max_backoff_seconds: float = 2.0,
     pool_break_every: int = 1,
     spawn_seconds_per_worker: float = DEFAULT_SPAWN_SECONDS_PER_WORKER,
 ) -> float:
     """Modelled wall-clock cost of recovering from ``n_failures`` crashes.
 
     Each failure re-executes its shard (one ``shard_seconds`` of lost
-    compute), waits out the runner's exponential backoff (mirroring
-    :class:`repro.distributed.resilience.RetryPolicy` — capped at
-    ``max_backoff_seconds``), and, when the crash broke the process pool
+    compute), waits out the runner's exponential backoff (the
+    :class:`repro.distributed.resilience.RetryPolicy` schedule from
+    ``backoff_seconds``, with its ``BACKOFF_FACTOR`` and
+    ``MAX_BACKOFF_SECONDS``), and, when the crash broke the process pool
     (every ``pool_break_every``-th failure; SIGKILL always does, an
     in-worker exception never does), pays one pool respawn of
     ``n_workers`` interpreter starts.
     """
+    # Imported at call time: the models add no import-time dependency on
+    # repro.distributed, a layer above them.
+    from repro.distributed.resilience import BACKOFF_FACTOR, MAX_BACKOFF_SECONDS
+
     if n_failures < 0:
         raise ValueError("n_failures must be non-negative")
     if n_workers < 1:
@@ -146,7 +149,7 @@ def estimate_recovery_seconds(
     for attempt in range(n_failures):
         total += max(0.0, shard_seconds)
         total += min(
-            max_backoff_seconds, backoff_seconds * backoff_factor**attempt
+            MAX_BACKOFF_SECONDS, backoff_seconds * BACKOFF_FACTOR**attempt
         )
         if pool_break_every > 0 and (attempt + 1) % pool_break_every == 0:
             total += n_workers * max(0.0, spawn_seconds_per_worker)

@@ -25,7 +25,6 @@ from repro.perfmodel.gpu_model import estimate_gpu
 
 __all__ = [
     "device_throughput",
-    "calibrated_device_throughput",
     "energy_efficiency",
     "heterogeneous_throughput",
 ]
@@ -52,48 +51,6 @@ def device_throughput(
     return estimate_gpu(
         spec, approach_version, n_snps=n_snps, n_samples=n_samples, order=order
     ).elements_per_second_total
-
-
-def calibrated_device_throughput(
-    spec: DeviceSpec,
-    n_snps: int = 8192,
-    n_samples: int = 16384,
-    approach_version: int = 4,
-    order: int = 3,
-    *,
-    backend: str | None = None,
-    layout: str | None = None,
-) -> tuple[float, str]:
-    """Device throughput preferring a measured calibration record.
-
-    Returns ``(elements_per_second, source)``: when the per-host
-    calibration store holds a fingerprint-matched record for this lane
-    (CPU lanes look up the executing backend, GPU lanes the ``cupy``
-    backend — gpusim is modelled, never measured), the measured
-    throughput is used and ``source`` is ``"measured"``; otherwise the
-    analytical model prices the catalogued hardware and ``source`` is
-    ``"model"``.
-    """
-    from repro.backends.calibrate import measured_throughput
-
-    kind = "cpu" if isinstance(spec, CpuSpec) else "gpu"
-    try:
-        measured = measured_throughput(
-            kind,
-            backend if kind == "cpu" else None,
-            order=order,
-            layout=layout,
-        )
-    except ValueError:
-        # An execution identity the registry cannot price (e.g. the
-        # modelled "gpusim" twin reported for GPU-only plans).
-        measured = None
-    if measured is not None:
-        return measured, "measured"
-    return (
-        device_throughput(spec, n_snps, n_samples, approach_version, order),
-        "model",
-    )
 
 
 def energy_efficiency(

@@ -42,7 +42,6 @@ from repro.backends import (
     default_backend_name,
     get_backend,
     list_backends,
-    measured_throughput,
     resolve_backend_name,
     run_probe,
 )
@@ -390,27 +389,13 @@ class TestCalibrationStore:
             n_snps=12, n_samples=256, repeats=1,
         ).fingerprint
 
-    def test_measured_throughput_lookup(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CALIBRATION_PATH", str(tmp_path / "calib.json"))
-        assert measured_throughput("cpu", "numpy") is None
-        version = BACKENDS["numpy"].version() or "unknown"
-        from repro.bitops.packing import get_layout
-
-        CalibrationStore().put(
-            _record(backend_version=version, layout=get_layout(None).name)
-        )
-        assert measured_throughput("cpu", "numpy") == pytest.approx(4.096e8)
-        # GPU lanes look up the cupy record (gpusim is modelled, never
-        # measured) — absent here.
-        assert measured_throughput("gpu") is None
-
 
 # ---------------------------------------------------------------------------
-# CARM measured mode
+# CARM splits are priced by the model, whatever the store holds
 # ---------------------------------------------------------------------------
 
 
-class TestCarmMeasured:
+class TestCarmPricedByModel:
     def _store_cpu_record(self, tmp_path, monkeypatch, elements=1e12):
         monkeypatch.setenv("REPRO_CALIBRATION_PATH", str(tmp_path / "calib.json"))
         from repro.bitops.packing import get_layout
@@ -424,41 +409,41 @@ class TestCarmMeasured:
             )
         )
 
-    def test_calibrated_device_throughput_sources(self, tmp_path, monkeypatch):
-        from repro.devices.catalog import device
-        from repro.perfmodel.efficiency import calibrated_device_throughput
-
-        monkeypatch.setenv("REPRO_CALIBRATION_PATH", str(tmp_path / "calib.json"))
-        value, source = calibrated_device_throughput(device("CI3"), backend="numpy")
-        assert source == "model" and value > 0
-        self._store_cpu_record(tmp_path, monkeypatch)
-        value, source = calibrated_device_throughput(device("CI3"), backend="numpy")
-        assert source == "measured" and value == pytest.approx(1e12)
-
-    def test_weight_sources_per_lane(self, tmp_path, monkeypatch):
+    def test_split_priced_by_the_model(self, tmp_path, monkeypatch):
         from repro.engine import parse_devices
         from repro.engine.policies import CarmRatioPolicy
+        from repro.perfmodel.efficiency import device_throughput
 
         self._store_cpu_record(tmp_path, monkeypatch)
         devices = parse_devices("cpu+gpu")
         policy = CarmRatioPolicy()
-        policy.configure(n_snps=64, n_samples=4096, order=3)
-        policy.configure_execution(backend="numpy", word_layout=None)
-        policy.shares(1000, devices)
-        assert policy.weight_sources == ["measured", "model"]
-        # The huge measured CPU record dominates the modelled GPU lane.
-        shares = policy.shares(1000, devices)
-        assert shares[0] > shares[1]
+        policy.configure(n_snps=48, n_samples=4096, order=3)
+        weights = [
+            device_throughput(d.spec(), n_snps=48, n_samples=4096, order=3)
+            for d in devices
+        ]
+        model = CarmRatioPolicy(ratios=weights).shares(100_000, devices)
+        assert policy.shares(100_000, devices) == model
+        assert model[1] > model[0]  # the modelled Titan Xp out-runs the CPU
 
-    def test_use_measured_false_ignores_store(self, tmp_path, monkeypatch):
-        from repro.engine import parse_devices
-        from repro.engine.policies import CarmRatioPolicy
+    def test_detect_split_ignores_the_store(self, tmp_path, monkeypatch):
+        from repro.datasets import SyntheticConfig, generate_dataset
 
+        monkeypatch.setenv("REPRO_CALIBRATION_PATH", str(tmp_path / "calib.json"))
+        dataset = generate_dataset(SyntheticConfig(n_snps=32, n_samples=512, seed=7))
+
+        def planned():
+            result = EpistasisDetector(
+                devices="cpu+gpu", schedule="carm", top_k=5
+            ).detect(dataset)
+            lanes = result.stats.extra["devices"]
+            return {lane: entry["planned_items"] for lane, entry in lanes.items()}, [
+                (i.snps, i.score) for i in result.top
+            ]
+
+        without = planned()
         self._store_cpu_record(tmp_path, monkeypatch)
-        policy = CarmRatioPolicy(use_measured=False)
-        policy.configure_execution(backend="numpy")
-        policy.shares(1000, parse_devices("cpu+gpu"))
-        assert policy.weight_sources == ["model", "model"]
+        assert planned() == without
 
     def test_explicit_ratios_still_win(self, tmp_path, monkeypatch):
         from repro.engine import parse_devices
@@ -467,7 +452,6 @@ class TestCarmMeasured:
         self._store_cpu_record(tmp_path, monkeypatch)
         policy = CarmRatioPolicy(ratios=[1, 3])
         assert policy.shares(1000, parse_devices("cpu+gpu")) == [250, 750]
-        assert policy.weight_sources == ["ratio", "ratio"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from repro.core.combinations import (
     subset_combinations,
 )
 from repro.engine import (
-    CarmRatioPolicy,
     DenseRangeSource,
-    DynamicPolicy,
     ExecutionPlan,
     ExplicitCombinationSource,
     ExplicitRankSource,
@@ -146,31 +144,27 @@ class TestPlanWithSource:
         plan = ExecutionPlan(source=DenseRangeSource(9, 3))
         assert plan.total == combination_count(9, 3)
 
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="disagrees"):
-            ExecutionPlan(total=5, source=DenseRangeSource(9, 3))
-
-    def test_plan_needs_total_or_source(self):
-        with pytest.raises(ValueError, match="total or a candidate source"):
+    def test_plan_needs_a_source(self):
+        with pytest.raises(TypeError, match="source"):
             ExecutionPlan()
 
 
 class TestPolicyConfigureSource:
-    def test_carm_sees_effective_universe(self):
-        policy = CarmRatioPolicy()
-        policy.configure_source(SubsetSource(np.arange(0, 40, 3), 4), n_samples=256)
+    """The detector prices a CARM split on each search's own shape."""
+
+    def test_carm_sees_effective_universe(self, small_dataset):
+        policy = EpistasisDetector(schedule="carm")._build_policy(
+            small_dataset, SubsetSource(np.arange(0, 40, 3), 4)
+        )
         assert policy.n_snps == 14  # len(range(0, 40, 3))
+        assert policy.n_samples == small_dataset.n_samples
         assert policy.order == 4
 
-    def test_default_snps_fallback(self):
-        policy = CarmRatioPolicy()
-        combos = np.array([[0, 1]])
-        source = ExplicitCombinationSource(combos[:0].reshape(0, 2))
-        policy.configure_source(source, n_samples=64, default_snps=99)
-        assert policy.n_snps == 99
-
-    def test_dynamic_policy_accepts_configure_source(self):
-        DynamicPolicy().configure_source(DenseRangeSource(8, 2), n_samples=10)
+    def test_default_snps_fallback(self, small_dataset):
+        source = ExplicitCombinationSource(np.zeros((0, 2), dtype=np.int64))
+        policy = EpistasisDetector(schedule="carm")._build_policy(small_dataset, source)
+        assert policy.n_snps == small_dataset.n_snps
+        assert policy.order == 2
 
 
 class TestDetectCandidates:

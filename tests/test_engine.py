@@ -13,12 +13,15 @@ from repro.core import EpistasisDetector
 from repro.engine import (
     CancellationToken,
     CarmRatioPolicy,
+    DenseRangeSource,
     DynamicPolicy,
     EngineDevice,
     ExecutionPlan,
+    ExplicitCombinationSource,
+    GuidedChunkSource,
     GuidedPolicy,
-    GuidedScheduler,
     HeterogeneousExecutor,
+    SharedCursor,
     StaticPolicy,
     TopKHeap,
     get_policy,
@@ -68,9 +71,28 @@ class TestPolicyCoverage:
         seen = _drain_concurrently(assignment.sources, 8)
         _assert_exact_cover(seen, 10_000)
 
+    def test_dynamic_lanes_claim_their_own_chunk_size(self):
+        devices = [
+            EngineDevice(kind="cpu", n_workers=1, chunk_size=512),
+            EngineDevice(kind="gpu", n_workers=1, chunk_size=4096),
+        ]
+        cpu, gpu = (a.sources[0] for a in DynamicPolicy().assign(10_000, devices))
+        assert cpu.next_range() == (0, 512)
+        assert gpu.next_range() == (512, 4608)
+
+    def test_guided_claims(self):
+        # max(min_chunk, remaining // (2 * n_workers)), the last one cut short.
+        devices = [EngineDevice(kind="cpu", n_workers=2, chunk_size=100)]
+        [assignment] = GuidedPolicy().assign(1000, devices)
+        source = assignment.sources[0]
+        assert list(iter(source.next_range, None)) == [
+            (0, 250), (250, 437), (437, 577), (577, 682),
+            (682, 782), (782, 882), (882, 982), (982, 1000),
+        ]
+
     def test_guided_eight_threads_exactly_once(self):
-        policy = GuidedPolicy(min_chunk=7)
-        devices = [EngineDevice(kind="cpu", n_workers=8, chunk_size=64)]
+        policy = GuidedPolicy()
+        devices = [EngineDevice(kind="cpu", n_workers=8, chunk_size=7)]
         [assignment] = policy.assign(10_000, devices)
         seen = _drain_concurrently(assignment.sources, 8)
         _assert_exact_cover(seen, 10_000)
@@ -119,7 +141,8 @@ class TestPolicyCoverage:
     )
     @settings(max_examples=40)
     def test_guided_partitions_range(self, total, min_chunk, workers):
-        chunks = list(GuidedScheduler(total, n_workers=workers, min_chunk=min_chunk))
+        source = GuidedChunkSource(SharedCursor(total), workers, min_chunk)
+        chunks = list(iter(source.next_range, None))
         assert sum(stop - start for start, stop in chunks) == total
         for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
             assert e1 == s2
@@ -137,7 +160,8 @@ class TestCarmRatioPolicy:
     def test_shares_follow_model_throughput(self):
         # The modelled Titan Xp (GN4) is far faster than the Ice Lake SP
         # CPU (CI3), so the GPU lane must receive the larger share.
-        policy = CarmRatioPolicy(n_snps=4096, n_samples=4096)
+        policy = CarmRatioPolicy()
+        policy.configure(n_snps=4096, n_samples=4096)
         devices = [EngineDevice(kind="cpu"), EngineDevice(kind="gpu")]
         cpu_share, gpu_share = policy.shares(100_000, devices)
         assert cpu_share + gpu_share == 100_000
@@ -151,33 +175,26 @@ class TestCarmRatioPolicy:
             CarmRatioPolicy(ratios=[0, 0]).shares(10, [EngineDevice(), EngineDevice(kind="gpu")])
 
     def test_configure_late_binds_shape(self):
-        # Late-bound shapes follow each dataset (a reused instance rebinds);
-        # constructor-explicit shapes stay pinned.
+        # Late-bound shapes follow each dataset (a reused instance rebinds).
         policy = CarmRatioPolicy()
         policy.configure(n_snps=1024, n_samples=512)
         assert (policy.n_snps, policy.n_samples) == (1024, 512)
         policy.configure(n_snps=9, n_samples=9)
         assert (policy.n_snps, policy.n_samples) == (9, 9)
 
-        pinned = CarmRatioPolicy(n_snps=2048, n_samples=4096)
-        pinned.configure(n_snps=9, n_samples=9)
-        assert (pinned.n_snps, pinned.n_samples) == (2048, 4096)
-
     def test_configure_late_binds_order(self):
         policy = CarmRatioPolicy()
         assert policy.order == 3  # the paper's default
         policy.configure(n_snps=1024, n_samples=512, order=4)
         assert policy.order == 4
-        pinned = CarmRatioPolicy(order=2)
-        pinned.configure(n_snps=9, n_samples=9, order=5)
-        assert pinned.order == 2
 
     def test_shares_depend_on_order(self):
         """The split is recomputed from order-aware model throughputs."""
         devices = [EngineDevice(kind="cpu"), EngineDevice(kind="gpu")]
         shares = {}
         for order in (2, 4):
-            policy = CarmRatioPolicy(n_snps=4096, n_samples=4096, order=order)
+            policy = CarmRatioPolicy()
+            policy.configure(n_snps=4096, n_samples=4096, order=order)
             shares[order] = policy.shares(100_000, devices)
         for order, (cpu_share, gpu_share) in shares.items():
             assert cpu_share + gpu_share == 100_000
@@ -214,20 +231,20 @@ class TestPlan:
             parse_devices("")
 
     def test_plan_validation(self):
+        source = DenseRangeSource(5, 2)
         with pytest.raises(ValueError):
-            ExecutionPlan(total=-1)
+            ExecutionPlan(source=source, devices=[])
         with pytest.raises(ValueError):
-            ExecutionPlan(total=1, devices=[])
-        with pytest.raises(ValueError):
-            ExecutionPlan(total=1, top_k=0)
+            ExecutionPlan(source=source, top_k=0)
         with pytest.raises(ValueError):
             EngineDevice(kind="fpga")
 
     def test_default_policy_and_labels(self):
-        plan = ExecutionPlan(total=10, devices=parse_devices("cpu+gpu"))
+        plan = ExecutionPlan(source=DenseRangeSource(5, 2), devices=parse_devices("cpu+gpu"))
         assert plan.policy.name == "dynamic"
         assert plan.device_labels() == ["cpu", "gpu"]
         assert plan.total_workers == 2
+        assert plan.total == 10
 
 
 class TestTopKHeap:
@@ -261,15 +278,19 @@ class TestTopKHeap:
             TopKHeap(1).push_batch(np.zeros((2, 1)), np.zeros(3))
 
 
-def _identity_kernel(worker, start, stop):
-    combos = np.arange(start, stop, dtype=np.int64)[:, None]
-    return combos, combos[:, 0].astype(float)
+def _identity_scorer(worker, combos):
+    return combos[:, 0].astype(float)
+
+
+def _items(total):
+    """Work item ``i`` is the one-SNP combination ``(i,)``, scoring ``i``."""
+    return ExplicitCombinationSource(np.arange(total)[:, None])
 
 
 class TestHeterogeneousExecutor:
     def _plan(self, total=1000, policy=None, **kwargs):
         return ExecutionPlan(
-            total=total,
+            source=_items(total),
             devices=[EngineDevice(kind="cpu", n_workers=4, chunk_size=37)],
             policy=policy or DynamicPolicy(),
             **kwargs,
@@ -277,7 +298,7 @@ class TestHeterogeneousExecutor:
 
     def test_covers_everything(self):
         result = HeterogeneousExecutor(self._plan(top_k=3)).run(
-            lambda device, worker_id: None, _identity_kernel
+            lambda device, worker_id: None, _identity_scorer
         )
         assert result.n_items == 1000
         assert [i.snps for i in result.top] == [(0,), (1,), (2,)]
@@ -286,7 +307,7 @@ class TestHeterogeneousExecutor:
 
     def test_device_stats(self):
         result = HeterogeneousExecutor(self._plan()).run(
-            lambda device, worker_id: None, _identity_kernel
+            lambda device, worker_id: None, _identity_scorer
         )
         stats = result.device_stats["cpu"]
         assert stats["workers"] == 4
@@ -299,7 +320,7 @@ class TestHeterogeneousExecutor:
         cancel = CancellationToken()
         cancel.cancel()
         result = HeterogeneousExecutor(self._plan(), cancel=cancel).run(
-            lambda device, worker_id: None, _identity_kernel
+            lambda device, worker_id: None, _identity_scorer
         )
         assert result.cancelled
         assert result.n_items == 0
@@ -308,55 +329,55 @@ class TestHeterogeneousExecutor:
     def test_mid_run_cancellation(self):
         cancel = CancellationToken()
 
-        def kernel(worker, start, stop):
-            if start >= 500:
+        def scorer(worker, combos):
+            if combos[0, 0] >= 500:
                 cancel.cancel()
-            return _identity_kernel(worker, start, stop)
+            return _identity_scorer(worker, combos)
 
         plan = ExecutionPlan(
-            total=100_000,
+            source=_items(100_000),
             devices=[EngineDevice(kind="cpu", n_workers=1, chunk_size=100)],
             policy=DynamicPolicy(),
         )
         result = HeterogeneousExecutor(plan, cancel=cancel).run(
-            lambda device, worker_id: None, kernel
+            lambda device, worker_id: None, scorer
         )
         assert result.cancelled
         assert 0 < result.n_items < 100_000
 
     def test_worker_exception_carries_worker_id(self):
-        def kernel(worker, start, stop):
+        def scorer(worker, combos):
             raise RuntimeError("kernel exploded")
 
         with pytest.raises(RuntimeError, match="kernel exploded") as excinfo:
             HeterogeneousExecutor(self._plan()).run(
-                lambda device, worker_id: None, kernel
+                lambda device, worker_id: None, scorer
             )
         assert hasattr(excinfo.value, "worker_id")
         assert excinfo.value.device_label == "cpu"
 
     def test_worker_exception_cancels_siblings(self):
         plan = ExecutionPlan(
-            total=1_000_000,
+            source=_items(1_000_000),
             devices=[EngineDevice(kind="cpu", n_workers=4, chunk_size=10)],
             policy=DynamicPolicy(),
         )
         executor = HeterogeneousExecutor(plan)
 
-        def kernel(worker, start, stop):
-            if start >= 100:
+        def scorer(worker, combos):
+            if combos[0, 0] >= 100:
                 raise RuntimeError("stop the fleet")
-            return _identity_kernel(worker, start, stop)
+            return _identity_scorer(worker, combos)
 
         with pytest.raises(RuntimeError):
-            executor.run(lambda device, worker_id: None, kernel)
+            executor.run(lambda device, worker_id: None, scorer)
         assert executor.cancel.cancelled
 
     def test_progress_monotone_and_complete(self):
         calls: list[tuple[int, int]] = []
         HeterogeneousExecutor(self._plan()).run(
             lambda device, worker_id: None,
-            _identity_kernel,
+            _identity_scorer,
             progress=lambda done, total: calls.append((done, total)),
         )
         dones = [d for d, _ in calls]
@@ -371,9 +392,8 @@ class TestHeterogeneousExecutor:
             ids.append(worker_id)
             return worker_id
 
-        HeterogeneousExecutor(self._plan()).run(factory, _identity_kernel)
+        HeterogeneousExecutor(self._plan()).run(factory, _identity_scorer)
         assert ids == [0, 1, 2, 3]
-
 
 class TestDetectorOnEngine:
     """Acceptance: every schedule/device plan reproduces the reference top-k."""

@@ -30,14 +30,9 @@ from repro.core.contingency import contingency_oracle_many
 from repro.core.encoding_cache import ENCODING_CACHE, EncodingCache
 from repro.core.scoring import K2Score
 from repro.datasets import SyntheticConfig, generate_dataset
-from repro.engine.autotune import (
-    AdaptiveChunkSource,
-    AutotuneConfig,
-    SharedCursor,
-    adaptive_lane_sources,
-    is_auto_chunk,
-    resolve_chunk_size,
-)
+from repro.engine import EngineDevice, FixedChunkSource, SharedCursor
+from repro.engine.autotune import AdaptiveChunkSource, AutotuneConfig, is_auto_chunk
+from repro.engine.policies import DynamicPolicy
 
 pytestmark = []
 
@@ -240,8 +235,6 @@ class TestAutotuner:
     def test_sentinels(self):
         assert is_auto_chunk("auto") and is_auto_chunk(" AUTO ")
         assert not is_auto_chunk(2048) and not is_auto_chunk("2048")
-        assert resolve_chunk_size("auto", default=512) == 512
-        assert resolve_chunk_size(64) == 64
 
     def test_shared_cursor_exact_coverage(self):
         cursor = SharedCursor(1000, start=37)
@@ -290,8 +283,12 @@ class TestAutotuner:
         assert src.adjustments == 0
 
     def test_lane_sources_share_one_cursor(self):
-        sources = adaptive_lane_sources(5000, 3)
+        [lane] = DynamicPolicy().assign(
+            5000, [EngineDevice(kind="cpu", n_workers=3, chunk_size="auto")]
+        )
+        sources = lane.sources
         assert len(sources) == 3
+        assert all(isinstance(src, AdaptiveChunkSource) for src in sources)
         seen = []
         for src in sources:
             claimed = src.next_range()
@@ -308,10 +305,6 @@ class TestAutotuner:
             EpistasisDetector(chunk_size="fastest")
 
     def test_dynamic_policy_honors_mixed_lane_chunks(self):
-        from repro.engine import EngineDevice
-        from repro.engine.autotune import FixedChunkSource
-        from repro.engine.policies import DynamicPolicy
-
         devices = [
             EngineDevice(kind="cpu", n_workers=2, chunk_size=512),
             EngineDevice(kind="gpu", n_workers=1, chunk_size="auto"),

@@ -1,11 +1,12 @@
 """Tests of the host schedulers and the rank accounting.
 
-The implementations live in :mod:`repro.engine` (schedulers) and
-:mod:`repro.distributed` (rank accounting).
+The implementations live in :mod:`repro.engine` (the claim cursor and its
+views) and :mod:`repro.distributed` (rank accounting).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -13,52 +14,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.cluster import RankAccounting
-from repro.engine.scheduling import DynamicScheduler, static_partition
+from repro.engine.scheduling import (
+    FixedChunkSource,
+    GuidedChunkSource,
+    SharedCursor,
+    static_partition,
+)
+
+
+def _drain(source):
+    claimed = []
+    while (r := source.next_range()) is not None:
+        claimed.append(r)
+    return claimed
 
 
 class TestDynamicScheduler:
+    """Fixed-size claims from one shared cursor (``schedule(dynamic)``)."""
+
     def test_covers_range_exactly_once(self):
-        scheduler = DynamicScheduler(100, chunk_size=7)
-        claimed = list(scheduler)
+        claimed = _drain(FixedChunkSource(SharedCursor(100), 7))
         assert claimed[0] == (0, 7)
         assert claimed[-1] == (98, 100)
         flat = [i for start, stop in claimed for i in range(start, stop)]
         assert flat == list(range(100))
 
-    def test_exhaustion_and_reset(self):
-        scheduler = DynamicScheduler(5, chunk_size=10)
-        assert scheduler.next_range() == (0, 5)
-        assert scheduler.next_range() is None
-        scheduler.reset()
-        assert scheduler.remaining == 5
+    def test_exhaustion(self):
+        source = FixedChunkSource(SharedCursor(5), 10)
+        assert source.next_range() == (0, 5)
+        assert source.next_range() is None
+        assert source.next_range() is None
 
     def test_zero_total(self):
-        assert DynamicScheduler(0).next_range() is None
+        assert FixedChunkSource(SharedCursor(0), 1).next_range() is None
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            DynamicScheduler(-1)
+            SharedCursor(-1)
         with pytest.raises(ValueError):
-            DynamicScheduler(10, chunk_size=0)
+            SharedCursor(10, start=11)
+        with pytest.raises(ValueError):
+            FixedChunkSource(SharedCursor(10), 0)
 
-    def test_thread_safety(self):
-        scheduler = DynamicScheduler(10_000, chunk_size=13)
+    @pytest.mark.parametrize(
+        "view",
+        [
+            pytest.param(lambda cursor: FixedChunkSource(cursor, 13), id="fixed"),
+            pytest.param(lambda cursor: GuidedChunkSource(cursor, 8, 13), id="guided"),
+        ],
+    )
+    def test_thread_safety(self, view):
+        cursor = SharedCursor(10_000)
         seen: list[tuple[int, int]] = []
         lock = threading.Lock()
 
         def worker():
+            # One view per thread over the one cursor, as a lane's workers.
+            source = view(cursor)
             while True:
-                r = scheduler.next_range()
+                r = source.next_range()
                 if r is None:
                     return
                 with lock:
                     seen.append(r)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         covered = sorted(i for start, stop in seen for i in range(start, stop))
         assert covered == list(range(10_000))
 
@@ -68,7 +98,7 @@ class TestDynamicScheduler:
     )
     @settings(max_examples=50)
     def test_chunks_partition_range(self, total, chunk):
-        chunks = list(DynamicScheduler(total, chunk))
+        chunks = _drain(FixedChunkSource(SharedCursor(total), chunk))
         assert sum(stop - start for start, stop in chunks) == total
         for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
             assert e1 == s2

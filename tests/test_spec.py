@@ -171,10 +171,20 @@ class TestStagedSearchKeepsApproachParams:
 
 
 class TestPipelineRejectsInvalidConfig:
-    @pytest.mark.parametrize("field", ["n_workers", "chunk_size", "top_k"])
-    def test_stage_override(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be positive"):
-            SearchPipeline([ScreenStage(order=2, keep=6), ExpandStage(**{field: 0})])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            pytest.param({"n_workers": 0}, "n_workers must be positive", id="n_workers"),
+            pytest.param({"chunk_size": 0}, "chunk_size must be positive", id="chunk_size"),
+            pytest.param({"top_k": 0}, "top_k must be positive", id="top_k"),
+            pytest.param({"schedule": "nope"}, "schedule must be one of", id="schedule"),
+            pytest.param({"devices": "tpu"}, "unknown device kind", id="devices"),
+            pytest.param({"devices": "cpu+cpu"}, "duplicate device kind", id="devices-twice"),
+        ],
+    )
+    def test_stage_override(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            SearchPipeline([ScreenStage(order=2, keep=6), ExpandStage(**override)])
 
     def test_pipeline_spec(self):
         with pytest.raises(ValueError, match="chunk_size must be positive"):
@@ -495,6 +505,21 @@ class TestPlacementRefusedUpFront:
     def test_resume_without_checkpoint(self, dataset, payloads):
         with pytest.raises(ValueError, match="resume=True needs a checkpoint"):
             EpistasisDetector().detect(dataset, resume=True)
+        assert payloads == []
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param({"schedule": "round-robin"}, "schedule must be one of", id="schedule"),
+            pytest.param({"devices": "tpu"}, "unknown device kind", id="devices"),
+            pytest.param({"devices": "cpu+cpu"}, "duplicate device kind", id="devices-twice"),
+        ],
+    )
+    def test_unknown_schedule_or_devices(self, dataset, payloads, spec, message):
+        with pytest.raises(ValueError, match=message):
+            EpistasisDetector(order=2, **spec).detect(dataset, workers=2, pool="fresh")
+        with pytest.raises(ValueError, match=message):
+            DetectorConfig(**spec)
         assert payloads == []
 
 
