@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from conftest import write_artifact
 
-from repro.devices import cpu, gpu
+from repro.devices import gpu
 from repro.experiments.comparison import (
     format_comparison,
     run_device_comparison,

@@ -12,7 +12,6 @@ from conftest import write_artifact
 
 from repro.baselines import Mpi3snpBaseline
 from repro.core import EpistasisDetector
-from repro.devices.catalog import device
 from repro.experiments.table3 import format_table3, run_table3, summary_speedups
 
 

@@ -8,9 +8,9 @@ dataset:
 
 1. **shard/worker invariance** — the same top-k, bit for bit, whether the
    sweep runs in one process or across a pool of OS workers;
-2. **crash safety** — the run checkpoints an atomic JSON shard ledger after
-   every completed shard; we simulate a kill by stopping after a shard
-   budget and inspect what survived on disk;
+2. **crash safety** — the run commits an atomic JSON shard ledger after
+   every arrived batch of shards (every shard, inline); we simulate a kill
+   by stopping after a shard budget and inspect what survived on disk;
 3. **resume** — the continued run restores the completed shards from the
    ledger, evaluates only the remainder and reports the identical result.
 

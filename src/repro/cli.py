@@ -115,8 +115,8 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="atomic shard-ledger path (detect: a .json file; pipeline: a "
-        "directory) written after every completed shard, enabling --resume "
-        "after a kill",
+        "directory) committed after every arrived batch of shards, enabling "
+        "--resume after a kill",
     )
     parser.add_argument(
         "--resume",

@@ -317,8 +317,9 @@ class RunSpec:
         processes and merged deterministically (the top-k is bit-identical
         for any count).  ``n_workers`` stays the per-process thread count.
     checkpoint:
-        Atomic ledger written after every completed shard; it forces the
-        sharded path even for one worker.  A file for ``detect`` and
+        Atomic ledger committed once per arrived batch of shards (once per
+        shard for one worker); it forces the sharded path even for one
+        worker.  A file for ``detect`` and
         ``run_distributed``; a directory for ``detect_staged`` and
         ``SearchPipeline``, which write ``pipeline.json`` plus one ledger
         per sweep stage and the permutation stage's RNG-state ledger.

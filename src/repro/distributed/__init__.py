@@ -4,7 +4,7 @@ The fourth execution layer of the library (engine → order-generic core →
 staged pipeline → **distributed**): any candidate sweep can be cut into
 rank-addressable shards, executed across OS worker processes (each running
 the full in-process heterogeneous engine over its shard), checkpointed
-after every shard into an atomic JSON ledger, resumed after a kill, and
+batch by batch into an atomic JSON ledger, resumed after a kill, and
 merged under an explicit ``(score, combination-rank)`` total order so the
 reported top-k is bit-identical for any worker count.
 

@@ -1,10 +1,10 @@
 """Crash-safe checkpoint ledgers for sharded runs.
 
 A checkpoint is a single JSON document updated with an atomic
-write-temp-then-:func:`os.replace` cycle after every shard completion, so a
-killed run (OOM, pre-emption, ``kill -9``) always leaves either the previous
-or the next consistent ledger on disk — never a torn file.  The ledger
-records
+write-temp-then-:func:`os.replace` cycle once per arrived batch of shards
+(once per shard inline), so a killed run (OOM, pre-emption, ``kill -9``)
+always leaves either the previous or the next consistent ledger on disk —
+never a torn file, and never part of a batch.  The ledger records
 
 * a **fingerprint** of the run (dataset digest, candidate-source *content*
   identity, search configuration, shard boundaries) so ``--resume`` refuses
@@ -12,7 +12,7 @@ records
 * the **per-shard records**: shard id, partial top-k rows, item/op/traffic
   counts and a reference to the shard's per-SNP screening minima, which
   live as write-once binary side files under ``<ledger>.minima/`` (keeping
-  the per-shard JSON rewrite proportional to the shard count);
+  each JSON commit proportional to the shard count);
 * free-form **state** sections used by non-sharded consumers (the
   permutation stage stores its RNG bit-generator state and exceedance
   counters here).
@@ -183,25 +183,29 @@ class JsonLedger:
 
         ``json.dumps`` without ``indent`` runs CPython's C encoder, and the
         text goes out in one write; ``json.dump`` would run the pure-Python
-        encoder with one write per token.
+        encoder with one write per token.  Each write is a
+        ``checkpoint.commit`` span on the active telemetry run, if any.
         """
+        from repro.telemetry import span_or_null
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(self.doc) + "\n"
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=self.path.name + ".", suffix=".tmp", dir=self.path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
+        with span_or_null("checkpoint.commit", ledger=self.path.name, bytes=len(text)):
+            fd, tmp_path = tempfile.mkstemp(
+                prefix=self.path.name + ".", suffix=".tmp", dir=self.path.parent
+            )
             try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp_path, self.path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+                raise
 
     def delete(self) -> None:
         """Remove the ledger file (ignored when absent)."""
@@ -232,8 +236,9 @@ class CheckpointStore(JsonLedger):
 
     Life cycle: :meth:`begin` either starts a fresh ledger or — under
     ``resume=True`` — validates the on-disk fingerprint and returns the
-    already-completed shard records; :meth:`record_shard` appends one
-    shard's partial result and persists atomically; :meth:`finish` marks the
+    already-completed shard records; :meth:`record_shard` adds one shard's
+    partial result to the document and :meth:`write` commits every shard
+    recorded since the last commit atomically; :meth:`finish` marks the
     run complete (purely informational — a complete ledger resumes to a
     no-op merge).
     """
@@ -296,20 +301,22 @@ class CheckpointStore(JsonLedger):
         return {}
 
     def record_shard(self, shard_id: int, record: Dict[str, object]) -> None:
-        """Persist one completed shard's partial result atomically.
+        """Add one completed shard's partial result to the next commit.
 
-        Dense per-SNP minima payloads are written once to a side file under
-        ``<ledger>.minima/`` (NPZ-style binary, atomic rename) and only
-        referenced from the JSON document — the per-shard ledger rewrite
-        stays proportional to the shard count, not to ``n_shards x
-        n_snps``, on whole-genome screens.
+        The record joins the in-memory document; the caller commits it with
+        :meth:`write`, once for every shard of an arrived batch.  Dense
+        per-SNP minima payloads are written now, durably, to a side file
+        under ``<ledger>.minima/`` (NPZ-style binary, atomic rename) and
+        only referenced from the JSON document — each commit stays
+        proportional to the shard count, not to ``n_shards x n_snps``, on
+        whole-genome screens.  A kill before the commit leaves side files
+        no ledger names; the rerun of those shards overwrites them.
         """
         record = dict(record)
         minima = record.pop("snp_minima", None)
         if minima is not None:
             record["snp_minima_file"] = self._write_minima(shard_id, minima)
         self.doc.setdefault("shards", {})[str(int(shard_id))] = record
-        self.write()
 
     @property
     def minima_dir(self) -> Path:

@@ -11,9 +11,10 @@ pipeline's per-stage sharding and the CLI's ``--workers/--checkpoint/
    is validated against the run fingerprint and already-completed shards
    are restored from the ledger instead of re-evaluated;
 3. a :class:`~repro.distributed.runner.ProcessRunner` streams the remaining
-   shards through worker processes (or inline for ``workers=1``), and every
-   completed shard is appended to the ledger atomically before the next one
-   is awaited — a kill at any point loses at most the in-flight shards;
+   shards through worker processes (or inline for ``workers=1``), and each
+   arrived batch of shards is committed to the ledger in one atomic write
+   (one shard per write inline) — a kill at any point loses at most the
+   batches in flight plus the one being committed;
 4. the partial top-k lists are folded by
    :func:`~repro.distributed.merge.merge_rows` under the explicit
    ``(score, combination-rank)`` total order, so the reported top-k is
@@ -161,6 +162,22 @@ def _aggregate_data_plane(
     return totals
 
 
+def _ledger_record(outcome: ShardOutcome) -> Dict[str, object]:
+    """The checkpoint ledger's record of one completed shard."""
+    record: Dict[str, object] = {
+        "top": outcome.rows,
+        "n_items": int(outcome.n_items),
+        "elapsed_seconds": float(outcome.elapsed_seconds),
+        "op_counts": dict(outcome.op_counts),
+        "bytes_loaded": int(outcome.bytes_loaded),
+        "bytes_stored": int(outcome.bytes_stored),
+        "device_stats": outcome.device_stats,
+    }
+    if outcome.snp_minima is not None:
+        record["snp_minima"] = outcome.snp_minima
+    return record
+
+
 def _publish_data_plane(dataset, prototype, session):
     """Publish the dataset (and the prototype encoding) into shared memory.
 
@@ -223,7 +240,7 @@ def run_distributed(
         (restored items count as done).
     cancel:
         Optional :class:`~repro.engine.executor.CancellationToken`; checked
-        between shard completions.
+        after each committed batch of shards.
     run_id:
         Run identity correlating the result, checkpoint ledger and trace
         file; defaults to the ambient telemetry run's id (when the
@@ -339,26 +356,23 @@ def run_distributed(
                 if pending and not (cancel is not None and cancel.cancelled):
                     shard_stream = runner.map_shards(pending)
                     try:
-                        for outcome in shard_stream:
-                            outcomes.append(outcome)
-                            if session is not None and outcome.spans:
-                                session.tracer.absorb(outcome.spans)
+                        for arrived in shard_stream:
+                            outcomes.extend(arrived)
+                            for outcome in arrived:
+                                if session is not None and outcome.spans:
+                                    session.tracer.absorb(outcome.spans)
+                                if store is not None:
+                                    store.record_shard(
+                                        outcome.shard_id, _ledger_record(outcome)
+                                    )
                             if store is not None:
-                                record: Dict[str, object] = {
-                                    "top": outcome.rows,
-                                    "n_items": int(outcome.n_items),
-                                    "elapsed_seconds": float(outcome.elapsed_seconds),
-                                    "op_counts": dict(outcome.op_counts),
-                                    "bytes_loaded": int(outcome.bytes_loaded),
-                                    "bytes_stored": int(outcome.bytes_stored),
-                                    "device_stats": outcome.device_stats,
-                                }
-                                if outcome.snp_minima is not None:
-                                    record["snp_minima"] = outcome.snp_minima
-                                store.record_shard(outcome.shard_id, record)
-                            items_total_done += outcome.n_items
-                            if progress is not None:
-                                progress(items_total_done, total)
+                                # One commit per arrived batch: a kill leaves
+                                # the batch on disk whole or not at all.
+                                store.write()
+                            for outcome in arrived:
+                                items_total_done += outcome.n_items
+                                if progress is not None:
+                                    progress(items_total_done, total)
                             if cancel is not None and cancel.cancelled:
                                 cancelled = True
                                 break

@@ -14,7 +14,9 @@ re-initialisation.
 Shard handoff is **batched**: the coordinator groups shards into a handful
 of futures per worker instead of one future per shard, cutting the
 submit/collect round-trips (and per-task payload pickles) by an order of
-magnitude for the default 32-shard plan.
+magnitude for the default 32-shard plan.  A batch also comes back as one
+unit: the freed worker gets its next batch first, then the coordinator
+commits the whole arrived batch to its ledger in one write.
 
 Everything here is **spawn-safe**: the worker entry points are module-level
 functions resolved by import path (no closures, no lambdas), so the pool
@@ -434,12 +436,15 @@ class ProcessRunner:
             fire("outcome.ship", shard=task[0])
             yield outcome
 
-    def map_shards(self, shards: Sequence[Shard]) -> Iterator[ShardOutcome]:
-        """Yield shard outcomes as they complete (order is not guaranteed).
+    def map_shards(self, shards: Sequence[Shard]) -> Iterator[List[ShardOutcome]]:
+        """Yield the new outcomes of each completed batch as one list.
 
-        The caller checkpoints each outcome as it arrives; closing the
-        iterator early (cancellation) abandons unclaimed batches (and
-        tears down run-scoped pools).  Failures are handled under
+        Batches arrive in completion order.  The caller commits each list
+        to its ledger in one write; a round whose batches all succeeded
+        refills the freed workers before yielding, so they run while the
+        caller writes.  Inline and quarantined shards arrive one per list.
+        Closing the iterator early (cancellation) abandons unclaimed
+        batches (and tears down run-scoped pools).  Failures are handled under
         :attr:`retry`: failed or watchdog-killed shards are re-dispatched
         in isolation with bounded backoff, each pool break respawns the
         fleet until the pool-break budget runs out (then the rest runs
@@ -452,7 +457,8 @@ class ProcessRunner:
             return
         if self.workers == 1:
             fire("shard.claim", shard=tasks[0][0])
-            yield from self._run_inline(tasks, quarantine=False)
+            for outcome in self._run_inline(tasks, quarantine=False):
+                yield [outcome]
             return
 
         from repro.telemetry import span_or_null
@@ -566,6 +572,7 @@ class ProcessRunner:
                             fleet.kill_workers()
                             last_progress = time.monotonic()
                         continue
+                    arrived: List[List[ShardOutcome]] = []
                     for future in done:
                         batch = pending.pop(future)
                         try:
@@ -580,12 +587,20 @@ class ProcessRunner:
                             # batch retries.
                             failed.append(batch)
                             continue
-                        for outcome in outcomes:
-                            if outcome.shard_id in completed:
-                                continue
-                            completed.add(outcome.shard_id)
+                        fresh = [o for o in outcomes if o.shard_id not in completed]
+                        if fresh:
+                            completed.update(o.shard_id for o in fresh)
                             last_progress = time.monotonic()
-                            yield outcome
+                            arrived.append(fresh)
+                    if not (broken or failed):
+                        # Hand the freed workers their next batches before
+                        # the caller commits these; a pool that broke in the
+                        # meantime surfaces at the loop's next fill_window().
+                        try:
+                            fill_window()
+                        except BrokenProcessPool:
+                            pass
+                    yield from arrived
                 if broken:
                     # Everything in flight on a broken pool is doomed.
                     failed.extend(pending.pop(f) for f in list(pending))
@@ -618,7 +633,7 @@ class ProcessRunner:
                 note_event("inline_fallbacks", len(remaining))
                 for outcome in self._run_inline(remaining, quarantine=quarantine):
                     completed.add(outcome.shard_id)
-                    yield outcome
+                    yield [outcome]
         finally:
             for future in pending:
                 future.cancel()

@@ -16,13 +16,13 @@ Pins the contracts the backend plane rests on:
 * **end-to-end identity** — ``detect()`` with an explicit backend
   returns bit-identical top-k to the default on single-device,
   heterogeneous CARM and 2-worker distributed plans, and the CARM
-  splitter consumes measured throughput when a record matches.
+  splitter prices every lane with the analytical model, whether or not
+  a calibration record matches.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict
 
 import numpy as np

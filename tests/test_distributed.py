@@ -29,6 +29,7 @@ from repro.datasets.dataset import GenotypeDataset
 from repro.distributed import (
     DEFAULT_SHARD_COUNT,
     CheckpointStore,
+    JsonLedger,
     Shard,
     ShardPlanner,
     ShardView,
@@ -213,6 +214,7 @@ class TestCheckpointStore:
         assert store.begin(self._fingerprint(dataset), shards) == {}
         store.record_shard(2, {"top": [[1.0, [0, 1, 2], None]], "n_items": 25})
         store.record_shard(0, {"top": [], "n_items": 25})
+        store.write()
         assert path.exists()
         doc = json.loads(path.read_text())
         assert doc["version"] == 1
@@ -541,6 +543,97 @@ class TestDistributedPipeline:
         assert top_items(resumed) == top_items(baseline)
         perm_report = resumed.stages[-1]
         assert perm_report.extra.get("resumed_at", 0) >= 10
+
+
+class TestBatchedCommits:
+    """A multi-worker run commits each arrived batch of shards in one write.
+
+    Two workers cut the 32-shard plan of a 20-SNP pair sweep into eight
+    dispatch batches of four consecutive shards.
+    """
+
+    @staticmethod
+    def _sweep(dataset, telemetry=None, **run):
+        config = DetectorConfig(approach="cpu-v4", order=2, top_k=5, telemetry=telemetry)
+        return run_distributed(
+            dataset, DenseRangeSource(dataset.n_snps, 2), config=config, **run
+        )
+
+    @pytest.fixture
+    def ledger_sizes(self, monkeypatch):
+        """The ledger's shard count at every ``JsonLedger.write``."""
+        sizes = []
+        write = JsonLedger.write
+
+        def counting_write(ledger):
+            sizes.append(len(ledger.doc.get("shards", {})))
+            write(ledger)
+
+        monkeypatch.setattr(JsonLedger, "write", counting_write)
+        return sizes
+
+    @staticmethod
+    def _growth(sizes):
+        return [after - before for before, after in zip(sizes, sizes[1:]) if after > before]
+
+    def test_two_workers_commit_whole_batches(self, dataset, tmp_path, ledger_sizes):
+        self._sweep(dataset, workers=2, checkpoint=str(tmp_path / "w2.json"))
+        # begin, the run id, eight batch commits and finish.
+        assert len(ledger_sizes) <= 11
+        assert self._growth(ledger_sizes) == [4] * 8
+
+    def test_one_worker_commits_every_shard(self, dataset, tmp_path, ledger_sizes):
+        self._sweep(dataset, workers=1, checkpoint=str(tmp_path / "w1.json"))
+        assert self._growth(ledger_sizes) == [1] * DEFAULT_SHARD_COUNT
+
+    def test_interrupted_commit_leaves_whole_batches(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        class Killed(Exception):
+            pass
+
+        ckpt = tmp_path / "cut.json"
+        write = JsonLedger.write
+        commits = []
+
+        def dying_write(ledger):
+            if ledger.doc.get("shards"):
+                commits.append(len(ledger.doc["shards"]))
+                if len(commits) == 3:
+                    raise Killed
+            write(ledger)
+
+        monkeypatch.setattr(JsonLedger, "write", dying_write)
+        with pytest.raises(Killed):
+            self._sweep(dataset, workers=2, checkpoint=str(ckpt))
+        monkeypatch.undo()
+
+        ledger = json.loads(ckpt.read_text())
+        on_disk = sorted(int(shard_id) for shard_id in ledger["shards"])
+        batches = [shard_id // 4 for shard_id in on_disk]
+        assert len(on_disk) == 8
+        assert all(batches.count(batch) == 4 for batch in batches)
+
+        resumed = self._sweep(dataset, workers=2, checkpoint=str(ckpt), resume=True)
+        assert resumed.completed
+        assert resumed.shards_restored == len(on_disk)
+        assert resumed.items_restored == sum(
+            record["n_items"] for record in ledger["shards"].values()
+        )
+        assert resumed.items_evaluated == resumed.items_total - resumed.items_restored
+        assert top_items(resumed) == top_items(self._sweep(dataset, workers=1))
+
+    def test_traced_run_spans_every_commit(self, dataset, tmp_path, ledger_sizes):
+        from repro.telemetry import last_run
+
+        ckpt = tmp_path / "traced.json"
+        self._sweep(dataset, telemetry="full", workers=2, checkpoint=str(ckpt))
+        commits = [
+            span for span in last_run().tracer.spans if span.name == "checkpoint.commit"
+        ]
+        assert len(commits) == len(ledger_sizes)
+        assert {span.attrs["ledger"] for span in commits} == {ckpt.name}
+        assert commits[-1].attrs["bytes"] == ckpt.stat().st_size
 
 
 class TestMpi3snpRanks:
