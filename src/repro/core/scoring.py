@@ -26,6 +26,10 @@ the cost.  Non-integer or out-of-range input transparently falls back to
 the scipy path.  The ``prepare`` hook is objective-level, so the other
 criteria can precompute per-dataset state the same way.
 
+``gammaln`` is imported on first use (:func:`_gammaln`, called by
+:meth:`K2Score.prepare` and the fallback branch of :meth:`K2Score.score`),
+so importing this module, or the package, loads no scipy module.
+
 Additional objective functions (mutual information, Gini impurity,
 chi-squared) are provided as drop-in alternatives; they follow the same
 "lower is better" convention so the detector can minimise uniformly
@@ -34,18 +38,10 @@ chi-squared) are provided as drop-in alternatives; they follow the same
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Protocol, Type
 
 import numpy as np
-
-try:
-    from scipy.special import gammaln
-except ImportError:  # pragma: no cover - scipy-less environments
-    import math
-
-    # C-library lgamma agrees with scipy's gammaln on the integer abscissae
-    # the scores evaluate; vectorised here so the call sites stay identical.
-    gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
 
 __all__ = [
     "ObjectiveFunction",
@@ -56,6 +52,29 @@ __all__ = [
     "get_objective",
     "OBJECTIVES",
 ]
+
+
+@lru_cache(maxsize=None)
+def _gammaln():
+    """``scipy.special.gammaln``, imported on the first call.
+
+    A fresh process spends 0.2-0.4 s importing ``scipy.special``; resolving
+    it here means only a process that scores K2 pays that.  Without scipy,
+    CPython's own ``math.lgamma`` (not the C library's) stands in,
+    vectorised so the call sites stay identical.  It does *not* match
+    ``gammaln`` bit for bit: it differs on 10 998 of the integer abscissae
+    1..20 001 (glibc's ``lgamma`` on 6 562), so a scipy-less install's K2
+    scores differ from a scipy install's in the last bits.  Within one
+    process they stay consistent: the log-factorial table and the fallback
+    branch of :meth:`K2Score.score` both call the function returned here.
+    """
+    try:
+        from scipy.special import gammaln
+    except ImportError:  # pragma: no cover - scipy-less environments
+        import math
+
+        return np.vectorize(math.lgamma, otypes=[np.float64])
+    return gammaln
 
 
 class ObjectiveFunction(Protocol):
@@ -177,7 +196,7 @@ class K2Score(_TableObjective):
         if self._logfact is None or self._logfact.size < needed:
             # gammaln evaluated at the exact integer abscissae — any lookup
             # is bit-identical to computing gammaln on the count directly.
-            self._logfact = gammaln(np.arange(needed, dtype=np.float64) + 1.0)
+            self._logfact = _gammaln()(np.arange(needed, dtype=np.float64) + 1.0)
 
     def fused_spec(self) -> dict | None:
         """K2 fuses via the per-dataset log-factorial table.
@@ -215,6 +234,7 @@ class K2Score(_TableObjective):
                 else:
                     return scores.reshape(arr.shape[:-2])[()]
         arr = self._check(tables)
+        gammaln = _gammaln()
         row_totals = arr.sum(axis=-1)  # r_i
         # sum_{b=1}^{r_i+1} log b = gammaln(r_i + 2)
         first = gammaln(row_totals + 2.0)

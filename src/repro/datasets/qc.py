@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.datasets.dataset import GenotypeDataset
 
@@ -111,6 +110,10 @@ def hardy_weinberg_pvalues(genotypes: np.ndarray) -> np.ndarray:
     counts against the expectation from the allele frequency.  Missing calls
     are ignored; monomorphic SNPs receive a p-value of 1.0.
     """
+    # Imported on call: scipy.stats is the costliest import in reach of
+    # ``import repro`` (~0.8 s of a fresh process), and no search calls this.
+    from scipy.stats import chi2
+
     arr = _as_matrix(genotypes)
     n_snps = arr.shape[0]
     pvalues = np.ones(n_snps)

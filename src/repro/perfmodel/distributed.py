@@ -47,10 +47,13 @@ __all__ = [
 DEFAULT_LINK_BYTES_PER_SECOND: float = 2e9
 
 #: Modelled cost of starting one spawn-context worker process: fork+exec of
-#: a fresh interpreter plus importing numpy and the package — ~0.3-0.5 s on
-#: commodity hardware.  Paid per run with ``pool="fresh"``; a warm fleet
-#: (``pool="keep"``) amortises it across every later run, which the model
-#: prices as zero marginal spawn cost.
+#: a fresh interpreter, importing the package and, at its first K2 shard,
+#: ``scipy.special`` (for the log-factorial table).  Measured on 2 vCPUs
+#: (median of 7 fresh interpreters running ``import repro`` plus one
+#: ``K2Score.prepare``): 0.78 s, 2.2x this value; 1.86 s (5.3x) while
+#: ``import repro`` still loaded ``scipy.stats``.  Paid per run with
+#: ``pool="fresh"``; a warm fleet (``pool="keep"``) amortises it across
+#: every later run, which the model prices as zero marginal spawn cost.
 DEFAULT_SPAWN_SECONDS_PER_WORKER: float = 0.35
 
 #: Modelled cost of a worker attaching one shared-memory segment: an

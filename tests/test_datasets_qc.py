@@ -98,6 +98,29 @@ class TestHardyWeinberg:
         geno = np.zeros((1, 100), dtype=np.int8)
         assert hardy_weinberg_pvalues(geno)[0] == 1.0
 
+    def test_pvalues_are_chi2_sf_bit_for_bit(self):
+        # Half the SNPs drawn in equilibrium, half uniform (far from it), so
+        # the p-values span (0, 1]; 2% missing calls are ignored.  A
+        # closed form such as erfc(sqrt(stat / 2)) differs in the last bits.
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(2022)
+        freq = rng.uniform(0.05, 0.5, size=(150, 1))
+        geno = np.vstack(
+            [rng.binomial(2, freq, size=(150, 500)), rng.integers(0, 3, size=(150, 500))]
+        ).astype(np.int8)
+        geno[rng.random(geno.shape) < 0.02] = -1
+        expected = []
+        for row in geno:
+            row = row[row >= 0]
+            counts = np.bincount(row, minlength=3).astype(np.float64)
+            p = (counts[1] + 2 * counts[2]) / (2 * row.size)
+            cells = row.size * np.array([(1 - p) ** 2, 2 * p * (1 - p), p**2])
+            expected.append(chi2.sf(((counts - cells) ** 2 / cells).sum(), df=1))
+        pvalues = hardy_weinberg_pvalues(geno)
+        assert pvalues.min() < 1e-6 < 0.5 < pvalues.max()
+        assert pvalues.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
 
 class TestFilters:
     def test_filter_by_maf(self):
