@@ -28,7 +28,11 @@ criteria can precompute per-dataset state the same way.
 
 ``gammaln`` is imported on first use (:func:`_gammaln`, called by
 :meth:`K2Score.prepare` and the fallback branch of :meth:`K2Score.score`),
-so importing this module, or the package, loads no scipy module.
+so importing this module, or the package, loads no scipy module.  A
+process can also take a table another process built
+(:meth:`K2Score.adopt`): the fleet workers of a sharded run adopt the one
+their coordinator published in shared memory, and never evaluate
+``gammaln`` themselves.
 
 Additional objective functions (mutual information, Gini impurity,
 chi-squared) are provided as drop-in alternatives; they follow the same
@@ -179,7 +183,8 @@ class K2Score(_TableObjective):
     def __init__(self, precompute: bool = True) -> None:
         self.precompute = bool(precompute)
         #: ``logfact[c] == gammaln(c + 1) == log(c!)`` for integer counts
-        #: ``c`` up to ``n_samples + 1``; built by :meth:`prepare`.
+        #: ``c`` up to ``n_samples + 1``; built by :meth:`prepare` or taken
+        #: by :meth:`adopt`.
         self._logfact: np.ndarray | None = None
 
     def prepare(self, dataset) -> None:
@@ -194,9 +199,40 @@ class K2Score(_TableObjective):
             return
         needed = int(dataset.n_samples) + 2
         if self._logfact is None or self._logfact.size < needed:
-            # gammaln evaluated at the exact integer abscissae — any lookup
-            # is bit-identical to computing gammaln on the count directly.
-            self._logfact = _gammaln()(np.arange(needed, dtype=np.float64) + 1.0)
+            self._logfact = self.log_factorials(int(dataset.n_samples))
+
+    @staticmethod
+    def log_factorials(n_samples: int) -> np.ndarray:
+        """The table :meth:`prepare` builds for ``n_samples`` samples.
+
+        ``gammaln`` evaluated at the exact integer abscissae ``1 ..
+        n_samples + 2``, so any lookup is bit-identical to computing
+        ``gammaln`` on the count directly.
+        """
+        return _gammaln()(np.arange(int(n_samples) + 2, dtype=np.float64) + 1.0)
+
+    def adopt(self, logfact: np.ndarray) -> None:
+        """Take a ready log-factorial table instead of building one.
+
+        ``logfact`` must come from :meth:`log_factorials`, typically in
+        another process: a fleet worker adopts the table its coordinator
+        published, so its scores use the coordinator's ``gammaln`` bit for
+        bit and it never imports ``scipy.special``.  :meth:`prepare` keeps
+        the table for every dataset it is large enough for.
+        """
+        logfact = np.asarray(logfact)
+        if logfact.ndim != 1 or logfact.dtype != np.float64:
+            raise ValueError(
+                "a log-factorial table is a 1-D float64 array; got "
+                f"{logfact.dtype} of shape {logfact.shape}"
+            )
+        self._logfact = logfact
+
+    def __getstate__(self) -> dict:
+        # The table is derived per dataset: a pickled K2 objective (one in
+        # the config every fleet batch carries) leaves it behind, and the
+        # receiver adopts its coordinator's table or builds its own.
+        return {**self.__dict__, "_logfact": None}
 
     def fused_spec(self) -> dict | None:
         """K2 fuses via the per-dataset log-factorial table.

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.approaches import get_approach
 from repro.core.detector import RunSpec
 from repro.core.result import ApproachStats, DetectionResult, Interaction
+from repro.core.scoring import K2Score, get_objective
 from repro.datasets.dataset import GenotypeDataset
 from repro.engine.candidates import CandidateSource
 from repro.engine.policies import get_policy
@@ -47,6 +48,7 @@ from repro.distributed.shm import (
     data_plane_snapshot,
     publish_dataset,
     publish_encoding,
+    publish_logfact,
 )
 from repro.faults import current_plan, install_plan
 
@@ -178,14 +180,19 @@ def _ledger_record(outcome: ShardOutcome) -> Dict[str, object]:
     return record
 
 
-def _publish_data_plane(dataset, prototype, session):
-    """Publish the dataset (and the prototype encoding) into shared memory.
+def _publish_data_plane(dataset, prototype, config, session):
+    """Publish the dataset, its encoding and K2's table into shared memory.
 
-    Returns the :class:`~repro.distributed.shm.DatasetHandle` the payload
-    ships in place of the arrays.  The prototype lane's prepared encoding
-    is packed once here (through the process-wide cache, so repeated runs
-    reuse it) and published alongside; GPU layouts carry device-side state
-    and are rebuilt worker-side from the shared dataset instead.
+    Returns ``(handle, logfact)``: the
+    :class:`~repro.distributed.shm.DatasetHandle` the payload ships in
+    place of the arrays, and the digest of the published K2 log-factorial
+    table (``None`` for other objectives, or K2 with ``precompute`` off).
+    The prototype lane's prepared encoding is packed once here (through the
+    process-wide cache, so repeated runs reuse it) and published alongside;
+    GPU layouts carry device-side state and are rebuilt worker-side from
+    the shared dataset instead.  The K2 table is built here, once for the
+    whole fleet, so no worker evaluates ``gammaln`` (or imports
+    ``scipy.special``) to build its own.
     """
     from repro.core.encoding_cache import ENCODING_CACHE, encoding_cache_key
 
@@ -197,7 +204,12 @@ def _publish_data_plane(dataset, prototype, session):
                 key, lambda: prototype.prepare(dataset)
             )
             publish_encoding(key, encoded, session=session)
-    return handle
+    logfact = None
+    objective = get_objective(config.objective)
+    if isinstance(objective, K2Score) and objective.precompute:
+        table = K2Score.log_factorials(dataset.n_samples)
+        logfact = publish_logfact(table, session=session)
+    return handle, logfact
 
 
 def run_distributed(
@@ -344,8 +356,8 @@ def run_distributed(
             install_plan(payload.faults)
             runner = ProcessRunner(run, payload, resilience=resilience_log)
             if run.shm and pending:
-                payload.dataset = _publish_data_plane(
-                    dataset, prototype, runner.data_session()
+                payload.dataset, payload.logfact = _publish_data_plane(
+                    dataset, prototype, config, runner.data_session()
                 )
             with dispatch_span:
                 if session is not None and run.workers > 1 and pending:

@@ -62,6 +62,7 @@ from repro.distributed.shm import (
     data_plane_snapshot,
     hydrate_dataset,
     load_encoding,
+    load_logfact,
     note_event,
 )
 from repro.faults import fire, install_plan
@@ -83,12 +84,23 @@ class WorkerPayload:
     :class:`~repro.core.detector.DetectorConfig`; its ``approach`` must be
     a registry *name* (a pre-built approach instance carries per-run
     counter state that must not be shared across processes).
+
+    The payload is pickled with every batch, so it carries handles, never
+    tables: ``multiprocessing.connection`` sends a message above 16 384
+    bytes as two writes (header, then body), and a K2 log-factorial table
+    alone is ``8 * (n_samples + 2)`` bytes, 131 KB at 16 384 samples.
+    With shared memory on, a batch pickles to about 1 KB.
     """
 
     dataset: object  # GenotypeDataset or DatasetHandle
     source: object  # CandidateSource
     config: object  # DetectorConfig
     collect_minima: bool = False
+    #: Digest of the K2 log-factorial table the coordinator published in
+    #: shared memory (:func:`~repro.distributed.shm.publish_logfact`), or
+    #: ``None`` when it published none (another objective, or the dataset
+    #: rides the payload): the worker then builds its own table.
+    logfact: str | None = None
     #: Cross-process telemetry propagation
     #: (:class:`~repro.telemetry.TraceContext` or ``None``).  Deliberately
     #: excluded from :meth:`fingerprint`: the run identity changes per run
@@ -113,7 +125,7 @@ class WorkerPayload:
         if cached is not None:
             return cached
         if isinstance(self.dataset, DatasetHandle):
-            ds = ("handle", self.dataset.digest)
+            ds = ("handle", self.dataset.digest, self.logfact)
         else:
             ds = ("inline", self.dataset.content_digest())
         digest = self.config.context_key(ds, self.source, self.collect_minima)
@@ -182,6 +194,10 @@ class _WorkerContext:
                 payload.config, order=payload.source.order, telemetry="off"
             )
         )
+        if payload.logfact is not None:
+            # The coordinator's K2 table, taken before the first prepare:
+            # this process never evaluates gammaln of its own.
+            self.detector.objective.adopt(load_logfact(payload.logfact))
 
     def run_shard(self, task: tuple[int, int, int]) -> ShardOutcome:
         """Evaluate one shard."""

@@ -4,11 +4,11 @@ Before this module every distributed run shipped the whole dataset to every
 worker process by pickling it into the pool (one copy per worker, repeated
 for every ``detect()`` call and pipeline stage).  The
 :class:`SharedEncodingStore` replaces that with POSIX shared memory: the
-coordinator *publishes* the genotype matrix, the phenotype vector and the
-prepared bit-plane encodings into :mod:`multiprocessing.shared_memory`
-segments once, and workers *attach* read-only views — what crosses the
-process boundary per task is a tiny :class:`DatasetHandle` (a content
-digest) instead of the arrays themselves.
+coordinator *publishes* the genotype matrix, the phenotype vector, the
+prepared bit-plane encodings and (for K2) the log-factorial table into
+:mod:`multiprocessing.shared_memory` segments once, and workers *attach*
+read-only views — what crosses the process boundary per task is a tiny
+:class:`DatasetHandle` (a content digest) instead of the arrays themselves.
 
 Segments are **content-addressed**: the segment name is a digest of the
 publish key (which itself contains :meth:`GenotypeDataset.content_digest`
@@ -53,6 +53,8 @@ __all__ = [
     "hydrate_dataset",
     "publish_encoding",
     "load_encoding",
+    "publish_logfact",
+    "load_logfact",
     "scan_segments",
     "reap_orphans",
     "data_plane_snapshot",
@@ -590,7 +592,7 @@ class SegmentInfo:
     #: Complete header (magic + parseable manifest)?  ``False`` marks a
     #: torn write from a publisher that died mid-publish.
     valid: bool
-    #: ``"dataset"`` / ``"encoding"`` (``None`` when torn).
+    #: ``"dataset"`` / ``"encoding"`` / ``"logfact"`` (``None`` when torn).
     kind: str | None = None
     key: str | None = None
     owner_pid: int | None = None
@@ -615,6 +617,14 @@ class SegmentInfo:
             "created": self.created,
             "orphan": self.orphan,
         }
+
+
+def _segment_kind(key: object) -> str:
+    """What a valid segment holds, read from its publish key's text."""
+    for kind in ("dataset", "logfact"):
+        if isinstance(key, str) and key.startswith(f"('{kind}'"):
+            return kind
+    return "encoding"
 
 
 def scan_segments(prefix: str = "rp") -> List[SegmentInfo]:
@@ -654,11 +664,7 @@ def scan_segments(prefix: str = "rp") -> List[SegmentInfo]:
                     name=entry,
                     size=size,
                     valid=True,
-                    kind=(
-                        "dataset"
-                        if isinstance(key, str) and key.startswith("('dataset'")
-                        else "encoding"
-                    ),
+                    kind=_segment_kind(key),
                     key=key,
                     owner_pid=None if pid is None else int(pid),
                     owner_alive=None if pid is None else _pid_alive(int(pid)),
@@ -768,29 +774,43 @@ def _tear_segment(key: object) -> None:
     note_event("segments_torn_injected")
 
 
+def _publish(
+    kind: str,
+    key: tuple,
+    arrays: Dict[str, np.ndarray],
+    meta: Optional[Dict[str, object]] = None,
+    session: StoreSession | None = None,
+    **span: object,
+) -> None:
+    """Publish one segment at the ``shm.publish`` fault site.
+
+    ``kind`` names the span and the ``<kind>_published`` event; ``span``
+    adds attributes to the span.
+    """
+    from repro.faults import fire
+    from repro.telemetry import span_or_null
+
+    fire("shm.publish", tear=lambda: _tear_segment(key))
+    with span_or_null("shm.publish", kind=kind, **span):
+        shared_store().publish(key, arrays, meta=meta, session=session)
+    note_event(f"{kind}_published")
+
+
 def publish_dataset(dataset, session: StoreSession | None = None) -> DatasetHandle:
     """Publish a :class:`GenotypeDataset` into shared memory.
 
     Returns the :class:`DatasetHandle` shard tasks ship in place of the
     arrays.  Publishing the same content twice reuses the live segment.
     """
-    from repro.faults import fire
-    from repro.telemetry import span_or_null
-
     digest = dataset.content_digest()
-    store = shared_store()
-    fire("shm.publish", tear=lambda: _tear_segment(_dataset_key(digest)))
-    with span_or_null("shm.publish", kind="dataset", digest=digest[:12]):
-        store.publish(
-            _dataset_key(digest),
-            {"genotypes": dataset.genotypes, "phenotypes": dataset.phenotypes},
-            meta={
-                "snp_names": list(dataset.snp_names),
-                "digest": digest,
-            },
-            session=session,
-        )
-    note_event("dataset_published")
+    _publish(
+        "dataset",
+        _dataset_key(digest),
+        {"genotypes": dataset.genotypes, "phenotypes": dataset.phenotypes},
+        meta={"snp_names": list(dataset.snp_names), "digest": digest},
+        session=session,
+        digest=digest[:12],
+    )
     return DatasetHandle(
         digest=digest, n_snps=dataset.n_snps, n_samples=dataset.n_samples
     )
@@ -915,19 +935,14 @@ def publish_encoding(key: tuple, encoded, session: StoreSession | None = None) -
     codec — GPU layouts, duck-typed approaches — which workers rebuild
     locally from the shared dataset instead.
     """
-    from repro.faults import fire
-    from repro.telemetry import span_or_null
-
     payload = _encode_encoding(encoded)
     if payload is None:
         return False
     codec, arrays, meta = payload
-    meta = dict(meta)
-    meta["codec"] = codec
-    fire("shm.publish", tear=lambda: _tear_segment(key))
-    with span_or_null("shm.publish", kind="encoding", codec=codec):
-        shared_store().publish(key, arrays, meta=meta, session=session)
-    note_event("encoding_published")
+    _publish(
+        "encoding", key, arrays, meta={**meta, "codec": codec},
+        session=session, codec=codec,
+    )
     return True
 
 
@@ -951,3 +966,44 @@ def load_encoding(key: tuple):
         encoded = _decode_encoding(codec, arrays, meta)
     note_event("encoding_shm_attached")
     return encoded
+
+
+# -- the K2 log-factorial table -------------------------------------------------
+
+def _logfact_key(digest: str) -> tuple:
+    return ("logfact", digest)
+
+
+def publish_logfact(logfact: np.ndarray, session: StoreSession | None = None) -> str:
+    """Publish a K2 log-factorial table; returns the digest workers load it by.
+
+    The segment is addressed by a digest of the table's bytes, not of the
+    dataset: a table computed with another ``gammaln`` (a scipy-less
+    fallback, say) gets another segment, so a worker can only ever adopt
+    the exact bytes its coordinator built.
+    """
+    digest = hashlib.sha1(logfact.tobytes()).hexdigest()
+    _publish(
+        "logfact", _logfact_key(digest), {"logfact": logfact},
+        session=session, digest=digest[:12],
+    )
+    return digest
+
+
+def load_logfact(digest: str) -> np.ndarray:
+    """Attach a published K2 log-factorial table as a read-only view.
+
+    A missing segment is an error, as a missing dataset segment is: the
+    worker must not rebuild the table with its own ``gammaln``.
+    """
+    from repro.telemetry import span_or_null
+
+    with span_or_null("shm.attach", kind="logfact", digest=digest[:12]):
+        loaded = shared_store().load(_logfact_key(digest))
+    if loaded is None:
+        raise RuntimeError(
+            f"shared log-factorial table segment for digest {digest[:12]} is "
+            "missing — the publishing coordinator exited or never published"
+        )
+    note_event("logfact_shm_attached")
+    return loaded[0]["logfact"]

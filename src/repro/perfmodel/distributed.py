@@ -48,12 +48,15 @@ DEFAULT_LINK_BYTES_PER_SECOND: float = 2e9
 
 #: Modelled cost of starting one spawn-context worker process: fork+exec of
 #: a fresh interpreter, importing the package and, at its first K2 shard,
-#: ``scipy.special`` (for the log-factorial table).  Measured on 2 vCPUs
-#: (median of 7 fresh interpreters running ``import repro`` plus one
-#: ``K2Score.prepare``): 0.78 s, 2.2x this value; 1.86 s (5.3x) while
-#: ``import repro`` still loaded ``scipy.stats``.  Paid per run with
-#: ``pool="fresh"``; a warm fleet (``pool="keep"``) amortises it across
-#: every later run, which the model prices as zero marginal spawn cost.
+#: attaching the log-factorial table its coordinator published.  Measured
+#: on 2 vCPUs (median of 7 fresh interpreters running ``import repro`` plus
+#: one table attach, 16 384 samples): 0.45 s, 1.3x this value.  A worker
+#: that builds the table itself (``K2Score.prepare``, which imports
+#: ``scipy.special``; ``shm="off"``) took 0.71 s (2.0x) in the same runs,
+#: and 1.86 s (5.3x) while ``import repro`` still loaded ``scipy.stats``.
+#: Paid per run with ``pool="fresh"``; a warm fleet (``pool="keep"``)
+#: amortises it across every later run, which the model prices as zero
+#: marginal spawn cost.
 DEFAULT_SPAWN_SECONDS_PER_WORKER: float = 0.35
 
 #: Modelled cost of a worker attaching one shared-memory segment: an

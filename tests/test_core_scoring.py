@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -241,6 +242,44 @@ class TestK2ColumnSum:
         tables[-1, 0, 0] = 500
         expected = K2Score(precompute=False).score(tables)
         assert k2.score(tables).tobytes() == expected.tobytes()
+
+
+class TestK2AdoptedTable:
+    """A K2 objective that adopts a ready table (a fleet worker taking its
+    coordinator's) never evaluates gammaln, and scores the same bits."""
+
+    def test_prepare_keeps_an_adopted_table(self, rng, monkeypatch):
+        from repro.core import scoring
+
+        table = K2Score.log_factorials(301)
+        tables = _count_tables(rng, "random", 40, 27, 301)
+        expected = K2Score(precompute=False).score(tables)
+        table.flags.writeable = False  # as attached from shared memory
+
+        def no_gammaln():
+            raise AssertionError("an adopted table must not be rebuilt")
+
+        monkeypatch.setattr(scoring, "_gammaln", no_gammaln)
+        k2 = K2Score()
+        k2.adopt(table)
+        k2.prepare(_Samples(301))
+        assert k2._logfact is table
+        assert k2.score(tables).tobytes() == expected.tobytes()
+
+    def test_pickles_without_its_table(self):
+        # A K2 instance in a config rides every fleet batch.
+        k2 = K2Score(precompute=True)
+        k2.prepare(_Samples(16384))
+        clone = pickle.loads(pickle.dumps(k2))
+        assert len(pickle.dumps(k2)) < 1024
+        assert clone._logfact is None and clone.precompute
+        assert k2._logfact.size == 16386
+
+    def test_refuses_what_is_not_a_table(self):
+        with pytest.raises(ValueError, match="1-D float64"):
+            K2Score().adopt(np.zeros(10, dtype=np.float32))
+        with pytest.raises(ValueError, match="1-D float64"):
+            K2Score().adopt(np.zeros((2, 5)))
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))

@@ -8,6 +8,10 @@ The acceptance properties of PR 6:
   detected and republished;
 * **zero re-packs** — a second ``detect()`` on the warm fleet ships no
   pickled arrays and misses the encoding cache exactly zero times;
+* **one K2 table** — the coordinator publishes the log-factorial table
+  once, keyed by its bytes; workers adopt it (a missing segment is an
+  error), a batch's pickle stays within one pipe write, a fresh run
+  unlinks every segment it published and a warm run reuses them;
 * **fault tolerance** — a seeded ``shard.run:crash`` fault SIGKILLs a
   worker mid-run: the pool breaks once, the fleet respawns, un-completed
   shards are re-dispatched, and the result is bit-identical to an
@@ -23,7 +27,10 @@ segment-lifecycle tests run entirely in-process.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from multiprocessing import shared_memory
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -31,15 +38,22 @@ import pytest
 from repro.core.detector import DetectorConfig, EpistasisDetector
 from repro.core.encoding_cache import ENCODING_CACHE, encoding_cache_key
 from repro.datasets import PlantedInteraction, SyntheticConfig, generate_dataset
+from repro.core.scoring import K2Score
 from repro.distributed import run_distributed
+from repro.distributed.fleet import WorkerFleet
+from repro.distributed.runner import WorkerPayload, _WorkerContext
 from repro.distributed.shm import (
     DatasetHandle,
     data_plane_delta,
     data_plane_snapshot,
     hydrate_dataset,
+    load_logfact,
     publish_dataset,
+    publish_logfact,
+    scan_segments,
     shared_store,
     _key_text,
+    _segment_kind,
     _segment_name,
 )
 from repro.engine import DenseRangeSource
@@ -142,6 +156,32 @@ class TestSegmentLifecycle:
             np.testing.assert_array_equal(hydrated.phenotypes, dataset.phenotypes)
             assert list(hydrated.snp_names) == list(dataset.snp_names)
             assert hydrated.content_digest() == dataset.content_digest()
+
+
+    def test_logfact_segment_is_keyed_by_its_bytes(self):
+        table = K2Score.log_factorials(300)
+        # One ulp off in one entry: what another gammaln could give.
+        other = table.copy()
+        other[-1] = np.nextafter(other[-1], np.inf)
+        with shared_store().session() as session:
+            digest = publish_logfact(table, session=session)
+            other_digest = publish_logfact(other, session=session)
+            assert digest != other_digest
+            loaded = load_logfact(digest)
+            assert loaded.tobytes() == table.tobytes()
+            assert not loaded.flags.writeable
+            assert load_logfact(other_digest).tobytes() == other.tobytes()
+
+    def test_missing_table_segment_is_an_error(self, dataset):
+        with shared_store().session() as session:
+            payload = WorkerPayload(
+                dataset=publish_dataset(dataset, session=session),
+                source=DenseRangeSource(dataset.n_snps, 2),
+                config=DetectorConfig(order=2),
+                logfact="0" * 40,
+            )
+            with pytest.raises(RuntimeError, match="log-factorial table"):
+                _WorkerContext(payload)
 
 
 class TestSharedEncodingTier:
@@ -357,3 +397,118 @@ class TestWarmFleetRuns:
         assert [(i.snps, i.score) for i in outcome.top] == [
             (i.snps, i.score) for i in inline.top
         ]
+
+
+def _unique_dataset(n_samples, seed):
+    """A dataset whose sample count no other test publishes.
+
+    The K2 table segment depends on the sample count alone, so a kept
+    fleet holding a table of the same size would make these runs reuse
+    it instead of publishing their own.
+    """
+    return generate_dataset(
+        SyntheticConfig(n_snps=14, n_samples=n_samples, seed=seed)
+    )
+
+
+class TestK2TableDataPlane:
+    """The coordinator's K2 table in shared memory, seen from a run."""
+
+    def _config(self):
+        return DetectorConfig(approach="cpu-v4", objective="k2", order=2, top_k=5)
+
+    @pytest.mark.parametrize("prepared_instance", [False, True])
+    def test_every_batch_pickles_within_one_pipe_write(
+        self, monkeypatch, prepared_instance
+    ):
+        # Above 16 384 bytes multiprocessing.connection sends the header
+        # and the body in two writes; the table alone is 131 KB here.  A
+        # K2 instance that already built its table rides in the config.
+        dataset = generate_dataset(
+            SyntheticConfig(n_snps=12, n_samples=16384, seed=2616)
+        )
+        config = self._config()
+        if prepared_instance:
+            objective = K2Score()
+            objective.prepare(dataset)
+            config = dataclasses.replace(config, objective=objective)
+        sizes = []
+        submit = WorkerFleet.submit
+
+        def measuring_submit(fleet, fn, /, *args, **kwargs):
+            sizes.append(len(ForkingPickler.dumps(args)))
+            return submit(fleet, fn, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerFleet, "submit", measuring_submit)
+        detector = EpistasisDetector(config=config)
+        fleet = detector.detect(dataset, workers=2, shm="on")
+        monkeypatch.undo()
+        assert fleet.stats.extra["distributed"]["data_plane"]["logfact_published"] == 1
+        assert sizes
+        assert max(sizes) <= 16384, sizes
+        inline = detector.detect(dataset)
+        assert [(i.snps, i.score) for i in fleet.top] == [
+            (i.snps, i.score) for i in inline.top
+        ]
+
+    def test_fresh_run_leaves_none_of_its_segments(self, monkeypatch):
+        dataset = _unique_dataset(333, 2617)
+        store = shared_store()
+        publish = store.publish
+        keys = {}
+
+        def recording_publish(key, arrays, meta=None, session=None):
+            name = publish(key, arrays, meta, session=session)
+            keys[name] = _key_text(key)
+            return name
+
+        monkeypatch.setattr(store, "publish", recording_publish)
+        outcome = run_distributed(
+            dataset, DenseRangeSource(dataset.n_snps, 2), config=self._config(),
+            workers=2, pool="fresh", shm="on",
+        )
+        monkeypatch.undo()
+        assert outcome.completed
+        assert outcome.data_plane.get("segments_published") == 3
+        assert sorted(_segment_kind(key) for key in keys.values()) == [
+            "dataset", "encoding", "logfact"
+        ]
+        assert not set(keys) & {info.name for info in scan_segments()}
+
+    def test_warm_run_reuses_the_table_segment(self):
+        dataset = _unique_dataset(347, 2618)
+        source = DenseRangeSource(dataset.n_snps, 2)
+        runs = [
+            run_distributed(
+                dataset, source, config=self._config(),
+                workers=2, pool="keep", shm="on",
+            )
+            for _ in range(2)
+        ]
+        first, second = (run.data_plane for run in runs)
+        assert first.get("segments_published") == 3
+        assert first.get("logfact_published") == 1
+        # The second run publishes nothing new: all three segments,
+        # the table's among them, are the kept fleet's from the first.
+        assert second.get("segments_published", 0) == 0
+        assert second.get("segments_reused") == 3
+        assert second.get("logfact_published") == 1
+        table = K2Score.log_factorials(dataset.n_samples)
+        key = _key_text(("logfact", hashlib.sha1(table.tobytes()).hexdigest()))
+        assert key in {info.key for info in scan_segments() if info.kind == "logfact"}
+
+    @pytest.mark.parametrize("shm", ["on", "off"])
+    def test_fleet_scores_and_p_values_match_inline(self, dataset, shm):
+        def staged(**run):
+            return EpistasisDetector(
+                approach="cpu-v4", objective="k2", order=3, top_k=5
+            ).detect_staged(
+                dataset, keep_snps=8, n_permutations=16, permutation_seed=5, **run
+            )
+
+        inline = staged(workers=1)
+        fleet = staged(workers=2, pool="keep", shm=shm)
+        assert [(i.snps, i.score) for i in fleet.top] == [
+            (i.snps, i.score) for i in inline.top
+        ]
+        assert fleet.p_values == inline.p_values
