@@ -305,7 +305,7 @@ class CheckpointStore(JsonLedger):
 
         The record joins the in-memory document; the caller commits it with
         :meth:`write`, once for every shard of an arrived batch.  Dense
-        per-SNP minima payloads are written now, durably, to a side file
+        per-SNP minima arrays are written now, durably, to a side file
         under ``<ledger>.minima/`` (NPZ-style binary, atomic rename) and
         only referenced from the JSON document — each commit stays
         proportional to the shard count, not to ``n_shards x n_snps``, on
@@ -323,20 +323,16 @@ class CheckpointStore(JsonLedger):
         """Directory of the per-shard minima side files."""
         return self.path.with_name(self.path.name + ".minima")
 
-    def _write_minima(self, shard_id: int, payload) -> str:
+    def _write_minima(self, shard_id: int, minima: np.ndarray) -> str:
         """Atomically write one shard's minima array; returns the file name."""
         self.minima_dir.mkdir(parents=True, exist_ok=True)
-        array = np.array(
-            [np.inf if value is None else float(value) for value in payload],
-            dtype=np.float64,
-        )
         name = f"shard{int(shard_id):05d}.npy"
         fd, tmp_path = tempfile.mkstemp(
             prefix=name + ".", suffix=".tmp", dir=self.minima_dir
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.save(fh, array)
+                np.save(fh, minima)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.minima_dir / name)

@@ -100,11 +100,6 @@ class DistributedOutcome:
     #: shards and per-shard failed-attempt counts.
     resilience: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def shards_remaining(self) -> int:
-        """Shards still unevaluated (0 for a complete run)."""
-        return self.n_shards - self.shards_done
-
 
 def _aggregate_device_stats(
     shard_stats: List[Dict[str, Dict[str, object]]],

@@ -34,7 +34,6 @@ __all__ = [
     "row_sort_key",
     "merge_rows",
     "snp_minima_accumulator",
-    "minima_to_payload",
     "merge_minima",
 ]
 
@@ -123,16 +122,6 @@ def snp_minima_accumulator(n_snps: int):
     return observe, finalize
 
 
-def minima_to_payload(minima: np.ndarray) -> List[float | None]:
-    """Serialise a per-SNP minima array for the JSON shard ledger.
-
-    ``inf`` (SNP never seen by the shard) maps to JSON ``null`` — the
-    ledger stays strictly valid JSON (``json.dump`` would otherwise emit
-    the non-standard ``Infinity`` token).
-    """
-    return [None if not np.isfinite(v) else float(v) for v in minima]
-
-
 def merge_minima(
     partials: Iterable[np.ndarray | Sequence[float | None]],
 ) -> np.ndarray | None:
@@ -140,8 +129,9 @@ def merge_minima(
 
     Used by the distributed screening stage: each shard folds its own
     best-participating-score array and the coordinator reduces them.
-    Accepts arrays and ledger payloads (``None`` elements read as ``inf``);
-    returns ``None`` when no partial carried an accumulator.
+    Accepts arrays and the inline lists older ledgers hold (``None``
+    elements read as ``inf``); returns ``None`` when no partial carried an
+    accumulator.
     """
     merged: np.ndarray | None = None
     for partial in partials:

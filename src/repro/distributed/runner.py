@@ -49,11 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
 
-from repro.distributed.merge import (
-    interaction_to_row,
-    minima_to_payload,
-    snp_minima_accumulator,
-)
+from repro.distributed.merge import interaction_to_row, snp_minima_accumulator
 from repro.distributed.resilience import MAX_POOL_BREAKS, ResilienceLog
 from repro.distributed.shards import Shard, ShardView
 from repro.distributed.shm import (
@@ -68,6 +64,8 @@ from repro.distributed.shm import (
 from repro.faults import fire, install_plan
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.core.detector import RunSpec
 
 __all__ = ["WorkerPayload", "ShardOutcome", "ProcessRunner"]
@@ -145,8 +143,8 @@ class ShardOutcome:
     op_counts: Dict[str, int] = field(default_factory=dict)
     bytes_loaded: int = 0
     bytes_stored: int = 0
-    #: Per-SNP best-participating-score payload (``None`` = SNP unseen).
-    snp_minima: List[float | None] | None = None
+    #: Per-SNP best participating score (``inf`` = SNP unseen).
+    snp_minima: np.ndarray | None = None
     #: Data-plane counter increments of the batch this outcome headed
     #: (attached to the first outcome of each batch; empty otherwise).
     data_plane: Dict[str, int] = field(default_factory=dict)
@@ -216,10 +214,6 @@ class _WorkerContext:
         elapsed = time.perf_counter() - started
         stats = result.stats
 
-        shard_minima: List[float | None] | None = None
-        if finalize_minima is not None:
-            shard_minima = minima_to_payload(finalize_minima())
-
         return ShardOutcome(
             shard_id=shard_id,
             rows=[interaction_to_row(inter) for inter in result.top],
@@ -232,7 +226,7 @@ class _WorkerContext:
             op_counts={m: int(c) for m, c in stats.op_counts.items() if c},
             bytes_loaded=stats.bytes_loaded,
             bytes_stored=stats.bytes_stored,
-            snp_minima=shard_minima,
+            snp_minima=finalize_minima() if finalize_minima is not None else None,
         )
 
 

@@ -343,7 +343,7 @@ class SharedEncodingStore:
                     session._retain(name)
                 return name
 
-            manifest, total_size, offsets = self._layout(key_text, arrays, meta)
+            manifest_bytes, total_size, offsets = self._layout(key_text, arrays, meta)
             shm = self._create_segment(name, key_text, total_size)
             if shm is None:
                 # A valid complete segment of identical content already
@@ -353,7 +353,7 @@ class SharedEncodingStore:
             if isinstance(shm, _OwnedSegment):
                 owned = shm
             else:
-                self._write_segment(shm, manifest, arrays, offsets)
+                self._write_segment(shm, manifest_bytes, arrays, offsets)
                 owned = _OwnedSegment(shm, key_text)
                 note_event("segments_published")
             self._owned[name] = owned
@@ -362,52 +362,39 @@ class SharedEncodingStore:
             return name
 
     def _layout(self, key_text, arrays, meta):
-        manifest_entries = []
-        offset = 0  # filled after the manifest size is known
-        payload = []
+        """The manifest bytes, the segment size and each array's offset.
+
+        The manifest's offsets are relative to the payload base, so the
+        manifest never depends on where the payload starts: one pass.
+        """
+        entries = []
+        offset = 0
         for aname, arr in arrays.items():
             arr = np.ascontiguousarray(arr)
-            payload.append((aname, arr))
-        # Owner provenance for the orphan reaper: a segment whose
-        # publishing process is gone (SIGKILL skips every atexit hook) is
-        # reclaimable; one with a live owner never is.  Not part of the
-        # content address — adoption only compares the key.  Computed once
-        # so the fixed-point iteration below sees a stable length.
-        owner = {"pid": os.getpid(), "created": round(time.time(), 3)}
-        # Two passes: manifest length depends on the offsets, whose base
-        # depends on the manifest length.  Iterate to a fixed point (the
-        # JSON length stabilises after at most a couple of rounds because
-        # offsets only grow with digit count).
-        base = _HEADER_BYTES
-        for _ in range(4):
-            manifest_entries = []
-            offset = 0
-            for aname, arr in payload:
-                manifest_entries.append(
-                    {
-                        "name": aname,
-                        "dtype": arr.dtype.str,
-                        "shape": list(arr.shape),
-                        "offset": offset,  # relative to the payload base
-                        "nbytes": int(arr.nbytes),
-                    }
-                )
-                offset = _align(offset + arr.nbytes)
-            manifest = {
-                "key": key_text,
-                "arrays": manifest_entries,
-                "meta": meta or {},
-                "owner": owner,
-            }
-            manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
-            new_base = _align(_HEADER_BYTES + len(manifest_bytes))
-            if new_base == base:
-                break
-            base = new_base
-        total = max(base + offset, base + 1)
-        return (manifest_bytes, base, dict(arrays)), total, {
-            e["name"]: base + e["offset"] for e in manifest_entries
+            entries.append(
+                {
+                    "name": aname,
+                    "dtype": arr.dtype.str,
+                    "shape": list(arr.shape),
+                    "offset": offset,
+                    "nbytes": int(arr.nbytes),
+                }
+            )
+            offset = _align(offset + arr.nbytes)
+        manifest = {
+            "key": key_text,
+            "arrays": entries,
+            "meta": meta or {},
+            # Owner provenance for the orphan reaper: a segment whose
+            # publishing process is gone (SIGKILL skips every atexit hook)
+            # is reclaimable; one with a live owner never is.  Not part of
+            # the content address — adoption only compares the key.
+            "owner": {"pid": os.getpid(), "created": round(time.time(), 3)},
         }
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
+        base = _align(_HEADER_BYTES + len(manifest_bytes))
+        total = max(base + offset, base + 1)
+        return manifest_bytes, total, {e["name"]: base + e["offset"] for e in entries}
 
     def _create_segment(self, name, key_text, size):
         from multiprocessing.shared_memory import SharedMemory
@@ -425,7 +412,7 @@ class SharedEncodingStore:
             # the valid content, or unlink the torn leftovers), so the
             # tracker gets the registration the suppressed attach skipped.
             _track(existing)
-            if self._validate(existing, key_text) is not None:
+            if _parse_manifest(existing, key_text) is not None:
                 note_event("segments_reused")
                 return _OwnedSegment(existing, key_text)
             # Torn write from a crashed publisher: never trust it.
@@ -442,8 +429,7 @@ class SharedEncodingStore:
             )
         return shm
 
-    def _write_segment(self, shm, manifest, arrays_unused, offsets):
-        manifest_bytes, base, arrays = manifest
+    def _write_segment(self, shm, manifest_bytes, arrays, offsets):
         buf = shm.buf
         buf[_LEN_OFFSET:_HEADER_BYTES] = struct.pack("<Q", len(manifest_bytes))
         buf[_HEADER_BYTES : _HEADER_BYTES + len(manifest_bytes)] = manifest_bytes
@@ -458,10 +444,6 @@ class SharedEncodingStore:
         # Completeness magic goes in last: readers that see it know the
         # manifest and every payload byte landed.
         buf[0:_LEN_OFFSET] = _MAGIC
-
-    def _validate(self, shm, key_text: str | None):
-        """Parse and check a segment; returns the manifest or ``None``."""
-        return _parse_manifest(shm, key_text)
 
     # -- attach ---------------------------------------------------------------
     def load(
@@ -488,7 +470,7 @@ class SharedEncodingStore:
                     return None
                 self._attached[name] = shm
                 note_event("segments_attached")
-            manifest = self._validate(shm, key_text)
+            manifest = _parse_manifest(shm, key_text)
             if manifest is None:
                 return None
             if session is not None:
@@ -516,11 +498,6 @@ class SharedEncodingStore:
             return arrays, dict(manifest.get("meta", {}))
 
     # -- lifecycle -------------------------------------------------------------
-    def owned_names(self) -> list[str]:
-        """Names of segments this process currently owns (tests)."""
-        with self._lock:
-            return sorted(self._owned)
-
     def close_all(self) -> None:
         """Unlink every owned segment and close every attachment."""
         with self._lock:

@@ -64,11 +64,6 @@ class LaunchStats:
     estimated_cycles: Optional[float] = None
     bound: str = ""
 
-    @property
-    def total_instructions(self) -> int:
-        """All charged instructions (including loads)."""
-        return sum(self.instructions.values())
-
 
 class SimulatedGpu:
     """Executes kernels over an ND-range and derives launch statistics.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import (
     GenotypeDataset,
@@ -15,6 +16,19 @@ from repro.datasets import (
 
 #: SNP indices of the interaction planted in ``planted_dataset``.
 PLANTED_TRIPLET = (3, 11, 17)
+
+# Tier-1 draws the same examples on every run, so a failure seen once comes
+# back, and keeps no example database.
+settings.register_profile("tier-1", derandomize=True, database=None)
+# The wide random sweep of the differential oracle, whose tests take shares
+# of max_examples (about 860 examples in all):
+#   pytest tests/test_oracle.py --hypothesis-profile=oracle-sweep
+settings.register_profile("oracle-sweep", max_examples=500, database=None, print_blob=True)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("tier-1")
 
 
 @pytest.fixture(scope="session")

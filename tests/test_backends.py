@@ -13,11 +13,12 @@ Pins the contracts the backend plane rests on:
 * **calibration** — store round-trips survive a fresh process-like
   reload, and any fingerprint component changing (library version, word
   layout, order, host) invalidates the record;
-* **end-to-end identity** — ``detect()`` with an explicit backend
-  returns bit-identical top-k to the default on single-device,
-  heterogeneous CARM and 2-worker distributed plans, and the CARM
-  splitter prices every lane with the analytical model, whether or not
-  a calibration record matches.
+* **detector wiring** — the run stats name the backend of every lane,
+  and the CARM splitter prices every lane with the analytical model,
+  whether or not a calibration record matches.
+
+That every backend ranks exactly what the brute-force oracle ranks, with
+the numpy backend's §IV charges, is drawn by ``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
@@ -455,12 +456,8 @@ class TestCarmPricedByModel:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end identity through detect()
+# detector wiring
 # ---------------------------------------------------------------------------
-
-
-def _top_rows(result):
-    return [(inter.snps, inter.score) for inter in result.top]
 
 
 class TestDetectorBackend:
@@ -468,69 +465,18 @@ class TestDetectorBackend:
         result = EpistasisDetector(order=2, backend="numpy").detect(small_dataset)
         assert result.stats.extra["backend"] == "numpy"
 
-    def test_explicit_numpy_matches_default(self, planted_dataset):
-        base = EpistasisDetector(order=3, top_k=5).detect(planted_dataset)
-        explicit = EpistasisDetector(order=3, top_k=5, backend="numpy").detect(
-            planted_dataset
-        )
-        assert _top_rows(explicit) == _top_rows(base)
-
-    @pytest.mark.parametrize("approach", ["cpu-v1", "cpu-v3"])
-    def test_backend_routes_every_family(self, small_dataset, approach):
-        base = EpistasisDetector(approach=approach, order=3, top_k=5).detect(
-            small_dataset
-        )
-        explicit = EpistasisDetector(
-            approach=approach, order=3, top_k=5, backend="numpy"
-        ).detect(small_dataset)
-        assert _top_rows(explicit) == _top_rows(base)
-
-    def test_carm_heterogeneous_identity(self, planted_dataset, tmp_path, monkeypatch):
-        # Point the CARM lookup at an empty store so only the word-level
-        # identity (not the split sizing) is under test here.
-        monkeypatch.setenv("REPRO_CALIBRATION_PATH", str(tmp_path / "calib.json"))
-        base = EpistasisDetector(order=3, top_k=5).detect(planted_dataset)
+    def test_heterogeneous_lanes_name_their_backends(self, small_dataset):
         het = EpistasisDetector(
-            order=3, top_k=5, devices="cpu+gpu", schedule="carm", backend="numpy"
-        ).detect(planted_dataset)
-        assert _top_rows(het) == _top_rows(base)
+            order=2, devices="cpu+gpu", schedule="carm", backend="numpy"
+        ).detect(small_dataset)
         devices = het.stats.extra["devices"]
         assert devices["cpu"]["backend"] == "numpy"
         assert devices["gpu"]["backend"] == "gpusim"
 
-    def test_distributed_identity(self, planted_dataset):
-        base = EpistasisDetector(order=3, top_k=5, backend="numpy").detect(
-            planted_dataset
-        )
-        sharded = EpistasisDetector(order=3, top_k=5, backend="numpy").detect(
-            planted_dataset, workers=2
-        )
-        assert _top_rows(sharded) == _top_rows(base)
-
     @needs_numba
-    def test_numba_detect_identity(self, planted_dataset):
-        base = EpistasisDetector(order=3, top_k=5, backend="numpy").detect(
-            planted_dataset
-        )
-        jitted = EpistasisDetector(order=3, top_k=5, backend="numba").detect(
-            planted_dataset
-        )
-        assert _top_rows(jitted) == _top_rows(base)
+    def test_numba_stats_name_numba(self, small_dataset):
+        jitted = EpistasisDetector(order=2, backend="numba").detect(small_dataset)
         assert jitted.stats.extra["backend"] == "numba"
-
-    @needs_numba
-    def test_numba_charges_match_numpy(self, small_dataset):
-        # §IV accounting is modelled, backend-independent: identical op
-        # counts whichever backend executed the words.
-        from repro.core.approaches import get_approach
-
-        combos = generate_combinations(small_dataset.n_snps, 3)[:64]
-        counts = {}
-        for name in ("numpy", "numba"):
-            approach = get_approach("cpu-v2", backend=name)
-            approach.build_tables(approach.prepare(small_dataset), combos)
-            counts[name] = dict(approach.counter.ops)
-        assert counts["numpy"] == counts["numba"]
 
     def test_gpu_approaches_keep_gpusim(self, small_dataset):
         result = EpistasisDetector(

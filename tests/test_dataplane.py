@@ -276,17 +276,6 @@ class TestWarmFleetRuns:
         assert second.data_plane.get("dataset_unpickled", 0) == 0
         assert second.data_plane.get("worker_context_built", 0) == 0
 
-    def test_warm_pool_matches_inline(self, dataset):
-        source = DenseRangeSource(dataset.n_snps, 2)
-        config = self._config()
-        inline = run_distributed(dataset, source, config=config, workers=1)
-        warm = run_distributed(
-            dataset, source, config=config, workers=2, pool="keep"
-        )
-        assert [(i.snps, i.score) for i in inline.top] == [
-            (i.snps, i.score) for i in warm.top
-        ]
-
     def test_shard_budget_resume_on_warm_pool(self, dataset, tmp_path):
         source = DenseRangeSource(dataset.n_snps, 2)
         config = self._config()

@@ -62,22 +62,6 @@ class TestDetection:
             PLANTED_TRIPLET
         )
 
-    def test_all_workers_agree(self, small_dataset):
-        single = EpistasisDetector(approach="cpu-v4", n_workers=1).detect(small_dataset)
-        multi = EpistasisDetector(approach="cpu-v4", n_workers=3, chunk_size=256).detect(
-            small_dataset
-        )
-        assert single.best_snps == multi.best_snps
-        assert single.best_score == pytest.approx(multi.best_score)
-        assert [i.snps for i in single.top] == [i.snps for i in multi.top]
-
-    @pytest.mark.parametrize("approach", ["cpu-v1", "cpu-v2", "gpu-v3", "gpu-v4"])
-    def test_all_approaches_find_same_best(self, small_dataset, approach):
-        reference = EpistasisDetector(approach="cpu-v4").detect(small_dataset)
-        other = EpistasisDetector(approach=approach).detect(small_dataset)
-        assert other.best_snps == reference.best_snps
-        assert other.best_score == pytest.approx(reference.best_score)
-
     def test_objective_selection_changes_scores(self, small_dataset):
         k2 = EpistasisDetector(approach="cpu-v2", objective="k2").detect(small_dataset)
         mi = EpistasisDetector(approach="cpu-v2", objective="mutual-information").detect(

@@ -395,20 +395,12 @@ class TestHeterogeneousExecutor:
         HeterogeneousExecutor(self._plan()).run(factory, _identity_scorer)
         assert ids == [0, 1, 2, 3]
 
+
 class TestDetectorOnEngine:
-    """Acceptance: every schedule/device plan reproduces the reference top-k."""
+    """Device lanes and their statistics; that every schedule/device plan
+    ranks what brute force ranks is drawn by ``tests/test_oracle.py``."""
 
-    @pytest.mark.parametrize("schedule", ["dynamic", "static", "guided", "carm"])
-    def test_schedules_agree(self, small_dataset, schedule):
-        reference = EpistasisDetector(approach="cpu-v2").detect(small_dataset)
-        result = EpistasisDetector(
-            approach="cpu-v2", schedule=schedule, n_workers=3, chunk_size=128
-        ).detect(small_dataset)
-        assert [i.snps for i in result.top] == [i.snps for i in reference.top]
-        assert result.stats.extra["schedule"] == schedule
-
-    def test_heterogeneous_carm_identical_to_single_device(self, planted_dataset):
-        single = EpistasisDetector(approach="cpu-v4", top_k=5).detect(planted_dataset)
+    def test_heterogeneous_carm_lanes(self, planted_dataset):
         het = EpistasisDetector(
             approach="cpu-v4",
             devices="cpu+gpu",
@@ -418,8 +410,6 @@ class TestDetectorOnEngine:
             top_k=5,
         ).detect(planted_dataset)
         assert tuple(sorted(het.best_snps)) == PLANTED_TRIPLET
-        assert [i.snps for i in het.top] == [i.snps for i in single.top]
-        assert het.best_score == pytest.approx(single.best_score)
 
         devices = het.stats.extra["devices"]
         assert set(devices) == {"cpu", "gpu"}
@@ -451,9 +441,7 @@ class TestDetectorOnEngine:
         assert all(sum(e["op_counts"].values()) > 0 for e in devices.values())
 
     def test_gpu_single_lane(self, small_dataset):
-        reference = EpistasisDetector(approach="cpu-v2").detect(small_dataset)
         result = EpistasisDetector(approach="gpu-v3", devices="gpu").detect(small_dataset)
-        assert result.best_snps == reference.best_snps
         assert result.stats.extra["devices"]["gpu"]["kind"] == "gpu"
 
     def test_heterogeneous_rejects_prebuilt_instances(self, small_dataset):

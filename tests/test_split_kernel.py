@@ -11,8 +11,9 @@ These tests pin it against
 reach it:
 
 * a direct call at orders 2-5, with and without a pair table;
-* shuffled combinations and candidate-source combinations, whose prefix
-  runs have length 1;
+* shuffled combinations, whose prefix runs have length 1 (scattered
+  candidate-source combinations through the engine are drawn by
+  ``tests/test_oracle.py``);
 * calls beyond the kernel budget, which both kernels cut into pieces of
   fewer combinations and, below one combination's words, word slices;
 * the word slices of the blocked ``build_tables`` (``cpu-v3`` and
@@ -62,7 +63,6 @@ from repro.core.scoring import get_objective
 from repro.datasets import SyntheticConfig, generate_dataset
 from repro.datasets.binarization import BinarizedDataset, PairTable, PhenotypeSplitDataset
 from repro.datasets.dataset import GenotypeDataset
-from repro.engine import ExplicitCombinationSource
 
 ORDERS = (2, 3, 4, 5)
 LAYOUTS = ("u32", "u64")
@@ -141,26 +141,6 @@ def test_shuffled_combos_match_oracle(dataset, order, layout):
             split.pair_table(phenotype_class),
         )
         np.testing.assert_array_equal(counts, expected[:, :, phenotype_class])
-
-
-@pytest.mark.parametrize("fused", ("on", "off"))
-@pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("name", ("cpu-v2", "cpu-v3", "cpu-v4"))
-def test_candidate_source_combos_match_oracle(dataset, name, order, fused):
-    # Scattered candidates: prefix runs of length 1 on the engine's path.
-    rng = np.random.default_rng(order)
-    combos = np.unique(
-        np.sort([rng.choice(dataset.n_snps, order, replace=False) for _ in range(30)]),
-        axis=0,
-    )[::-1]
-    detector = EpistasisDetector(
-        approach=name, order=order, fused=fused, top_k=len(combos)
-    )
-    result = detector.detect_candidates(dataset, ExplicitCombinationSource(combos))
-    objective = get_objective("k2")
-    objective.prepare(dataset)
-    expected = dict(zip(map(tuple, combos.tolist()), objective.score(_oracle(dataset, combos))))
-    assert {i.snps: i.score for i in result.top} == expected
 
 
 @pytest.mark.parametrize("pass_words", (1, 2))
