@@ -21,7 +21,7 @@ PLANTED_TRIPLET = (3, 11, 17)
 # back, and keeps no example database.
 settings.register_profile("tier-1", derandomize=True, database=None)
 # The wide random sweep of the differential oracle, whose tests take shares
-# of max_examples (about 860 examples in all):
+# of max_examples (about 2 050 examples in all):
 #   pytest tests/test_oracle.py --hypothesis-profile=oracle-sweep
 settings.register_profile("oracle-sweep", max_examples=500, database=None, print_blob=True)
 

@@ -13,8 +13,9 @@ genotype matrix one combination at a time:
   and approach params (the charges are per paper word, so the layout's
   padding shows in them).
 
-Tier-1 runs a fixed-seed slice (the ``tier-1`` profile of ``conftest.py``);
-the CI ``oracle-sweep`` job runs the wide random sweep::
+Tier-1 runs a fixed-seed slice (the ``tier-1`` profile of ``conftest.py``)
+in which every value of every knob is a cell of its own, named by the knob
+and drawn around; the CI ``oracle-sweep`` job runs the wide random sweep::
 
     PYTHONPATH=src python -m pytest tests/test_oracle.py --hypothesis-profile=oracle-sweep
 
@@ -45,11 +46,27 @@ from repro.engine import DenseRangeSource, ExplicitCombinationSource
 from repro.faults import FaultPlan
 from tests.strategies import genotype_datasets
 
-OBJECTIVES = ("k2", "gini", "mutual-information", "chi2")
-SCHEDULES = ("dynamic", "static", "guided", "carm")
 #: Every backend this host runs, plus the defaults that resolve to one
 #: (``None`` reads ``REPRO_BACKEND``).
 BACKENDS = (None, "auto") + tuple(row["name"] for row in list_backends() if row["available"])
+#: The values of each knob of the kernels, and of the execution around
+#: them.  Tier-1 pins each kernel value once per approach and each
+#: execution value once (see ``_cells``).
+KERNEL_KNOBS = {
+    "order": (2, 3, 4, 5),
+    "objective": ("k2", "gini", "mutual-information", "chi2"),
+    "word_layout": ("u32", "u64", None),
+    "backend": BACKENDS,
+    "fused": ("auto", "on", "off"),
+    "validate": (False, True),
+}
+EXECUTION_KNOBS = {
+    "n_workers": (1, 2, 3, 4),
+    "devices": (None, "cpu+gpu"),
+    "schedule": ("dynamic", "static", "guided", "carm"),
+    "chunk_size": (None, 1, "auto"),
+    "telemetry": ("off", "minimal", "full"),
+}
 #: Fault kinds a sharded run recovers from without a watchdog.
 RECOVERABLE_FAULTS = ("crash", "exit", "error", "slow")
 FAST_RETRY = RetryPolicy(backoff_seconds=0.01)
@@ -88,28 +105,53 @@ def approach_params(approach: str):
 
 
 @st.composite
-def searches(draw, approach=None, min_order=2, max_order=5):
-    """A dataset and the ``DetectorConfig`` fields of a search over it."""
-    dataset = draw(genotype_datasets(min_snps=4, max_snps=10, max_samples=200))
-    if approach is None:
-        approach = draw(st.sampled_from(list_approaches()))
+def searches(draw, min_order=2, max_order=5, **pinned):
+    """A dataset and the ``DetectorConfig`` fields of a search over it.
+
+    A ``pinned`` field keeps its value; every other field is drawn.
+    """
+    min_snps = max(4, pinned.get("order", 0))
+    dataset = draw(genotype_datasets(min_snps=min_snps, max_snps=10, max_samples=200))
+
+    def knob(name, strategy=None):
+        """The pinned value, else a draw (of the knob's values by default)."""
+        if name in pinned:
+            return pinned[name]
+        if strategy is None:
+            strategy = st.sampled_from(KERNEL_KNOBS.get(name) or EXECUTION_KNOBS[name])
+        return draw(strategy)
+
+    approach = knob("approach", st.sampled_from(list_approaches()))
     spec = dict(
         approach=approach,
-        objective=draw(st.sampled_from(OBJECTIVES)),
-        order=draw(st.integers(min_order, min(max_order, dataset.n_snps))),
-        word_layout=draw(st.sampled_from(("u32", "u64", None))),
-        backend=draw(st.sampled_from(BACKENDS)),
-        fused=draw(st.sampled_from(("auto", "on", "off"))),
-        validate=draw(st.booleans()),
-        n_workers=draw(st.integers(1, 4)),
-        devices=draw(st.sampled_from((None, "cpu+gpu"))),
-        schedule=draw(st.sampled_from(SCHEDULES)),
-        chunk_size=draw(st.one_of(st.none(), st.integers(1, 300), st.just("auto"))),
-        telemetry=draw(st.sampled_from(("off", "minimal", "full"))),
+        objective=knob("objective"),
+        order=knob("order", st.integers(min_order, min(max_order, dataset.n_snps))),
+        word_layout=knob("word_layout"),
+        backend=knob("backend"),
+        fused=knob("fused"),
+        validate=knob("validate"),
+        n_workers=knob("n_workers"),
+        devices=knob("devices"),
+        schedule=knob("schedule"),
+        chunk_size=knob("chunk_size", st.one_of(st.none(), st.integers(1, 300), st.just("auto"))),
+        telemetry=knob("telemetry"),
         top_k=draw(st.integers(1, 12)),
         approach_params=draw(approach_params(approach)),
     )
     return dataset, spec
+
+
+def _cells():
+    """The detect cells: each kernel knob value on each approach, and each
+    execution knob value on any approach, the rest of the search drawn."""
+    for approach in list_approaches():
+        for name, values in KERNEL_KNOBS.items():
+            for value in values:
+                cell = {"approach": approach, name: value}
+                yield pytest.param(cell, id=f"{approach}-{name}={value}")
+    for name, values in EXECUTION_KNOBS.items():
+        for value in values:
+            yield pytest.param({name: value}, id=f"{name}={value}")
 
 
 def _run_case(workers, pool="keep", shm="on", faults=None, checkpoint=True, budget=None,
@@ -206,22 +248,23 @@ def _check_detect(result, dataset, config):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("approach", list_approaches())
-@_share(0.12)
+@pytest.mark.parametrize("pinned", list(_cells()))
+@_share(0.02)
 @given(data=st.data())
-def test_detect_matches_oracle(approach, data):
-    dataset, spec = data.draw(searches(approach=approach))
+def test_detect_matches_oracle(pinned, data):
+    dataset, spec = data.draw(searches(**pinned))
     config = _config(spec)
     result = EpistasisDetector(config=config).detect(dataset)
     _check_detect(result, dataset, config)
     assert ("telemetry" in result.stats.extra) == (config.telemetry != "off")
 
 
-@_share(0.5)
-@given(case=searches(), data=st.data())
-def test_candidates_match_oracle(case, data):
+@pytest.mark.parametrize("approach", list_approaches())
+@_share(0.06)
+@given(data=st.data())
+def test_candidates_match_oracle(approach, data):
     """Scattered candidates in reverse rank order, compared as a map."""
-    dataset, spec = case
+    dataset, spec = data.draw(searches(approach=approach))
     config = _config(spec)
     total = combination_count(dataset.n_snps, config.order)
     ranks = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=40, unique=True))
@@ -250,10 +293,11 @@ def _check_staged(detector, dataset, run=None, **staging):
     assert staged.p_values == plain.p_values
 
 
-@_share(0.2)
-@given(case=searches(min_order=3), data=st.data())
-def test_staged_matches_oracle(case, data):
-    dataset, spec = case
+@pytest.mark.parametrize("objective", KERNEL_KNOBS["objective"])
+@_share(0.05)
+@given(data=st.data())
+def test_staged_matches_oracle(objective, data):
+    dataset, spec = data.draw(searches(min_order=3, objective=objective))
     config = _config(spec)
     _check_staged(
         EpistasisDetector(config=config),
