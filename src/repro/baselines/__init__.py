@@ -5,7 +5,7 @@ state-of-the-art third-order detectors:
 
 * **MPI3SNP** (Ponte-Fernández et al.) — re-implemented here at the
   algorithmic level (:mod:`repro.baselines.mpi3snp`): static partitioning of
-  the combination space across ranks of a simulated cluster, binarised
+  the combination space across ranks (threads or OS processes), binarised
   kernel without cache blocking or layout tiling, scalar (64-bit) population
   counts on the CPU.  A companion analytical model predicts its throughput
   on the catalogued devices.

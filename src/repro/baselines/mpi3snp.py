@@ -22,36 +22,34 @@ the difference is captured by the execution statistics and by the
 analytical throughput model (:func:`estimate_mpi3snp_throughput`) used for
 the Table III comparison.
 
-Rank execution goes through :mod:`repro.distributed`: with
-``processes=True`` every rank is a real OS process (one shard per rank,
-static partition, deterministic rank-0 merge — the honest analogue of
-MPI3SNP's ``MPI_Comm_size`` decomposition); the default ``processes=False``
-runs the same static per-rank spans on host threads through the engine,
-which is cheaper to launch and bit-identical in its results.  Broadcast and
-gather traffic plus the static-partition load imbalance are accounted by
-:class:`repro.distributed.cluster.RankAccounting` in both modes.
+The ranks run one search of the same engine as every other detector:
+the default ``processes=False`` is one
+:class:`~repro.core.detector.EpistasisDetector` search with one host thread
+per rank under the ``static`` schedule, which gives thread ``i`` exactly
+rank ``i``'s contiguous span; ``processes=True`` makes every rank a real OS
+process through :func:`repro.distributed.run_distributed` (one static shard
+per rank, deterministic rank-0 merge — the honest analogue of MPI3SNP's
+``MPI_Comm_size`` decomposition).  Both run the classic build-then-score
+kernel (``fused="off"``), and both report the same top-k, operation counts
+and traffic.  The static partition's load imbalance follows from the
+partition alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Union
 
 
 from repro.core.approaches._kernels import check_order
-from repro.core.approaches.cpu_nophen import CpuNoPhenotypeApproach
-from repro.core.combinations import combination_count
-from repro.core.result import ApproachStats, DetectionResult
+from repro.core.detector import DetectorConfig, EpistasisDetector
+from repro.core.result import DetectionResult
 from repro.core.scoring import ObjectiveFunction, get_objective
 from repro.datasets.dataset import GenotypeDataset
 from repro.devices.specs import CpuSpec, GpuSpec
-from repro.engine import (
-    DenseRangeSource,
-    EngineDevice,
-    ExecutionPlan,
-    HeterogeneousExecutor,
-    StaticPolicy,
-)
-from repro.distributed import RankAccounting, ShardPlanner, run_distributed
+from repro.engine import DenseRangeSource
+from repro.engine.scheduling import static_partition
+from repro.distributed import ShardPlanner, run_distributed
 from repro.perfmodel.cpu_model import estimate_cpu
 from repro.perfmodel.gpu_model import estimate_gpu
 
@@ -108,137 +106,55 @@ class Mpi3snpBaseline:
         self.chunk_size = chunk_size
         self.order = check_order(order)
         self.processes = processes
-        # The rank-local kernel: split dataset, no blocking, no SIMD.
-        self.approach = CpuNoPhenotypeApproach()
 
     def detect(self, dataset: GenotypeDataset) -> DetectionResult:
         """Run the statically partitioned exhaustive search.
 
-        Every rank sweeps its contiguous span of the combination space; the
-        partial top-k lists are merged rank-0-style under the engine's
-        deterministic ``(score, combination-rank)`` order.  The
-        :class:`~repro.distributed.cluster.RankAccounting` tracks the
-        dataset broadcast, the result gather and the load imbalance the
-        static decomposition incurs.
+        Every rank sweeps its contiguous span of the combination space with
+        the rank-local kernel (``cpu-v2``: split dataset, no blocking, no
+        SIMD); the partial top-k lists are merged rank-0-style under the
+        engine's deterministic ``(score, combination-rank)`` order.
         """
-        total = combination_count(dataset.n_snps, self.order)
-        accounting = RankAccounting(self.n_ranks)
-        accounting.scatter_work(total)
-        encoded = self.approach.prepare(dataset)
-        accounting.broadcast_dataset(encoded.nbytes())
-
+        config = DetectorConfig(
+            approach="cpu-v2",
+            objective=self.objective,
+            order=self.order,
+            n_workers=self.n_ranks,
+            chunk_size=self.chunk_size,
+            top_k=self.top_k,
+            schedule="static",
+            fused="off",
+        )
         if self.processes:
-            result, per_rank_items = self._detect_processes(dataset)
+            # One OS process per rank, one thread each, one static shard each.
+            result = run_distributed(
+                dataset,
+                DenseRangeSource(dataset.n_snps, self.order),
+                config=replace(config, n_workers=1),
+                workers=self.n_ranks,
+                planner=ShardPlanner(n_shards=self.n_ranks),
+            ).result
         else:
-            result, per_rank_items = self._detect_threads(dataset, encoded, total)
+            result = EpistasisDetector(config=config).detect(dataset)
 
-        for rank in accounting.ranks:
-            rank.items_processed = per_rank_items.get(rank.rank, 0)
-        accounting.account_gather(bytes_per_partial=self.top_k * 32)
-
+        total = result.stats.n_combinations
+        spans = [stop - start for start, stop in static_partition(total, self.n_ranks)]
+        mean = total / self.n_ranks
         extra = dict(result.stats.extra)
         extra.update(
             {
                 "order": self.order,
                 "partitioning": "static",
                 "schedule": "static",
-                "load_imbalance": accounting.load_imbalance(),
+                "load_imbalance": max(spans) / mean if mean else 1.0,
                 "ranks": self.n_ranks,
                 "rank_mode": "processes" if self.processes else "threads",
             }
         )
-        stats = ApproachStats(
-            approach=self.name,
-            n_combinations=total,
-            n_samples=dataset.n_samples,
-            elapsed_seconds=result.stats.elapsed_seconds,
-            op_counts=result.stats.op_counts,
-            bytes_loaded=result.stats.bytes_loaded,
-            bytes_stored=result.stats.bytes_stored,
-            n_workers=self.n_ranks,
-            extra=extra,
+        stats = replace(
+            result.stats, approach=self.name, n_workers=self.n_ranks, extra=extra
         )
-        if not result.top:
-            raise RuntimeError("MPI3SNP baseline produced no interactions")
-        return DetectionResult(best=result.top[0], top=list(result.top), stats=stats)
-
-    def _detect_processes(self, dataset: GenotypeDataset):
-        """Real ranks: one OS process per rank, one static shard per rank."""
-        from repro.core.detector import DetectorConfig
-
-        config = DetectorConfig(
-            approach=self.approach.name,
-            objective=self.objective,
-            order=self.order,
-            n_workers=1,
-            chunk_size=self.chunk_size,
-            top_k=self.top_k,
-            schedule="static",
-        )
-        outcome = run_distributed(
-            dataset,
-            DenseRangeSource(dataset.n_snps, self.order),
-            config=config,
-            workers=self.n_ranks,
-            planner=ShardPlanner(n_shards=self.n_ranks),
-        )
-        # The planner's n_ranks-way static cut produces exactly the rank
-        # spans of RankAccounting.scatter_work, so shard id == rank id.
-        return outcome.result, dict(outcome.shard_items)
-
-    def _detect_threads(self, dataset: GenotypeDataset, encoded, total: int):
-        """Thread-backed ranks: the same static spans on engine workers."""
-        snp_names = list(dataset.snp_names)
-
-        # One kernel instance per rank (operation counters are not shared);
-        # rank 0 reuses the baseline's own approach object.  Counters are
-        # per call: rank 0 below absorbs the others' counts.
-        self.approach.reset_counter()
-        approaches = [self.approach] + [
-            CpuNoPhenotypeApproach() for _ in range(self.n_ranks - 1)
-        ]
-
-        plan = ExecutionPlan(
-            source=DenseRangeSource(dataset.n_snps, self.order),
-            devices=[
-                EngineDevice(
-                    kind="cpu", n_workers=self.n_ranks, chunk_size=self.chunk_size
-                )
-            ],
-            policy=StaticPolicy(),
-            top_k=self.top_k,
-        )
-
-        def scorer(worker, combos):
-            return self.objective.score(worker.state.build_tables(encoded, combos))
-
-        run = HeterogeneousExecutor(plan).run(
-            lambda device, worker_id: approaches[worker_id],
-            scorer,
-            snp_names=snp_names,
-        )
-
-        # Static partitioning assigns worker i exactly rank i's span.
-        per_rank_items = {worker.worker_id: worker.items for worker in run.workers}
-
-        for extra_approach in approaches[1:]:
-            self.approach.counter.merge(extra_approach.counter)
-
-        stats = ApproachStats(
-            approach=self.name,
-            n_combinations=total,
-            n_samples=dataset.n_samples,
-            elapsed_seconds=run.elapsed_seconds,
-            op_counts=self.approach.op_counts(),
-            bytes_loaded=self.approach.counter.bytes_loaded,
-            bytes_stored=self.approach.counter.bytes_stored,
-            n_workers=self.n_ranks,
-            extra={"devices": run.device_stats},
-        )
-        if not run.top:
-            raise RuntimeError("MPI3SNP baseline produced no interactions")
-        result = DetectionResult(best=run.top[0], top=list(run.top), stats=stats)
-        return result, per_rank_items
+        return DetectionResult(best=result.best, top=list(result.top), stats=stats)
 
 
 def estimate_mpi3snp_throughput(

@@ -678,20 +678,22 @@ class EpistasisDetector:
         *,
         cancel: CancellationToken | None = None,
         progress: Callable[[int, int], None] | None = None,
-        observe: Callable[[DeviceWorker, np.ndarray, np.ndarray], None] | None = None,
+        collect_snp_minima: bool = False,
         run: RunSpec | None = None,
         **run_fields,
     ) -> DetectionResult:
         """Evaluate an arbitrary candidate stream on the execution engine.
 
-        This is the engine entry point of the staged search pipeline:
-        :meth:`detect` is the dense instance
+        Every sweep enters here: :meth:`detect` is the dense instance
         (``source = DenseRangeSource(n_snps, order)``), a screen-then-expand
         stage passes a :class:`~repro.engine.SubsetSource` over its retained
-        SNPs, and finalist re-scoring passes an
-        :class:`~repro.engine.ExplicitCombinationSource`.  The interaction
-        order is taken from the source (not from the detector config), so
-        one configured detector can serve every stage of a pipeline.
+        SNPs, finalist re-scoring passes an
+        :class:`~repro.engine.ExplicitCombinationSource`, every shard a
+        distributed worker runs passes a slice of its run's source, and the
+        MPI3SNP baseline's thread ranks are one static-schedule call.  The
+        interaction order is taken from the source (not from the detector
+        config), so one configured detector can serve every stage of a
+        pipeline.
 
         Parameters
         ----------
@@ -702,14 +704,12 @@ class EpistasisDetector:
             (:class:`~repro.engine.CandidateSource`).
         cancel / progress / run:
             As in :meth:`detect`.
-        observe:
-            Optional per-chunk tap ``observe(worker, combos, scores)``
-            invoked after scoring, before the top-k fold.  Used by the
-            screening stage to aggregate per-SNP statistics without keeping
-            the full score stream; called concurrently from worker threads.
-            Not supported on a sharded run (per-chunk taps cannot cross the
-            process boundary — the distributed screening stage uses
-            :func:`repro.distributed.run_distributed` directly).
+        collect_snp_minima:
+            Also return each SNP's best (lowest) participating score over
+            the evaluated candidates as ``result.snp_minima`` (``inf`` for a
+            SNP no candidate contains): the screening stage's retention
+            statistic.  It is folded chunk by chunk inside the engine
+            workers, and on a sharded run inside every shard, then merged.
 
         Returns
         -------
@@ -723,11 +723,6 @@ class EpistasisDetector:
 
         run = RunSpec.of(run, **run_fields)
         cfg = self.config
-        if run.sharded and observe is not None:
-            raise ValueError(
-                "observe= is not supported with multi-process execution; "
-                "use repro.distributed.run_distributed(collect_snp_minima=...)"
-            )
         # Join the ambient telemetry run (pipeline stage, distributed
         # worker) when one is active; otherwise this call owns the run.
         with join_run(cfg.telemetry) as (session, run_id), span_or_null(
@@ -741,6 +736,7 @@ class EpistasisDetector:
                     source,
                     config=cfg,
                     run=run,
+                    collect_snp_minima=collect_snp_minima,
                     progress=progress,
                     cancel=cancel,
                     run_id=run_id,
@@ -787,23 +783,26 @@ class EpistasisDetector:
             snp_names = list(dataset.snp_names)
             n_cases, n_controls = dataset.n_cases, dataset.n_controls
             fused_active = cfg.fused != "off" and not cfg.validate
+            fold_minima = None
+            if collect_snp_minima:
+                from repro.distributed.merge import snp_minima_accumulator
+
+                fold_minima, finalize_minima = snp_minima_accumulator(dataset.n_snps)
 
             def scorer(worker: DeviceWorker, combos: np.ndarray) -> np.ndarray:
                 state: _WorkerState = worker.state
+                scores = None
                 if fused_active:
                     scores = state.approach.score_combinations(
                         state.encoded, combos, self.objective
                     )
-                    if scores is not None:
-                        if observe is not None:
-                            observe(worker, combos, scores)
-                        return scores
-                tables = state.approach.build_tables(state.encoded, combos)
-                if cfg.validate:
-                    validate_tables(tables, n_controls, n_cases)
-                scores = self.objective.score(tables)
-                if observe is not None:
-                    observe(worker, combos, scores)
+                if scores is None:
+                    tables = state.approach.build_tables(state.encoded, combos)
+                    if cfg.validate:
+                        validate_tables(tables, n_controls, n_cases)
+                    scores = self.objective.score(tables)
+                if fold_minima is not None:
+                    fold_minima(worker, combos, scores)
                 return scores
 
             executor = HeterogeneousExecutor(plan, cancel=cancel)
@@ -824,7 +823,12 @@ class EpistasisDetector:
 
                 absorb_stats(session, stats)
                 stats.extra["telemetry"] = session.summary()
-            return DetectionResult(best=swept.top[0], top=list(swept.top), stats=stats)
+            return DetectionResult(
+                best=swept.top[0],
+                top=list(swept.top),
+                stats=stats,
+                snp_minima=finalize_minima() if fold_minima is not None else None,
+            )
 
     # -- staged search --------------------------------------------------------------
     def detect_staged(

@@ -133,11 +133,17 @@ class DetectionResult:
         ``best``).
     stats:
         Execution statistics.
+    snp_minima:
+        Each SNP's best (lowest) participating score over the evaluated
+        candidates (``inf`` for SNPs none contains), when the search was
+        asked to collect it (``detect_candidates(collect_snp_minima=True)``);
+        ``None`` otherwise.
     """
 
     best: Interaction
     top: List[Interaction]
     stats: ApproachStats
+    snp_minima: np.ndarray | None = None
 
     @property
     def best_snps(self) -> tuple[int, ...]:

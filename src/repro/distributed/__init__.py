@@ -29,9 +29,9 @@ reported top-k is bit-identical for any worker count.
   :class:`ResilienceLog`, the one record of every recovery;
 * :mod:`repro.distributed.merge` — deterministic partial-result folding;
 * :mod:`repro.distributed.coordinator` — :func:`run_distributed`, the
-  orchestration loop behind ``detect(..., workers=N, checkpoint=...)``;
-* :mod:`repro.distributed.cluster` — rank bookkeeping and broadcast/gather
-  traffic accounting for the MPI3SNP-style baseline.
+  orchestration loop behind ``detect_candidates(..., workers=N,
+  checkpoint=...)`` (and so behind ``detect``, the staged pipeline's sweep
+  stages and the MPI3SNP baseline's process ranks).
 """
 
 from repro.distributed.shards import (
@@ -60,7 +60,6 @@ from repro.distributed.resilience import (
 )
 from repro.distributed.runner import ProcessRunner, ShardOutcome, WorkerPayload
 from repro.distributed.coordinator import DistributedOutcome, run_distributed
-from repro.distributed.cluster import ClusterRank, RankAccounting
 from repro.distributed.fleet import WorkerFleet, get_fleet, shutdown_fleets
 from repro.distributed.shm import (
     DatasetHandle,
@@ -95,8 +94,6 @@ __all__ = [
     "WorkerPayload",
     "DistributedOutcome",
     "run_distributed",
-    "ClusterRank",
-    "RankAccounting",
     "WorkerFleet",
     "get_fleet",
     "shutdown_fleets",

@@ -13,9 +13,14 @@ never a torn file, and never part of a batch.  The ledger records
   counts and a reference to the shard's per-SNP screening minima, which
   live as write-once binary side files under ``<ledger>.minima/`` (keeping
   each JSON commit proportional to the shard count);
-* free-form **state** sections used by non-sharded consumers (the
-  permutation stage stores its RNG bit-generator state and exceedance
-  counters here).
+* a free-form **state** section: the run's resilience history (per-shard
+  failure counts that seed the next resume's retry budgets).
+
+:class:`JsonLedger` is the atomic document underneath; the staged
+pipeline's stage-output ledger (``pipeline.json``) and the permutation
+stage's own ``stageNN_permutation.ckpt.json`` (its RNG bit-generator state
+and exceedance counters) are plain :class:`JsonLedger` documents beside the
+sweep stages' shard ledgers.
 
 Ledgers are compact JSON (no indentation), which is what lets CPython
 encode them in C.  Scores are stored as JSON numbers; Python's ``json``
@@ -376,7 +381,7 @@ class CheckpointStore(JsonLedger):
         self.doc["completed"] = True
         self.write()
 
-    # -- free-form state (RNG/permutation progress, ...) -------------------
+    # -- free-form state (the resilience history) ---------------------------
     def get_state(self, key: str):
         """Read a free-form state entry (``None`` when absent)."""
         return self.doc.get("state", {}).get(key)

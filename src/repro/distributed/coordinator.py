@@ -87,9 +87,6 @@ class DistributedOutcome:
     op_counts: Dict[str, int] = field(default_factory=dict)
     bytes_loaded: int = 0
     bytes_stored: int = 0
-    #: Items evaluated per shard id (restored and fresh), for per-rank
-    #: accounting by callers that map shards onto ranks.
-    shard_items: Dict[int, int] = field(default_factory=dict)
     #: Data-plane counter increments of this run (parent publishes plus
     #: every worker batch's delta): segments published/attached/reused,
     #: encoding-cache hits/misses/shm-hits, datasets pickled vs attached.
@@ -102,12 +99,12 @@ class DistributedOutcome:
 
 
 def _aggregate_device_stats(
-    shard_stats: List[Dict[str, Dict[str, object]]],
+    records: Dict[int, Dict[str, object]],
+    restored: Dict[int, Dict[str, object]],
     elapsed: float,
-    n_items: int,
     n_processes: int,
 ) -> Dict[str, Dict[str, object]]:
-    """Sum per-shard engine lane statistics into run-level device stats.
+    """Sum the shard records' engine lane statistics into run-level stats.
 
     ``busy_seconds`` accumulates across every shard of every worker
     process, so the capacity normalising the utilization is the wall clock
@@ -117,8 +114,10 @@ def _aggregate_device_stats(
     execution.
     """
     stats: Dict[str, Dict[str, object]] = {}
-    for per_shard in shard_stats:
-        for label, entry in per_shard.items():
+    n_items = 0
+    for shard_id, record in records.items():
+        n_items += int(record.get("n_items", 0))
+        for label, entry in record.get("device_stats", {}).items():
             agg = stats.setdefault(
                 label,
                 {
@@ -132,7 +131,8 @@ def _aggregate_device_stats(
             )
             agg["chunks"] += int(entry.get("chunks", 0))
             agg["items"] += int(entry.get("items", 0))
-            agg["busy_seconds"] += float(entry.get("busy_seconds", 0.0))
+            if shard_id not in restored:
+                agg["busy_seconds"] += float(entry.get("busy_seconds", 0.0))
             if entry.get("approach"):
                 agg["approach"] = entry["approach"]
             for mnemonic, count in entry.get("op_counts", {}).items():
@@ -157,22 +157,6 @@ def _aggregate_data_plane(
         for name, count in outcome.data_plane.items():
             totals[name] = totals.get(name, 0) + int(count)
     return totals
-
-
-def _ledger_record(outcome: ShardOutcome) -> Dict[str, object]:
-    """The checkpoint ledger's record of one completed shard."""
-    record: Dict[str, object] = {
-        "top": outcome.rows,
-        "n_items": int(outcome.n_items),
-        "elapsed_seconds": float(outcome.elapsed_seconds),
-        "op_counts": dict(outcome.op_counts),
-        "bytes_loaded": int(outcome.bytes_loaded),
-        "bytes_stored": int(outcome.bytes_stored),
-        "device_stats": outcome.device_stats,
-    }
-    if outcome.snp_minima is not None:
-        record["snp_minima"] = outcome.snp_minima
-    return record
 
 
 def _publish_data_plane(dataset, prototype, config, session):
@@ -369,15 +353,13 @@ def run_distributed(
                                 if session is not None and outcome.spans:
                                     session.tracer.absorb(outcome.spans)
                                 if store is not None:
-                                    store.record_shard(
-                                        outcome.shard_id, _ledger_record(outcome)
-                                    )
+                                    store.record_shard(outcome.shard_id, outcome.record)
                             if store is not None:
                                 # One commit per arrived batch: a kill leaves
                                 # the batch on disk whole or not at all.
                                 store.write()
                             for outcome in arrived:
-                                items_total_done += outcome.n_items
+                                items_total_done += outcome.record["n_items"]
                                 if progress is not None:
                                     progress(items_total_done, total)
                             if cancel is not None and cancel.cancelled:
@@ -399,7 +381,12 @@ def run_distributed(
             outcomes, data_plane_delta(parent_before)
         )
 
-        shards_done = len(restored) + len(outcomes)
+        # One fold over every shard's record, restored or fresh: rows,
+        # minima and the operation/traffic accounting cover the whole
+        # search, so a resumed run's stats still describe all
+        # n_combinations it reports.
+        records = {**restored, **{o.shard_id: o.record for o in outcomes}}
+        shards_done = len(records)
         completed = shards_done == len(shards) and not cancelled
         if store is not None and resilience_log.faulted:
             # The ledger's resilience history survives resumes: cumulative
@@ -412,54 +399,33 @@ def run_distributed(
         if completed and store is not None:
             store.finish()
 
-        partial_rows = [rec.get("top", []) for rec in restored.values()]
-        partial_rows.extend(outcome.rows for outcome in outcomes)
+        partial_rows: List[list] = []
+        partial_minima = []
+        op_counts: Dict[str, int] = {}
+        bytes_loaded = bytes_stored = 0
+        for shard_id, record in records.items():
+            partial_rows.append(record.get("top", []))
+            if collect_snp_minima:
+                partial_minima.append(
+                    store.shard_minima(shard_id, record)
+                    if store is not None
+                    else record.get("snp_minima")
+                )
+            for mnemonic, count in record.get("op_counts", {}).items():
+                op_counts[mnemonic] = op_counts.get(mnemonic, 0) + int(count)
+            bytes_loaded += int(record.get("bytes_loaded", 0))
+            bytes_stored += int(record.get("bytes_stored", 0))
         top = [row_to_interaction(row) for row in merge_rows(partial_rows, config.top_k)]
-
-        snp_minima = None
-        if collect_snp_minima:
-            partial_minima = [
-                store.shard_minima(shard_id, rec)
-                for shard_id, rec in restored.items()
-            ]
-            partial_minima.extend(outcome.snp_minima for outcome in outcomes)
-            snp_minima = merge_minima(m for m in partial_minima if m is not None)
+        snp_minima = merge_minima(partial_minima) if collect_snp_minima else None
 
         elapsed = time.perf_counter() - started
-        items_evaluated = sum(o.n_items for o in outcomes)
-
-        # Operation/traffic accounting covers the whole search: fresh shards
-        # plus the restored shards' recorded counts, so a resumed run's stats
-        # still describe all n_combinations it reports.
-        op_counts: Dict[str, int] = {}
-        bytes_loaded = sum(o.bytes_loaded for o in outcomes)
-        bytes_stored = sum(o.bytes_stored for o in outcomes)
-        op_sources: List[Dict[str, int]] = [o.op_counts for o in outcomes]
-        for rec in restored.values():
-            op_sources.append(rec.get("op_counts", {}))
-            bytes_loaded += int(rec.get("bytes_loaded", 0))
-            bytes_stored += int(rec.get("bytes_stored", 0))
-        for source_ops in op_sources:
-            for mnemonic, count in source_ops.items():
-                op_counts[mnemonic] = op_counts.get(mnemonic, 0) + int(count)
-
-        # Restored shards contribute their recorded work accounting (items,
-        # chunks, per-lane op counts) but no busy time — utilization describes
-        # this run's execution only.
-        shard_stats: List[Dict[str, Dict[str, object]]] = [
-            {
-                label: {**dict(entry), "busy_seconds": 0.0}
-                for label, entry in rec.get("device_stats", {}).items()
-            }
-            for rec in restored.values()
-        ]
-        shard_stats.extend(o.device_stats for o in outcomes)
+        items_evaluated = sum(int(o.record["n_items"]) for o in outcomes)
         # Normalise utilization by the pool that actually ran (the runner caps
         # its process count at the pending-shard count), not the requested
         # worker count.
         effective_processes = max(1, min(run.workers, len(pending)))
         device_stats = _aggregate_device_stats(
-            shard_stats, elapsed, items_evaluated + items_restored, effective_processes
+            records, restored, elapsed, effective_processes
         )
 
         checkpoint_path = str(run.checkpoint) if run.checkpoint is not None else None
@@ -504,12 +470,9 @@ def run_distributed(
             if session is not None:
                 absorb_stats(session, stats)
                 extra["telemetry"] = session.summary()
-            result = DetectionResult(best=top[0], top=list(top), stats=stats)
-
-        shard_items = {
-            shard_id: int(rec.get("n_items", 0)) for shard_id, rec in restored.items()
-        }
-        shard_items.update({o.shard_id: int(o.n_items) for o in outcomes})
+            result = DetectionResult(
+                best=top[0], top=list(top), stats=stats, snp_minima=snp_minima
+            )
 
         return DistributedOutcome(
             top=top,
@@ -530,7 +493,6 @@ def run_distributed(
             op_counts=op_counts,
             bytes_loaded=bytes_loaded,
             bytes_stored=bytes_stored,
-            shard_items=shard_items,
             data_plane=data_plane,
             resilience=resilience_log.to_dict(),
         )

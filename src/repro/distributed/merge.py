@@ -87,24 +87,25 @@ def merge_rows(partials: Iterable[Sequence[Row]], top_k: int) -> List[Row]:
 def snp_minima_accumulator(n_snps: int):
     """A thread-safe per-SNP best-participating-score fold for engine runs.
 
-    Returns ``(observe, finalize)``: ``observe(worker, combos, scores)``
-    plugs into :meth:`EpistasisDetector.detect_candidates`'s per-chunk tap
+    Returns ``(fold, finalize)``: ``fold(worker, combos, scores)`` runs
+    after every scored chunk of an in-process
+    ``EpistasisDetector.detect_candidates(..., collect_snp_minima=True)``
     and credits every SNP of a scored combination with the combination's
     score (keeping the minimum); ``finalize()`` reduces the per-worker
     accumulators to one ``(n_snps,)`` array (``inf`` = SNP never seen).
 
-    This is the single implementation behind the screening stage in both
-    execution modes — the in-process sweep and each distributed shard use
-    it, which is what keeps the ``workers=1`` vs ``workers=N`` screen
-    bit-identical.  Workers only ever touch their own array, so the only
-    shared state is the dict itself (guarded for concurrent first access).
+    An in-process sweep and every shard of a sharded one fold through it,
+    and :func:`merge_minima` joins the shards, which is what keeps the
+    ``workers=1`` vs ``workers=N`` screen bit-identical.  Workers only ever
+    touch their own array, so the only shared state is the dict itself
+    (guarded for concurrent first access).
     """
     import threading
 
     per_worker: dict[int, np.ndarray] = {}
     lock = threading.Lock()
 
-    def observe(worker, combos: np.ndarray, scores: np.ndarray) -> None:
+    def fold(worker, combos: np.ndarray, scores: np.ndarray) -> None:
         best = per_worker.get(worker.worker_id)
         if best is None:
             with lock:
@@ -119,7 +120,7 @@ def snp_minima_accumulator(n_snps: int):
             np.minimum(best, partial, out=best)
         return best
 
-    return observe, finalize
+    return fold, finalize
 
 
 def merge_minima(

@@ -49,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
 
-from repro.distributed.merge import interaction_to_row, snp_minima_accumulator
+from repro.distributed.merge import interaction_to_row
 from repro.distributed.resilience import MAX_POOL_BREAKS, ResilienceLog
 from repro.distributed.shards import Shard, ShardView
 from repro.distributed.shm import (
@@ -64,8 +64,6 @@ from repro.distributed.shm import (
 from repro.faults import fire, install_plan
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.core.detector import RunSpec
 
 __all__ = ["WorkerPayload", "ShardOutcome", "ProcessRunner"]
@@ -136,15 +134,12 @@ class ShardOutcome:
     """One shard's partial result, streamed back to the coordinator."""
 
     shard_id: int
-    rows: List[list]
-    n_items: int
-    elapsed_seconds: float
-    device_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    op_counts: Dict[str, int] = field(default_factory=dict)
-    bytes_loaded: int = 0
-    bytes_stored: int = 0
-    #: Per-SNP best participating score (``inf`` = SNP unseen).
-    snp_minima: np.ndarray | None = None
+    #: What the checkpoint ledger keeps of the shard: its partial top-k
+    #: ``"top"`` rows, ``"n_items"``, ``"elapsed_seconds"``, ``"op_counts"``,
+    #: ``"bytes_loaded"``, ``"bytes_stored"``, per-lane ``"device_stats"``
+    #: and, when collected, the ``"snp_minima"`` array (per-SNP best
+    #: participating score, ``inf`` = SNP unseen).
+    record: Dict[str, object]
     #: Data-plane counter increments of the batch this outcome headed
     #: (attached to the first outcome of each batch; empty otherwise).
     data_plane: Dict[str, int] = field(default_factory=dict)
@@ -200,34 +195,31 @@ class _WorkerContext:
     def run_shard(self, task: tuple[int, int, int]) -> ShardOutcome:
         """Evaluate one shard."""
         shard_id, start, stop = task
-        payload = self.payload
-        dataset = self.dataset
-        view = ShardView(payload.source, start, stop)
-
-        observe = finalize_minima = None
-        if payload.collect_minima:
-            observe, finalize_minima = snp_minima_accumulator(dataset.n_snps)
+        view = ShardView(self.payload.source, start, stop)
 
         # Detector statistics count one call, so they are this shard's own.
         started = time.perf_counter()
-        result = self.detector.detect_candidates(dataset, view, observe=observe)
+        result = self.detector.detect_candidates(
+            self.dataset, view, collect_snp_minima=self.payload.collect_minima
+        )
         elapsed = time.perf_counter() - started
         stats = result.stats
 
-        return ShardOutcome(
-            shard_id=shard_id,
-            rows=[interaction_to_row(inter) for inter in result.top],
-            n_items=view.total,
-            elapsed_seconds=elapsed,
-            device_stats={
+        record: Dict[str, object] = {
+            "top": [interaction_to_row(inter) for inter in result.top],
+            "n_items": int(view.total),
+            "elapsed_seconds": float(elapsed),
+            "op_counts": {m: int(c) for m, c in stats.op_counts.items() if c},
+            "bytes_loaded": int(stats.bytes_loaded),
+            "bytes_stored": int(stats.bytes_stored),
+            "device_stats": {
                 label: dict(entry)
                 for label, entry in stats.extra.get("devices", {}).items()
             },
-            op_counts={m: int(c) for m, c in stats.op_counts.items() if c},
-            bytes_loaded=stats.bytes_loaded,
-            bytes_stored=stats.bytes_stored,
-            snp_minima=finalize_minima() if finalize_minima is not None else None,
-        )
+        }
+        if result.snp_minima is not None:
+            record["snp_minima"] = result.snp_minima
+        return ShardOutcome(shard_id=shard_id, record=record)
 
 
 #: Per-process context cache (worker processes): payload fingerprint →

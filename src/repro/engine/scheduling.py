@@ -3,7 +3,7 @@
 Work units are half-open ranges ``[start, stop)`` of lexicographic
 combination ranks (see :mod:`repro.core.combinations`); a work source never
 touches the combinations themselves, so the same machinery drives CPU
-threads, simulated GPU launches and simulated cluster ranks.
+threads, simulated GPU launches and the MPI3SNP baseline's ranks.
 
 There is one cursor, :class:`SharedCursor`: a locked ``claim(size)`` over a
 span ``[start, total)``.  Every work source a worker drains is a view that
@@ -20,7 +20,7 @@ decides how much to claim from one:
   from measured chunk durations (``chunk_size="auto"``).
 
 :func:`static_partition` produces the contiguous near-equal spans consumed
-by the static schedule and the simulated cluster.
+by the static schedule (and the MPI3SNP baseline's load-imbalance figure).
 """
 
 from __future__ import annotations

@@ -18,7 +18,11 @@ Every stage executes through
 :meth:`~repro.core.detector.EpistasisDetector.detect_candidates`, so device
 lanes, scheduling policies (including the CARM-ratio splitter, configured
 with the stage's *effective* SNP universe) and the streaming top-k
-reduction behave exactly as in a dense search.
+reduction behave exactly as in a dense search.  The two sweep stages, screen
+and expand, pass it the pipeline's run spec with their own ledger under the
+checkpoint directory, so they shard across worker processes exactly as a
+dense ``detect(workers=N)`` does; refine and the permutation stage's
+observed re-scoring always run in-process.
 """
 
 from __future__ import annotations
@@ -168,65 +172,6 @@ class PipelineStage(ABC):
             return DenseRangeSource(ctx.dataset.n_snps, order)
         return SubsetSource(ctx.retained, order)
 
-    def _sweep(
-        self,
-        ctx: StageContext,
-        detector: EpistasisDetector,
-        source: CandidateSource,
-        *,
-        collect_minima: bool = False,
-    ):
-        """Run a stage sweep, in-process or sharded across worker processes.
-
-        Returns ``(result, snp_minima)``; the minima array (per-SNP best
-        participating score) is only collected when requested by a
-        screening stage.  The two paths produce bit-identical results —
-        the distributed path shards the same candidate source and merges
-        under the engine's ``(score, combination-rank)`` total order.
-        """
-        if ctx.run.sharded:
-            from repro.distributed import run_distributed
-
-            outcome = run_distributed(
-                ctx.dataset,
-                source,
-                config=detector.config,
-                run=replace(ctx.run, checkpoint=ctx.stage_ledger_path(self.name)),
-                collect_snp_minima=collect_minima,
-                progress=ctx.stage_progress(self.name),
-                cancel=ctx.cancel,
-            )
-            if outcome.cancelled or not outcome.completed:
-                raise RuntimeError(
-                    f"{self.name} stage cancelled after "
-                    f"{outcome.items_restored + outcome.items_evaluated} of "
-                    f"{source.total} candidates"
-                )
-            return outcome.result, outcome.snp_minima
-
-        if not collect_minima:
-            result = detector.detect_candidates(
-                ctx.dataset,
-                source,
-                cancel=ctx.cancel,
-                progress=ctx.stage_progress(self.name),
-            )
-            return result, None
-
-        # The same fold each distributed shard runs — one implementation
-        # keeps the two execution modes bit-identical.
-        from repro.distributed.merge import snp_minima_accumulator
-
-        observe, finalize = snp_minima_accumulator(ctx.dataset.n_snps)
-        result = detector.detect_candidates(
-            ctx.dataset,
-            source,
-            cancel=ctx.cancel,
-            progress=ctx.stage_progress(self.name),
-            observe=observe,
-        )
-        return result, finalize()
-
     def _report(
         self,
         ctx: StageContext,
@@ -280,9 +225,10 @@ class ScreenStage(PipelineStage):
     Every combination of the current universe is evaluated at the (cheap)
     screening order, and each SNP is credited with the best (lowest) score
     of any combination it participates in; the ``keep`` best SNPs survive.
-    Per-SNP minima are folded chunk-by-chunk inside the engine workers, so
-    the screen streams through the space with O(n_snps) extra memory and no
-    full score materialisation.
+    Per-SNP minima are folded chunk-by-chunk inside the engine workers
+    (``detect_candidates(collect_snp_minima=True)``, in every shard of a
+    sharded screen), so the screen streams through the space with O(n_snps)
+    extra memory and no full score materialisation.
 
     ``keep`` is the retention budget — the knob trading recall for expand
     cost: the following order-``k`` expand evaluates ``nCr(keep, k)``
@@ -307,12 +253,17 @@ class ScreenStage(PipelineStage):
             else np.arange(dataset.n_snps, dtype=np.int64)
         )
         detector = self._detector(ctx, self.order)
-        result, best_per_snp = self._sweep(
-            ctx, detector, source, collect_minima=True
+        result = detector.detect_candidates(
+            dataset,
+            source,
+            cancel=ctx.cancel,
+            progress=ctx.stage_progress(self.name),
+            collect_snp_minima=True,
+            run=replace(ctx.run, checkpoint=ctx.stage_ledger_path(self.name)),
         )
 
         keep = min(self.keep, int(universe.size))
-        universe_scores = best_per_snp[universe]
+        universe_scores = result.snp_minima[universe]
         ranked = np.argsort(universe_scores, kind="stable")[:keep]
         retained = np.sort(universe[ranked])
         ctx.retained = retained
@@ -341,7 +292,13 @@ class ExpandStage(PipelineStage):
     def run(self, ctx: StageContext) -> StageReport:
         source = self._universe_source(ctx, self.order)
         detector = self._detector(ctx, self.order)
-        result, _ = self._sweep(ctx, detector, source)
+        result = detector.detect_candidates(
+            ctx.dataset,
+            source,
+            cancel=ctx.cancel,
+            progress=ctx.stage_progress(self.name),
+            run=replace(ctx.run, checkpoint=ctx.stage_ledger_path(self.name)),
+        )
         ctx.top = list(result.top)
         ctx.p_values = None
         return self._report(ctx, detector, source, result)

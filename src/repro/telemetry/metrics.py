@@ -2,8 +2,8 @@
 
 One registry per run absorbs every counter the stack used to scatter
 across ad-hoc dicts — §IV paper-word op/traffic counters, autotuner
-feedback, encoding-cache hit rates, fleet spawn/respawn counts and
-shared-memory data-plane events — behind a single dotted-name API.
+feedback, fleet spawn/respawn counts and the data-plane events of sharded
+runs — behind a single dotted-name API.
 
 Namespaces (see the README "Observability" section for the full table):
 
@@ -12,8 +12,7 @@ Namespaces (see the README "Observability" section for the full table):
 ``traffic.bytes_*``       modelled DRAM bytes loaded/stored
 ``engine.*``              chunks/items/lanes executed by the engine
 ``autotune.*``            adaptive chunk-size controller state
-``cache.encoding.*``      encoding-cache hits/misses/shm hits
-``dataplane.*``           shared-memory segment/publish/attach events
+``dataplane.*``           a sharded run's shm and encoding-cache events
 ``fleet.*``               warm worker-pool spawns and respawns
 ``distributed.*``         shard counts and worker fan-out
 ``backend.*``             kernel compile counts

