@@ -17,6 +17,7 @@ from repro.baselines.reported import paper_speedup
 from repro.core import EpistasisDetector
 from repro.datasets import generate_null_dataset
 from repro.devices import cpu, gpu
+from repro.telemetry import finish_run, start_run
 from tests.conftest import PLANTED_TRIPLET
 
 
@@ -72,6 +73,23 @@ class TestMpi3snpBaseline:
         dataset = generate_null_dataset(5, 64, seed=3)
         result = Mpi3snpBaseline(n_ranks=3, order=2).detect(dataset)
         assert result.stats.extra["load_imbalance"] == pytest.approx(4 / (10 / 3))
+
+    def test_each_thread_rank_sweeps_its_static_span(self):
+        # C(8, 2) = 28 pairs over 3 ranks: spans of 10, 9 and 9, each cut
+        # into 3 claims of at most 4.  Thread i must sweep rank i's span
+        # alone — no stealing between ranks.
+        dataset = generate_null_dataset(8, 64, seed=3)
+        run = start_run("full")
+        try:
+            Mpi3snpBaseline(n_ranks=3, order=2, chunk_size=4).detect(dataset)
+        finally:
+            finish_run(run)
+        ranks = sorted(
+            (span.attrs["worker_id"], span.attrs["items"], span.attrs["chunks"])
+            for span in run.tracer.spans
+            if span.name == "device.run"
+        )
+        assert ranks == [(0, 10, 3), (1, 9, 3), (2, 9, 3)]
 
     def test_rank_count_validation(self):
         with pytest.raises(ValueError):

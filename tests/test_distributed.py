@@ -23,7 +23,7 @@ import pytest
 
 from repro.baselines.mpi3snp import Mpi3snpBaseline
 from repro.core import EpistasisDetector
-from repro.core.detector import DetectorConfig
+from repro.core.detector import DetectorConfig, RunSpec
 from repro.datasets import PlantedInteraction, SyntheticConfig, generate_dataset
 from repro.datasets.dataset import GenotypeDataset
 from repro.distributed import (
@@ -434,6 +434,37 @@ class TestDistributedDetect:
         with pytest.raises(TypeError, match="registry name"):
             detector.detect(dataset, workers=2)
 
+    def test_snp_minima_only_when_requested(self, dataset, tmp_path):
+        detector = EpistasisDetector(approach="cpu-v4", order=2, top_k=3)
+        source = DenseRangeSource(dataset.n_snps, 2)
+        for run in (RunSpec(), RunSpec(checkpoint=str(tmp_path / "plain.ckpt.json"))):
+            assert detector.detect_candidates(dataset, source, run=run).snp_minima is None
+        for run in (RunSpec(), RunSpec(checkpoint=str(tmp_path / "minima.ckpt.json"))):
+            result = detector.detect_candidates(
+                dataset, source, run=run, collect_snp_minima=True
+            )
+            # Every SNP is in some pair, and the best pair's SNPs reach
+            # the lowest score of the sweep.
+            minima = result.snp_minima
+            assert minima.shape == (dataset.n_snps,)
+            assert np.isfinite(minima).all()
+            assert minima.min() == result.best_score
+            assert all(minima[snp] == result.best_score for snp in result.best_snps)
+
+    def test_minima_resume_refuses_a_ledger_without_minima(self, dataset, tmp_path):
+        # Restored shards of a plain sweep hold no minima to merge.
+        config = DetectorConfig(approach="cpu-v4", order=2, top_k=3)
+        source = DenseRangeSource(dataset.n_snps, 2)
+        ckpt = str(tmp_path / "plain.ckpt.json")
+        run_distributed(dataset, source, config=config, checkpoint=ckpt, shard_budget=2)
+        with pytest.raises(ValueError, match="collect_snp_minima"):
+            EpistasisDetector(config=config).detect_candidates(
+                dataset,
+                source,
+                run=RunSpec(checkpoint=ckpt, resume=True),
+                collect_snp_minima=True,
+            )
+
     def test_empty_source_rejected(self, dataset):
         with pytest.raises(ValueError, match="empty"):
             run_distributed(
@@ -619,6 +650,22 @@ class TestMpi3snpRanks:
         assert threads.stats.extra["load_imbalance"] == procs.stats.extra["load_imbalance"]
         assert procs.stats.extra["load_imbalance"] >= 1.0
         assert threads.best_snps == PLANTED
+
+    @pytest.mark.parametrize(
+        "order, imbalance", [(2, 64 / (190 / 3)), (4, 1.0)], ids=["order2", "order4"]
+    )
+    def test_threads_and_processes_agree_at_other_orders(self, dataset, order, imbalance):
+        # C(20, 2) = 190 pairs split 64/63/63; C(20, 4) = 4845 splits evenly.
+        ranks = dict(n_ranks=3, top_k=5, order=order, chunk_size=128)
+        threads = Mpi3snpBaseline(**ranks).detect(dataset)
+        procs = Mpi3snpBaseline(**ranks, processes=True).detect(dataset)
+        assert top_items(threads) == top_items(procs)
+        assert threads.stats.op_counts == procs.stats.op_counts
+        assert (threads.stats.bytes_loaded, threads.stats.bytes_stored) == (
+            procs.stats.bytes_loaded, procs.stats.bytes_stored
+        )
+        assert threads.stats.extra["load_imbalance"] == pytest.approx(imbalance)
+        assert procs.stats.extra["load_imbalance"] == pytest.approx(imbalance)
 
     def test_matches_reference_detector(self, dataset):
         reference = EpistasisDetector(approach="cpu-v4", top_k=5).detect(dataset)
